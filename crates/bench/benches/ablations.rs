@@ -130,7 +130,7 @@ fn ablation_parser(c: &mut Criterion) {
         b.iter(|| {
             clean
                 .iter()
-                .filter_map(|t| spec_format::parse_run(std::hint::black_box(t)).ok())
+                .filter_map(|t| spec_format::parse_run_interned(std::hint::black_box(t)).ok())
                 .count()
         })
     });
@@ -138,7 +138,7 @@ fn ablation_parser(c: &mut Criterion) {
         b.iter(|| {
             anomalous
                 .iter()
-                .filter_map(|t| spec_format::parse_run(std::hint::black_box(t)).ok())
+                .filter_map(|t| spec_format::parse_run_interned(std::hint::black_box(t)).ok())
                 .count()
         })
     });

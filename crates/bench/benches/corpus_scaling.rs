@@ -1,13 +1,12 @@
 //! Corpus-scaling benchmark: streaming ingest throughput (reports/s) at the
 //! native 1017-report corpus and at ×10 / ×100 / ×1000 replications (up to
-//! ~1.02M reports), plus an owned-vs-interned parser comparison on the
-//! native corpus.
+//! ~1.02M reports).
 //!
 //! Unlike the Criterion benches this is a plain `harness = false` binary:
 //! it times whole-corpus passes with `Instant`, samples peak RSS via
-//! `spec_obs::peak_rss_kb`, and exports machine-readable results to
-//! `BENCH_ingest.json` at the repository root (override the path with
-//! `SPEC_BENCH_OUT`). Run it with:
+//! `spec_obs::peak_rss_kb`, and upserts its keys into `BENCH_ingest.json`
+//! at the repository root (override the path with `SPEC_BENCH_OUT`),
+//! leaving sections other benches own (`parse_micro`) intact. Run it with:
 //!
 //! ```text
 //! cargo bench --bench corpus_scaling
@@ -97,38 +96,6 @@ fn time_ingest_streaming(
     (best, segments_spilled, spill_bytes)
 }
 
-/// Owned vs interned single-thread parse+validate over the native corpus.
-fn parser_comparison(texts: &[&str]) -> (f64, f64) {
-    let time_pass = |f: &dyn Fn(&str) -> bool| {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let mut ok = 0usize;
-            for t in texts {
-                if f(t) {
-                    ok += 1;
-                }
-            }
-            assert_eq!(ok, 960);
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let owned = time_pass(&|t| {
-        spec_format::parse_run(t)
-            .ok()
-            .and_then(|p| spec_format::validate(&p).ok())
-            .is_some()
-    });
-    let interned = time_pass(&|t| {
-        spec_format::parse_run_interned(t)
-            .ok()
-            .and_then(|p| spec_format::validate_interned(&p).ok())
-            .is_some()
-    });
-    (owned, interned)
-}
-
 fn out_path() -> std::path::PathBuf {
     if let Ok(p) = std::env::var("SPEC_BENCH_OUT") {
         return std::path::PathBuf::from(p);
@@ -183,35 +150,10 @@ fn main() {
         results.push(result);
     }
 
-    let texts: Vec<&str> = base.texts().collect();
-    let (owned_s, interned_s) = parser_comparison(&texts);
-    println!(
-        "parser/owned     1017 reports  {:>9.1} ms  {:>10.0} reports/s",
-        owned_s * 1e3,
-        1017.0 / owned_s
-    );
-    println!(
-        "parser/interned  1017 reports  {:>9.1} ms  {:>10.0} reports/s  ({:.2}x)",
-        interned_s * 1e3,
-        1017.0 / interned_s,
-        owned_s / interned_s
-    );
-
     // Hand-rolled JSON: the vendored serde is a no-op marker crate.
-    let mut json = String::from("{\n  \"bench\": \"corpus_scaling\",\n");
-    json.push_str("  \"mode\": \"streaming\",\n");
-    json.push_str(&format!(
-        "  \"code_version\": \"{}\",\n",
-        spec_analysis::stage::CODE_VERSION
-    ));
-    json.push_str(&format!("  \"threads\": {},\n", tinypool::current_threads()));
-    json.push_str(&format!("  \"batch_reports\": {BATCH_REPORTS},\n"));
-    json.push_str(&format!(
-        "  \"max_resident_bytes\": {MAX_RESIDENT_BYTES},\n"
-    ));
-    json.push_str("  \"scales\": [\n");
+    let mut scales = String::from("[\n");
     for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
+        scales.push_str(&format!(
             "    {{\"scale\": {}, \"reports\": {}, \"best_seconds\": {:.6}, \
              \"reports_per_s\": {:.1}, \"peak_rss_kb\": {}, \
              \"segments_spilled\": {}, \"spill_bytes\": {}}}{}\n",
@@ -226,12 +168,25 @@ fn main() {
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
-    json.push_str(&format!(
-        "  ],\n  \"parser\": {{\"owned_seconds\": {owned_s:.6}, \
-         \"interned_seconds\": {interned_s:.6}, \"speedup\": {:.3}}}\n}}\n",
-        owned_s / interned_s
-    ));
+    scales.push_str("  ]");
+    let sections = [
+        ("bench", "\"corpus_scaling\"".to_string()),
+        ("mode", "\"streaming\"".to_string()),
+        (
+            "code_version",
+            format!("\"{}\"", spec_analysis::stage::CODE_VERSION),
+        ),
+        ("threads", tinypool::current_threads().to_string()),
+        ("batch_reports", BATCH_REPORTS.to_string()),
+        ("max_resident_bytes", MAX_RESIDENT_BYTES.to_string()),
+        ("scales", scales),
+    ];
     let path = out_path();
+    // Upsert key by key so sections written by other benches survive.
+    let mut json = std::fs::read_to_string(&path).unwrap_or_default();
+    for (key, value) in &sections {
+        json = spec_bench::upsert_json_section(&json, key, value);
+    }
     std::fs::write(&path, json).expect("write BENCH_ingest.json");
     println!("wrote {}", path.display());
 }

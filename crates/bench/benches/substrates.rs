@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use spec_analysis::runs_to_frame;
 use spec_bench::{bench_settings, comparable, dataset};
-use spec_format::parse_run;
+use spec_format::parse_run_interned;
 use spec_ssj::{reference_sut, simulate_run};
 use tinyframe::Agg;
 
@@ -17,7 +17,7 @@ fn bench_parser(c: &mut Criterion) {
         b.iter(|| {
             texts
                 .iter()
-                .filter_map(|t| parse_run(std::hint::black_box(t)).ok())
+                .filter_map(|t| parse_run_interned(std::hint::black_box(t)).ok())
                 .count()
         })
     });

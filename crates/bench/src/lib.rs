@@ -53,9 +53,9 @@ pub fn valid() -> &'static [RunResult] {
 ///
 /// `BENCH_ingest.json` is written by more than one bench binary (the
 /// vendored serde is a no-op marker crate, so each bench emits JSON by
-/// hand): `corpus_scaling` owns the overall document while `parse_micro`
-/// contributes only its own section. This helper lets the latter splice
-/// its section in without clobbering the former's results.
+/// hand): `corpus_scaling` upserts its top-level keys one by one and
+/// `parse_micro` its single section, so neither clobbers the other's
+/// results.
 ///
 /// If `original` is not a JSON object (missing, empty, or malformed), a
 /// fresh `{ "<key>": <section> }` document is returned instead.
@@ -277,6 +277,35 @@ mod tests {
     fn upsert_into_empty_object() {
         let out = upsert_json_section("{}", "parse_micro", "{\"z\": 4}");
         assert_eq!(out, "{\n  \"parse_micro\": {\"z\": 4}\n}\n");
+    }
+
+    #[test]
+    fn corpus_scaling_write_keeps_parse_micro_section() {
+        // The key-by-key upsert `corpus_scaling` performs, applied to a
+        // document `parse_micro` has already written into.
+        let micro = "{\"reports\": 1017, \"splitter_speedup\": 4.152}";
+        let original = format!(
+            "{{\n  \"bench\": \"corpus_scaling\",\n  \"code_version\": \"old/4\",\n  \
+             \"scales\": [\n    {{\"scale\": 1}}\n  ],\n  \"parse_micro\": {micro}\n}}\n"
+        );
+        let scales = "[\n    {\"scale\": 1, \"reports\": 1017},\n    {\"scale\": 10}\n  ]";
+        let sections = [
+            ("bench", "\"corpus_scaling\""),
+            ("mode", "\"streaming\""),
+            ("code_version", "\"new/5\""),
+            ("threads", "1"),
+            ("scales", scales),
+        ];
+        let mut doc = original;
+        for (key, value) in sections {
+            doc = upsert_json_section(&doc, key, value);
+        }
+        assert!(doc.contains(&format!("\"parse_micro\": {micro}")), "{doc}");
+        assert!(doc.contains("\"code_version\": \"new/5\""), "{doc}");
+        assert!(!doc.contains("old/4"), "{doc}");
+        assert!(doc.contains(&format!("\"scales\": {scales}")), "{doc}");
+        assert!(doc.contains("\"mode\": \"streaming\""), "{doc}");
+        assert_eq!(doc.matches("\"bench\"").count(), 1, "{doc}");
     }
 
     #[test]

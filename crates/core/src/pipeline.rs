@@ -312,9 +312,7 @@ where
             }
         };
         // Zero-copy hot path: categorical fields land as 4-byte interned
-        // `Sym` tokens instead of per-field `String`s. The owned parser is
-        // retained for tools; `tests/interned_equivalence.rs` in spec-format
-        // pins the two paths field-by-field.
+        // `Sym` tokens instead of per-field `String`s.
         let parsed = match parse_run_interned_diagnosed(text) {
             Ok(p) => p,
             Err(failure) => {

@@ -550,11 +550,12 @@ impl Snapshot {
             .collect();
         let report = if shard.is_some() {
             // A shard's cascade header counts the partitions it owns.
-            let mut report = FilterReport::default();
-            report.raw = partitions.iter().map(|p| p.reports).sum();
-            report.valid = partitions.iter().map(|p| p.valid).sum();
-            report.comparable = partitions.iter().map(|p| p.comparable).sum();
-            report
+            FilterReport {
+                raw: partitions.iter().map(|p| p.reports).sum(),
+                valid: partitions.iter().map(|p| p.valid).sum(),
+                comparable: partitions.iter().map(|p| p.comparable).sum(),
+                ..FilterReport::default()
+            }
         } else {
             stream.report().clone()
         };

@@ -259,7 +259,7 @@ impl RowStore {
         let at = self
             .parts
             .binary_search_by(|p| p.key.cmp(&key))
-            .unwrap_err();
+            .unwrap_or_else(|at| at);
         self.parts.insert(
             at,
             RowPart {
@@ -385,17 +385,17 @@ mod tests {
                 _ => CpuVendor::Other,
             },
             features: (i % 8) as u8,
-            per_socket: (i % 2 == 0).then(|| 100.0 + f64::from(i)),
+            per_socket: i.is_multiple_of(2).then(|| 100.0 + f64::from(i)),
             p100: Some(f64::from(i) * 3.5),
             p70: None,
-            p20: (i % 4 == 0).then(|| f64::from(i)),
-            overall: if i % 7 == 0 {
+            p20: i.is_multiple_of(4).then(|| f64::from(i)),
+            overall: if i.is_multiple_of(7) {
                 f64::INFINITY
             } else {
                 1000.0 / (1.0 + f64::from(i))
             },
             rel60: Some(0.5),
-            rel70: (i % 3 == 0).then_some(f64::NAN),
+            rel70: i.is_multiple_of(3).then_some(f64::NAN),
             rel80: None,
             rel90: Some(-0.25),
             idle_fraction: Some(0.31),

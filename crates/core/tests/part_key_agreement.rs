@@ -18,17 +18,17 @@ use proptest::prelude::*;
 use proptest::strategy::FnStrategy;
 use proptest::test_runner::TestRng;
 use spec_analysis::stage::{part_key_of_text, PartKey};
-use spec_format::{parse_run, write_run};
+use spec_format::{parse_run_interned, write_run};
 use spec_model::{linear_test_run, CpuVendor, YearMonth};
 
 /// The partition key implied by the *parsed* run: the year the parser
 /// ended up with for `Hardware Availability` (−1 when ambiguous or
 /// missing) and the vendor classified from its final `CPU Name`.
 fn key_of_parsed(text: &str) -> PartKey {
-    let run = parse_run(text).expect("generated texts are reports");
+    let run = parse_run_interned(text).expect("generated texts are reports");
     PartKey {
         year: run.hw_available.ok().map_or(-1, |d| d.year()),
-        vendor: CpuVendor::classify(run.cpu_name.as_deref().unwrap_or("")),
+        vendor: CpuVendor::classify(run.cpu_name.map_or("", |s| s.resolve())),
     }
 }
 

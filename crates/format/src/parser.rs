@@ -2,68 +2,79 @@
 //!
 //! Sixteen years of vendor-submitted files contain every imaginable
 //! irregularity, so parsing is two-staged, mirroring the paper's pipeline:
-//! this module extracts whatever it can into a [`ParsedRun`] of optional raw
-//! fields, and [`crate::validity`] decides whether that adds up to a usable
-//! [`spec_model::RunResult`] — attributing each rejection to one of the
-//! paper's filter categories.
+//! [`parse_run_interned`] extracts whatever it can into a [`ParsedRunRef`]
+//! of optional raw fields, and [`crate::validity`] decides whether that
+//! adds up to a usable [`spec_model::RunResult`] — attributing each
+//! rejection to one of the paper's filter categories.
+//!
+//! Every categorical text field — submitter, status, vendor, model, form
+//! factor, CPU name, microarchitecture, OS, JVM vendor/version, ambiguous
+//! date text — is stored as a 4-byte [`Sym`] token from the global
+//! [`spec_intern`] table instead of an owned `String`. Since SPEC reports
+//! draw those fields from a tiny shared vocabulary, parsing performs
+//! **zero per-field heap allocation**: after the first report has seeded
+//! the interner, a report allocates only its level `Vec`.
 
+use spec_intern::{intern, Sym};
 use spec_model::{LoadLevel, YearMonth};
 
 use crate::numfmt::parse_grouped;
 use crate::scan;
 
 /// A date field as found in a report: cleanly parsed, present but
-/// ambiguous/unparseable, or absent.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub enum DateField {
+/// ambiguous/unparseable, or absent. The ambiguous raw text is a [`Sym`],
+/// making the whole value `Copy`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum DateSym {
     /// Parsed successfully.
     Parsed(YearMonth),
     /// Present but ambiguous (two dates, "n/a", unparseable).
-    Ambiguous(String),
+    Ambiguous(Sym),
     /// The line is missing entirely.
     #[default]
     Missing,
 }
 
-impl DateField {
+impl DateSym {
     /// The parsed date, if clean.
     pub fn ok(&self) -> Option<YearMonth> {
         match self {
-            DateField::Parsed(d) => Some(*d),
+            DateSym::Parsed(d) => Some(*d),
             _ => None,
         }
     }
 }
 
-/// Everything the parser could extract from one report, all optional.
+/// Everything the parser could extract from one report, all optional,
+/// with categorical text fields interned.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct ParsedRun {
+pub struct ParsedRunRef {
     /// spec.org result number.
     pub id: Option<u32>,
     /// Test sponsor / submitter.
-    pub submitter: Option<String>,
+    pub submitter: Option<Sym>,
     /// Raw status string (`"Accepted"` / `"Non-Compliant (…)"`).
-    pub status_raw: Option<String>,
+    pub status_raw: Option<Sym>,
     /// Test date.
-    pub test_date: DateField,
+    pub test_date: DateSym,
     /// Publication date.
-    pub publication: DateField,
+    pub publication: DateSym,
     /// Hardware availability date (the paper's trend axis).
-    pub hw_available: DateField,
+    pub hw_available: DateSym,
     /// Software availability date.
-    pub sw_available: DateField,
+    pub sw_available: DateSym,
     /// System manufacturer.
-    pub manufacturer: Option<String>,
+    pub manufacturer: Option<Sym>,
     /// System model.
-    pub model: Option<String>,
+    pub model: Option<Sym>,
     /// Form factor.
-    pub form_factor: Option<String>,
+    pub form_factor: Option<Sym>,
     /// Node count; multi-node submissions report >1.
     pub nodes: Option<u32>,
     /// CPU marketing name.
-    pub cpu_name: Option<String>,
+    pub cpu_name: Option<Sym>,
     /// Microarchitecture from the characteristics line.
-    pub microarch: Option<String>,
+    pub microarch: Option<Sym>,
     /// SIMD width from the characteristics line.
     pub vector_bits: Option<u32>,
     /// TDP (per chip) from the characteristics line.
@@ -91,11 +102,11 @@ pub struct ParsedRun {
     /// PSU count.
     pub psu_count: Option<u32>,
     /// Operating system name.
-    pub os_name: Option<String>,
+    pub os_name: Option<Sym>,
     /// JVM vendor.
-    pub jvm_vendor: Option<String>,
+    pub jvm_vendor: Option<Sym>,
     /// JVM version string.
-    pub jvm_version: Option<String>,
+    pub jvm_version: Option<Sym>,
     /// Number of JVM instances.
     pub jvm_instances: Option<u32>,
     /// Calibrated maximum throughput.
@@ -193,9 +204,10 @@ fn snippet(line: &str) -> String {
 
 /// Diagnose *why* a text is not a SPECpower_ssj2008 report.
 ///
-/// Only called once [`parse_run`] has rejected the input, so the categories
-/// partition the rejection space: empty/whitespace-only input, text with
-/// control bytes (binary junk), or plain text whose header line is absent.
+/// Only called once [`parse_run_interned`] has rejected the input, so the
+/// categories partition the rejection space: empty/whitespace-only input,
+/// text with control bytes (binary junk), or plain text whose header line
+/// is absent.
 pub fn diagnose_non_report(text: &str) -> ParseFailure {
     if text.trim().is_empty() {
         return ParseFailure {
@@ -224,17 +236,16 @@ pub fn diagnose_non_report(text: &str) -> ParseFailure {
 
 /// Parse one report, producing a categorized [`ParseFailure`] on rejection.
 ///
-/// Same acceptance rule as [`parse_run`]; the failure value says *why* the
-/// input was rejected instead of the unit-like [`NotAReport`].
-pub fn parse_run_diagnosed(text: &str) -> Result<ParsedRun, ParseFailure> {
-    parse_run(text).map_err(|NotAReport| diagnose_non_report(text))
+/// Same acceptance rule as [`parse_run_interned`]; the failure value says
+/// *why* the input was rejected instead of the unit-like [`NotAReport`].
+pub fn parse_run_interned_diagnosed(text: &str) -> Result<ParsedRunRef, ParseFailure> {
+    parse_run_interned(text).map_err(|NotAReport| diagnose_non_report(text))
 }
 
 /// How a raw date value classifies, borrowing the trimmed slice instead of
-/// allocating: shared by the owned ([`DateField`]) and interned
-/// (`DateSym`) date representations.
+/// allocating; only an ambiguous outcome is interned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum DateClass<'a> {
+enum DateClass<'a> {
     /// Parsed successfully.
     Parsed(YearMonth),
     /// Present but ambiguous; carries the trimmed raw text.
@@ -244,7 +255,7 @@ pub(crate) enum DateClass<'a> {
 }
 
 /// Case-insensitive substring search without allocating a lowered copy.
-pub(crate) fn contains_ignore_case(haystack: &str, needle: &str) -> bool {
+fn contains_ignore_case(haystack: &str, needle: &str) -> bool {
     let h = haystack.as_bytes();
     let n = needle.as_bytes();
     if n.is_empty() {
@@ -256,14 +267,9 @@ pub(crate) fn contains_ignore_case(haystack: &str, needle: &str) -> bool {
     h.windows(n.len()).any(|w| w.eq_ignore_ascii_case(n))
 }
 
-/// Case-insensitive prefix test, via the SWAR word-compare kernel.
-pub(crate) fn starts_with_ignore_case(s: &str, prefix: &str) -> bool {
-    scan::starts_with_ignore_case(s, prefix)
-}
-
 /// Classify a date value without allocating. Two alternatives
 /// ("Jun-2014 or Jul-2014") or placeholders are ambiguous.
-pub(crate) fn classify_date(raw: &str) -> DateClass<'_> {
+fn classify_date(raw: &str) -> DateClass<'_> {
     let trimmed = raw.trim();
     if trimmed.is_empty() {
         return DateClass::Missing;
@@ -283,9 +289,9 @@ pub(crate) fn classify_date(raw: &str) -> DateClass<'_> {
 
 /// The hardware/software-availability *year* of a raw date value, `None`
 /// when the value is missing, ambiguous, or unparseable — exactly the
-/// year [`parse_run`] ends up with for that field. The stage graph's
-/// `part_key_of_text` uses this so partition keys can never drift from
-/// the parser's date semantics.
+/// year [`parse_run_interned`] ends up with for that field. The stage
+/// graph's `part_key_of_text` uses this so partition keys can never drift
+/// from the parser's date semantics.
 pub fn date_year(raw: &str) -> Option<i32> {
     match classify_date(raw) {
         DateClass::Parsed(d) => Some(d.year()),
@@ -293,18 +299,15 @@ pub fn date_year(raw: &str) -> Option<i32> {
     }
 }
 
-fn parse_date_field(raw: &str) -> DateField {
-    // Owning only on the ambiguous *outcome* — the old code allocated a
-    // lowercase copy of every date value plus a redundant `to_string` on
-    // the cold path.
+fn date_sym(raw: &str) -> DateSym {
     match classify_date(raw) {
-        DateClass::Parsed(d) => DateField::Parsed(d),
-        DateClass::Ambiguous(t) => DateField::Ambiguous(t.to_string()),
-        DateClass::Missing => DateField::Missing,
+        DateClass::Parsed(d) => DateSym::Parsed(d),
+        DateClass::Ambiguous(t) => DateSym::Ambiguous(intern(t)),
+        DateClass::Missing => DateSym::Missing,
     }
 }
 
-pub(crate) fn first_uint(s: &str) -> Option<u32> {
+fn first_uint(s: &str) -> Option<u32> {
     // Accumulate digits in place instead of collecting them into a String
     // first; `,` separators are skipped exactly as before, and overflow
     // rejects like the old `str::parse` did.
@@ -328,7 +331,7 @@ pub(crate) fn first_uint(s: &str) -> Option<u32> {
 
 /// Parse a load-level row of the results summary with an in-place splitter
 /// (no per-row `Vec<&str>` collect); cells split on the SWAR kernel.
-pub(crate) fn parse_level_row(line: &str) -> Option<(LoadLevel, f64, f64)> {
+fn parse_level_row(line: &str) -> Option<(LoadLevel, f64, f64)> {
     let mut cells = scan::split_byte(line, b'|').map(str::trim);
     let level_cell = cells.next()?;
     let _target = cells.next()?;
@@ -345,12 +348,12 @@ pub(crate) fn parse_level_row(line: &str) -> Option<(LoadLevel, f64, f64)> {
     Some((level, ops, watts))
 }
 
-/// How one report line is dispatched, shared verbatim by the owned and
-/// interned parsers (and, through [`header_lines`], by the stage graph's
-/// partition-key scan). One classification per line: level rows are
-/// recognized by a pipe anywhere, then `Key: value` headers by the first
-/// colon, then the headline metric by its literal prefix.
-pub(crate) enum LineKind<'a> {
+/// How one report line is dispatched, shared by [`parse_run_interned`]
+/// and, through [`header_lines`], by the stage graph's partition-key
+/// scan. One classification per line: level rows are recognized by a pipe
+/// anywhere, then `Key: value` headers by the first colon, then the
+/// headline metric by its literal prefix.
+enum LineKind<'a> {
     /// Pipe-separated results-summary row (already right-trimmed).
     Level(&'a str),
     /// `Key: value` header line, both sides trimmed.
@@ -365,7 +368,7 @@ pub(crate) enum LineKind<'a> {
 /// [`scan::classified_lines`] pass already found, so no line is rescanned
 /// for its pipe or colon. The offsets index non-whitespace bytes, which
 /// keeps them valid after the right-trim.
-pub(crate) fn classify_cuts<'a>(cuts: &scan::LineCuts<'a>) -> LineKind<'a> {
+fn classify_cuts<'a>(cuts: &scan::LineCuts<'a>) -> LineKind<'a> {
     let line = cuts.line.trim_end();
     if cuts.pipe.is_some() {
         return LineKind::Level(line);
@@ -380,11 +383,11 @@ pub(crate) fn classify_cuts<'a>(cuts: &scan::LineCuts<'a>) -> LineKind<'a> {
 }
 
 /// Iterate the `Key: value` header lines of a report, classified exactly
-/// as [`parse_run`] classifies them: level rows (any line containing a
-/// pipe) are skipped first, keys and values are trimmed, and `\r\n` line
-/// endings are handled identically. Consumers that scan headers without
-/// running the full parser (the stage graph's `part_key_of_text`) use
-/// this so the two walks cannot disagree.
+/// as [`parse_run_interned`] classifies them: level rows (any line
+/// containing a pipe) are skipped first, keys and values are trimmed, and
+/// `\r\n` line endings are handled identically. Consumers that scan
+/// headers without running the full parser (the stage graph's
+/// `part_key_of_text`) use this so the two walks cannot disagree.
 pub fn header_lines(text: &str) -> impl Iterator<Item = (&str, &str)> {
     scan::classified_lines(text).filter_map(|cuts| match classify_cuts(&cuts) {
         LineKind::Header(key, value) => Some((key, value)),
@@ -394,16 +397,16 @@ pub fn header_lines(text: &str) -> impl Iterator<Item = (&str, &str)> {
 
 /// Parse the characteristics line written by the canonical writer:
 /// `"Bergamo; SIMD 256-bit; TDP 360 W; max boost 3100 MHz"`.
-fn parse_characteristics(run: &mut ParsedRun, value: &str) {
+fn parse_characteristics(run: &mut ParsedRunRef, value: &str) {
     for part in value.split(';').map(str::trim) {
-        if starts_with_ignore_case(part, "simd") {
+        if scan::starts_with_ignore_case(part, "simd") {
             run.vector_bits = first_uint(part);
-        } else if starts_with_ignore_case(part, "tdp") {
+        } else if scan::starts_with_ignore_case(part, "tdp") {
             run.tdp_w = first_uint(part).map(f64::from);
-        } else if starts_with_ignore_case(part, "max boost") {
+        } else if scan::starts_with_ignore_case(part, "max boost") {
             run.boost_mhz = first_uint(part).map(f64::from);
         } else if run.microarch.is_none() && !part.is_empty() {
-            run.microarch = Some(part.to_string());
+            run.microarch = Some(intern(part));
         }
     }
 }
@@ -412,11 +415,14 @@ fn parse_characteristics(run: &mut ParsedRun, value: &str) {
 ///
 /// Returns [`NotAReport`] only when the header line is absent; everything
 /// else degrades to `None`/`Missing` fields for the validity stage to judge.
-pub fn parse_run(text: &str) -> Result<ParsedRun, NotAReport> {
+pub fn parse_run_interned(text: &str) -> Result<ParsedRunRef, NotAReport> {
     if !scan::contains_str(text, "SPECpower_ssj2008") {
         return Err(NotAReport);
     }
-    let mut run = ParsedRun::default();
+    let mut run = ParsedRunRef {
+        levels: Vec::with_capacity(11),
+        ..ParsedRunRef::default()
+    };
 
     for cuts in scan::classified_lines(text) {
         let (key, value) = match classify_cuts(&cuts) {
@@ -437,17 +443,17 @@ pub fn parse_run(text: &str) -> Result<ParsedRun, NotAReport> {
         };
         match key {
             "Result Number" => run.id = first_uint(value),
-            "Test Sponsor" => run.submitter = Some(value.to_string()),
-            "Status" => run.status_raw = Some(value.to_string()),
-            "Test Date" => run.test_date = parse_date_field(value),
-            "Publication" => run.publication = parse_date_field(value),
-            "Hardware Availability" => run.hw_available = parse_date_field(value),
-            "Software Availability" => run.sw_available = parse_date_field(value),
-            "Hardware Vendor" => run.manufacturer = Some(value.to_string()),
-            "Model" => run.model = Some(value.to_string()),
-            "Form Factor" => run.form_factor = Some(value.to_string()),
+            "Test Sponsor" => run.submitter = Some(intern(value)),
+            "Status" => run.status_raw = Some(intern(value)),
+            "Test Date" => run.test_date = date_sym(value),
+            "Publication" => run.publication = date_sym(value),
+            "Hardware Availability" => run.hw_available = date_sym(value),
+            "Software Availability" => run.sw_available = date_sym(value),
+            "Hardware Vendor" => run.manufacturer = Some(intern(value)),
+            "Model" => run.model = Some(intern(value)),
+            "Form Factor" => run.form_factor = Some(intern(value)),
             "Nodes" => run.nodes = first_uint(value),
-            "CPU Name" => run.cpu_name = Some(value.to_string()),
+            "CPU Name" => run.cpu_name = Some(intern(value)),
             "CPU Characteristics" => parse_characteristics(&mut run, value),
             "CPU Frequency (MHz)" => run.nominal_mhz = parse_grouped(value),
             "CPU(s) Enabled" => {
@@ -473,9 +479,9 @@ pub fn parse_run(text: &str) -> Result<ParsedRun, NotAReport> {
             "Number of DIMMs" => run.dimm_count = first_uint(value),
             "Power Supply Rating (W)" => run.psu_rating_w = parse_grouped(value),
             "Number of Power Supplies" => run.psu_count = first_uint(value),
-            "Operating System" => run.os_name = Some(value.to_string()),
-            "JVM Vendor" => run.jvm_vendor = Some(value.to_string()),
-            "JVM Version" => run.jvm_version = Some(value.to_string()),
+            "Operating System" => run.os_name = Some(intern(value)),
+            "JVM Vendor" => run.jvm_vendor = Some(intern(value)),
+            "JVM Version" => run.jvm_version = Some(intern(value)),
             "JVM Instances" => run.jvm_instances = first_uint(value),
             "Calibrated Maximum" => {
                 run.calibrated_max =
@@ -495,33 +501,33 @@ mod tests {
 
     #[test]
     fn rejects_non_reports() {
-        assert_eq!(parse_run("hello world").unwrap_err(), NotAReport);
+        assert_eq!(parse_run_interned("hello world").unwrap_err(), NotAReport);
     }
 
     #[test]
     fn diagnosed_rejection_categories() {
-        let missing = parse_run_diagnosed("hello world").unwrap_err();
+        let missing = parse_run_interned_diagnosed("hello world").unwrap_err();
         assert_eq!(missing.category, "missing-header");
         assert!(missing.detail.contains("hello world"), "{}", missing.detail);
         assert_eq!(missing.line, Some(1));
 
-        let empty = parse_run_diagnosed("  \n\t\n").unwrap_err();
+        let empty = parse_run_interned_diagnosed("  \n\t\n").unwrap_err();
         assert_eq!(empty.category, "empty");
         assert_eq!(empty.line, None);
 
-        let binary = parse_run_diagnosed("PK\u{3}\u{4}zipdata").unwrap_err();
+        let binary = parse_run_interned_diagnosed("PK\u{3}\u{4}zipdata").unwrap_err();
         assert_eq!(binary.category, "binary-data");
     }
 
     #[test]
     fn diagnosed_accepts_real_reports() {
         let run = linear_test_run(7, 1e6, 60.0, 300.0);
-        assert!(parse_run_diagnosed(&write_run(&run)).is_ok());
+        assert!(parse_run_interned_diagnosed(&write_run(&run)).is_ok());
     }
 
     #[test]
     fn failure_converts_to_trends_error() {
-        let failure = parse_run_diagnosed("junk").unwrap_err();
+        let failure = parse_run_interned_diagnosed("junk").unwrap_err();
         let err = failure.to_error("ingest").with_origin("x.txt");
         let text = err.to_string();
         assert!(text.contains("ingest"), "{text}");
@@ -532,7 +538,7 @@ mod tests {
     #[test]
     fn long_first_lines_are_snipped() {
         let long = format!("{}\nrest", "x".repeat(200));
-        let failure = parse_run_diagnosed(&long).unwrap_err();
+        let failure = parse_run_interned_diagnosed(&long).unwrap_err();
         assert!(failure.detail.len() < 120, "{}", failure.detail);
         assert!(failure.detail.contains('…'));
     }
@@ -540,11 +546,14 @@ mod tests {
     #[test]
     fn parses_canonical_writer_output() {
         let run = linear_test_run(42, 1_000_000.0, 60.0, 300.0);
-        let parsed = parse_run(&write_run(&run)).unwrap();
+        let parsed = parse_run_interned(&write_run(&run)).unwrap();
         assert_eq!(parsed.id, Some(42));
-        assert_eq!(parsed.submitter.as_deref(), Some("TestCorp"));
-        assert_eq!(parsed.status_raw.as_deref(), Some("Accepted"));
-        assert_eq!(parsed.cpu_name.as_deref(), Some("Intel Xeon Test 1234"));
+        assert_eq!(parsed.submitter.map(Sym::resolve), Some("TestCorp"));
+        assert_eq!(parsed.status_raw.map(Sym::resolve), Some("Accepted"));
+        assert_eq!(
+            parsed.cpu_name.map(Sym::resolve),
+            Some("Intel Xeon Test 1234")
+        );
         assert_eq!(parsed.chips, Some(2));
         assert_eq!(parsed.cores_per_chip, Some(16));
         assert_eq!(parsed.total_cores, Some(32));
@@ -554,7 +563,7 @@ mod tests {
         assert_eq!(parsed.nominal_mhz, Some(2500.0));
         assert_eq!(parsed.vector_bits, Some(256));
         assert_eq!(parsed.tdp_w, Some(150.0));
-        assert_eq!(parsed.microarch.as_deref(), Some("TestLake"));
+        assert_eq!(parsed.microarch.map(Sym::resolve), Some("TestLake"));
         assert_eq!(parsed.memory_gb, Some(64));
         assert_eq!(parsed.levels.len(), 11);
         assert_eq!(
@@ -566,9 +575,19 @@ mod tests {
     }
 
     #[test]
+    fn interned_fields_are_tokens() {
+        let run = linear_test_run(42, 1_000_000.0, 60.0, 300.0);
+        let parsed = parse_run_interned(&write_run(&run)).unwrap();
+        // Interning the same report again yields identical tokens.
+        let again = parse_run_interned(&write_run(&run)).unwrap();
+        assert_eq!(parsed.submitter, again.submitter);
+        assert_eq!(parsed.cpu_name, again.cpu_name);
+    }
+
+    #[test]
     fn level_rows_parse_values() {
         let run = linear_test_run(1, 1_000_000.0, 60.0, 300.0);
-        let parsed = parse_run(&write_run(&run)).unwrap();
+        let parsed = parse_run_interned(&write_run(&run)).unwrap();
         let (level, ops, watts) = parsed.levels[0];
         assert_eq!(level, LoadLevel::Percent(100));
         assert!((ops - 1_000_000.0).abs() < 1.0);
@@ -582,31 +601,38 @@ mod tests {
     #[test]
     fn ambiguous_dates_detected() {
         assert_eq!(
-            parse_date_field("Jun-2014 or Jul-2014"),
-            DateField::Ambiguous("Jun-2014 or Jul-2014".into())
+            date_sym("Jun-2014 or Jul-2014"),
+            DateSym::Ambiguous(intern("Jun-2014 or Jul-2014"))
         );
-        assert_eq!(parse_date_field("n/a"), DateField::Ambiguous("n/a".into()));
-        assert_eq!(parse_date_field(""), DateField::Missing);
-        assert!(matches!(parse_date_field("Feb-2023"), DateField::Parsed(_)));
-        assert!(matches!(
-            parse_date_field("sometime soon"),
-            DateField::Ambiguous(_)
-        ));
+        assert_eq!(date_sym("n/a"), DateSym::Ambiguous(intern("n/a")));
+        assert_eq!(date_sym(""), DateSym::Missing);
+        assert!(matches!(date_sym("Feb-2023"), DateSym::Parsed(_)));
+        assert!(matches!(date_sym("sometime soon"), DateSym::Ambiguous(_)));
+    }
+
+    #[test]
+    fn ambiguous_dates_intern_raw_text() {
+        let text = "SPECpower_ssj2008 Report\nTest Date: Jun-2014 or Jul-2014\n";
+        let parsed = parse_run_interned(text).unwrap();
+        match parsed.test_date {
+            DateSym::Ambiguous(s) => assert_eq!(s.resolve(), "Jun-2014 or Jul-2014"),
+            other => panic!("expected ambiguous, got {other:?}"),
+        }
     }
 
     #[test]
     fn missing_lines_yield_none() {
         let text = "SPECpower_ssj2008 Report\nCPU Name: Mystery CPU\n";
-        let parsed = parse_run(text).unwrap();
+        let parsed = parse_run_interned(text).unwrap();
         assert_eq!(parsed.nodes, None);
-        assert_eq!(parsed.hw_available, DateField::Missing);
+        assert_eq!(parsed.hw_available, DateSym::Missing);
         assert!(parsed.levels.is_empty());
     }
 
     #[test]
     fn garbled_numbers_become_nan_rows() {
         let text = "SPECpower_ssj2008 Report\n100% | 99.8% | garbage | 250.0 | x\n";
-        let parsed = parse_run(text).unwrap();
+        let parsed = parse_run_interned(text).unwrap();
         assert_eq!(parsed.levels.len(), 1);
         assert!(parsed.levels[0].1.is_nan());
         assert_eq!(parsed.levels[0].2, 250.0);
@@ -615,7 +641,7 @@ mod tests {
     #[test]
     fn headline_metric_parsed() {
         let text = "SPECpower_ssj2008 Report\nSPECpower_ssj2008 = 31,634 overall ssj_ops/watt\n";
-        let parsed = parse_run(text).unwrap();
+        let parsed = parse_run_interned(text).unwrap();
         assert_eq!(parsed.reported_overall, Some(31_634.0));
     }
 }

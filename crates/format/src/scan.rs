@@ -11,8 +11,7 @@
 //! The module ships two implementations of every kernel:
 //!
 //! * the SWAR fast path (this module's top level), used by
-//!   [`crate::parser`] / [`crate::interned`] and by
-//!   `part_key_of_text` in the stage graph;
+//!   [`crate::parser`] and by `part_key_of_text` in the stage graph;
 //! * [`naive`], the obviously-correct byte-at-a-time reference —
 //!   the pre-rewrite splitter — kept so the `scan_props` property suite
 //!   can diff SWAR vs naive over adversarial inputs, and so the

@@ -13,8 +13,7 @@ use spec_model::{
     RunDates, RunResult, RunStatus, ServerBrand, SsjOps, SystemConfig, Watts, YearMonth,
 };
 
-use crate::interned::ParsedRunRef;
-use crate::parser::ParsedRun;
+use crate::parser::ParsedRunRef;
 
 /// Why a parsed run is excluded from the 960-run dataset (stage one).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, PartialOrd, Ord)]
@@ -100,9 +99,7 @@ pub fn cpu_name_ambiguous(name: &str) -> bool {
         || lower.starts_with('(')
 }
 
-/// Shared date check: `None` entries are ambiguous/missing fields. Both
-/// the owned and interned validators feed their four date fields through
-/// this single implementation so the cascade cannot drift between paths.
+/// Date check: `None` entries are ambiguous/missing fields.
 fn check_dates(
     test: Option<YearMonth>,
     publication: Option<YearMonth>,
@@ -127,7 +124,7 @@ fn check_dates(
     }
 }
 
-/// Shared core/thread bookkeeping check.
+/// Core/thread bookkeeping check.
 fn core_thread_issue(
     chips: Option<u32>,
     cores_per_chip: Option<u32>,
@@ -155,7 +152,7 @@ fn core_thread_issue(
     }
 }
 
-/// Shared measurement check: all eleven standard levels present with
+/// Measurement check: all eleven standard levels present with
 /// finite values and positive power.
 fn collect_levels(
     rows: &[(LoadLevel, f64, f64)],
@@ -181,130 +178,11 @@ fn collect_levels(
 
 /// Validate a parsed run, producing either a clean [`RunResult`] or the list
 /// of filter categories it falls into (each category reported once).
-pub fn validate(parsed: &ParsedRun) -> Result<RunResult, Vec<ValidityIssue>> {
-    let mut issues = Vec::new();
-
-    // Review status.
-    match parsed.status_raw.as_deref() {
-        Some(s) if s.starts_with("Accepted") => {}
-        Some(_) => issues.push(ValidityIssue::NotAccepted),
-        None => issues.push(ValidityIssue::Malformed),
-    }
-
-    // Dates: ambiguity first, plausibility second.
-    let mut run_dates: Option<RunDates> = None;
-    match check_dates(
-        parsed.test_date.ok(),
-        parsed.publication.ok(),
-        parsed.hw_available.ok(),
-        parsed.sw_available.ok(),
-    ) {
-        Ok(d) => run_dates = Some(d),
-        Err(issue) => issues.push(issue),
-    }
-
-    // CPU name.
-    match parsed.cpu_name.as_deref() {
-        None => issues.push(ValidityIssue::Malformed),
-        Some(name) if cpu_name_ambiguous(name) => issues.push(ValidityIssue::AmbiguousCpuName),
-        Some(_) => {}
-    }
-
-    // Node count.
-    if parsed.nodes.is_none() {
-        issues.push(ValidityIssue::MissingNodeCount);
-    }
-
-    // Core/thread bookkeeping.
-    if let Some(issue) = core_thread_issue(
-        parsed.chips,
-        parsed.cores_per_chip,
-        parsed.total_cores,
-        parsed.total_threads,
-        parsed.threads_per_core,
-    ) {
-        issues.push(issue);
-    }
-
-    // Measurements: all eleven levels with finite values.
-    let levels = match collect_levels(&parsed.levels, parsed.calibrated_max) {
-        Ok(levels) => levels,
-        Err(issue) => {
-            issues.push(issue);
-            Vec::new()
-        }
-    };
-
-    // Remaining required scalar fields.
-    let required_ok = parsed.nominal_mhz.is_some()
-        && parsed.calibrated_max.is_some()
-        && parsed.manufacturer.is_some()
-        && parsed.model.is_some()
-        && parsed.os_name.is_some();
-    if !required_ok {
-        issues.push(ValidityIssue::Malformed);
-    }
-
-    issues.sort_unstable();
-    issues.dedup();
-    if !issues.is_empty() {
-        return Err(issues);
-    }
-
-    // Assemble the clean run. All unwraps guarded above.
-    let cpu = Cpu {
-        name: parsed.cpu_name.clone().expect("checked"),
-        microarchitecture: parsed.microarch.clone().unwrap_or_default(),
-        nominal: Megahertz(parsed.nominal_mhz.expect("checked")),
-        max_boost: Megahertz(
-            parsed
-                .boost_mhz
-                .unwrap_or_else(|| parsed.nominal_mhz.expect("checked")),
-        ),
-        cores_per_chip: parsed.cores_per_chip.expect("checked"),
-        threads_per_core: parsed.threads_per_core.expect("checked"),
-        tdp: Watts(parsed.tdp_w.unwrap_or(f64::NAN)),
-        vector_bits: parsed.vector_bits.unwrap_or(128),
-    };
-    let system = SystemConfig {
-        manufacturer: parsed.manufacturer.clone().expect("checked"),
-        model: parsed.model.clone().expect("checked"),
-        form_factor: parsed.form_factor.clone().unwrap_or_default(),
-        nodes: parsed.nodes.expect("checked"),
-        chips: parsed.chips.expect("checked"),
-        cpu,
-        memory_gb: parsed.memory_gb.unwrap_or(0),
-        dimm_count: parsed.dimm_count.unwrap_or(0),
-        psu_rating: Watts(parsed.psu_rating_w.unwrap_or(f64::NAN)),
-        psu_count: parsed.psu_count.unwrap_or(1),
-        os: OsInfo::new(parsed.os_name.clone().expect("checked")),
-        jvm: JvmInfo {
-            vendor: parsed.jvm_vendor.clone().unwrap_or_default(),
-            version: parsed.jvm_version.clone().unwrap_or_default(),
-        },
-        jvm_instances: parsed.jvm_instances.unwrap_or(1),
-    };
-    Ok(RunResult {
-        id: parsed.id.unwrap_or(0),
-        submitter: parsed.submitter.clone().unwrap_or_default(),
-        system,
-        dates: run_dates.expect("no date issues recorded"),
-        status: RunStatus::Accepted,
-        calibrated_max: SsjOps(parsed.calibrated_max.expect("checked")),
-        levels,
-        reported_overall: OpsPerWatt(parsed.reported_overall.unwrap_or(f64::NAN)),
-    })
-}
-
-/// Validate an interned run: the zero-copy twin of [`validate`].
 ///
 /// Operates on [`ParsedRunRef`] tokens directly — the hot ingest path
 /// allocates owned strings only when a run *passes* and a [`RunResult`]
-/// is assembled (or when issues are collected on rejection). The date,
-/// core/thread and level checks are the same shared helpers [`validate`]
-/// uses; the string-shaped checks resolve tokens to `&'static str`
-/// without copying. Equivalence with the owned path is property-tested in
-/// `tests/interned_equivalence.rs`.
+/// is assembled (or when issues are collected on rejection). The
+/// string-shaped checks resolve tokens to `&'static str` without copying.
 pub fn validate_interned(parsed: &ParsedRunRef) -> Result<RunResult, Vec<ValidityIssue>> {
     let mut issues = Vec::new();
 
@@ -473,17 +351,18 @@ pub fn plausible_hw_window() -> (YearMonth, YearMonth) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_run, DateField};
+    use crate::parser::{parse_run_interned, DateSym};
     use crate::writer::write_run;
+    use spec_intern::intern;
     use spec_model::linear_test_run;
 
-    fn parsed_ok() -> ParsedRun {
-        parse_run(&write_run(&linear_test_run(5, 1e6, 60.0, 300.0))).unwrap()
+    fn parsed_ok() -> ParsedRunRef {
+        parse_run_interned(&write_run(&linear_test_run(5, 1e6, 60.0, 300.0))).unwrap()
     }
 
     #[test]
     fn clean_run_validates() {
-        let run = validate(&parsed_ok()).unwrap();
+        let run = validate_interned(&parsed_ok()).unwrap();
         assert!(run.is_well_formed());
         assert_eq!(run.id, 5);
         assert_eq!(run.system.total_cores(), 32);
@@ -493,7 +372,8 @@ mod tests {
     #[test]
     fn round_trip_preserves_metrics() {
         let original = linear_test_run(5, 1e6, 60.0, 300.0);
-        let recovered = validate(&parse_run(&write_run(&original)).unwrap()).unwrap();
+        let recovered =
+            validate_interned(&parse_run_interned(&write_run(&original)).unwrap()).unwrap();
         let orig_eff = original.overall_efficiency().value();
         let rec_eff = recovered.overall_efficiency().value();
         assert!(
@@ -510,23 +390,29 @@ mod tests {
     #[test]
     fn non_compliant_rejected() {
         let mut p = parsed_ok();
-        p.status_raw = Some("Non-Compliant (review failed)".into());
-        assert_eq!(validate(&p).unwrap_err(), vec![ValidityIssue::NotAccepted]);
+        p.status_raw = Some(intern("Non-Compliant (review failed)"));
+        assert_eq!(
+            validate_interned(&p).unwrap_err(),
+            vec![ValidityIssue::NotAccepted]
+        );
     }
 
     #[test]
     fn ambiguous_date_rejected() {
         let mut p = parsed_ok();
-        p.hw_available = DateField::Ambiguous("Jun-2014 or Jul-2014".into());
-        assert_eq!(validate(&p).unwrap_err(), vec![ValidityIssue::AmbiguousDate]);
+        p.hw_available = DateSym::Ambiguous(intern("Jun-2014 or Jul-2014"));
+        assert_eq!(
+            validate_interned(&p).unwrap_err(),
+            vec![ValidityIssue::AmbiguousDate]
+        );
     }
 
     #[test]
     fn implausible_date_rejected() {
         let mut p = parsed_ok();
-        p.hw_available = DateField::Parsed(YearMonth::new(1998, 3).unwrap());
+        p.hw_available = DateSym::Parsed(YearMonth::new(1998, 3).unwrap());
         assert_eq!(
-            validate(&p).unwrap_err(),
+            validate_interned(&p).unwrap_err(),
             vec![ValidityIssue::ImplausibleDate]
         );
     }
@@ -534,9 +420,9 @@ mod tests {
     #[test]
     fn ambiguous_cpu_rejected() {
         let mut p = parsed_ok();
-        p.cpu_name = Some("Intel Xeon E5-2670 / E5-2680".into());
+        p.cpu_name = Some(intern("Intel Xeon E5-2670 / E5-2680"));
         assert_eq!(
-            validate(&p).unwrap_err(),
+            validate_interned(&p).unwrap_err(),
             vec![ValidityIssue::AmbiguousCpuName]
         );
         assert!(cpu_name_ambiguous("unknown"));
@@ -549,7 +435,7 @@ mod tests {
         let mut p = parsed_ok();
         p.nodes = None;
         assert_eq!(
-            validate(&p).unwrap_err(),
+            validate_interned(&p).unwrap_err(),
             vec![ValidityIssue::MissingNodeCount]
         );
     }
@@ -559,7 +445,7 @@ mod tests {
         let mut p = parsed_ok();
         p.total_threads = Some(p.total_threads.unwrap() + 8);
         assert_eq!(
-            validate(&p).unwrap_err(),
+            validate_interned(&p).unwrap_err(),
             vec![ValidityIssue::InconsistentCoreThread]
         );
     }
@@ -571,7 +457,7 @@ mod tests {
         p.total_cores = Some(2 * 999);
         p.total_threads = Some(2 * 999 * 2);
         assert_eq!(
-            validate(&p).unwrap_err(),
+            validate_interned(&p).unwrap_err(),
             vec![ValidityIssue::ImplausibleCoreThread]
         );
     }
@@ -580,22 +466,25 @@ mod tests {
     fn missing_levels_malformed() {
         let mut p = parsed_ok();
         p.levels.truncate(5);
-        assert_eq!(validate(&p).unwrap_err(), vec![ValidityIssue::Malformed]);
+        assert_eq!(
+            validate_interned(&p).unwrap_err(),
+            vec![ValidityIssue::Malformed]
+        );
     }
 
     #[test]
     fn multiple_issues_all_reported() {
         let mut p = parsed_ok();
-        p.status_raw = Some("Non-Compliant (x)".into());
+        p.status_raw = Some(intern("Non-Compliant (x)"));
         p.nodes = None;
-        let issues = validate(&p).unwrap_err();
+        let issues = validate_interned(&p).unwrap_err();
         assert!(issues.contains(&ValidityIssue::NotAccepted));
         assert!(issues.contains(&ValidityIssue::MissingNodeCount));
     }
 
     #[test]
     fn comparability_filters() {
-        let mut run = validate(&parsed_ok()).unwrap();
+        let mut run = validate_interned(&parsed_ok()).unwrap();
         assert!(comparability_issues(&run).is_empty());
 
         run.system.cpu.name = "SPARC T5".into();

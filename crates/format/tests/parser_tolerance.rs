@@ -2,7 +2,7 @@
 //! hand-assembled submissions contain: shuffled sections, CRLF endings,
 //! stray blank lines, unknown keys, inconsistent spacing.
 
-use spec_format::{parse_run, validate, write_run};
+use spec_format::{parse_run_interned, validate_interned, write_run};
 use spec_model::linear_test_run;
 
 fn canonical() -> String {
@@ -10,7 +10,7 @@ fn canonical() -> String {
 }
 
 fn validates(text: &str) -> bool {
-    parse_run(text).is_ok_and(|p| validate(&p).is_ok())
+    parse_run_interned(text).is_ok_and(|p| validate_interned(&p).is_ok())
 }
 
 #[test]
@@ -55,7 +55,7 @@ fn reordered_sections_accepted() {
 #[test]
 fn value_recovered_despite_spacing() {
     let text = canonical().replace("CPU Frequency (MHz): ", "CPU Frequency (MHz):      ");
-    let parsed = parse_run(&text).unwrap();
+    let parsed = parse_run_interned(&text).unwrap();
     assert_eq!(parsed.nominal_mhz, Some(2500.0));
 }
 
@@ -73,15 +73,15 @@ fn duplicate_keys_last_one_loses() {
     // taken) rather than corrupting.
     let mut text = canonical();
     text.push_str("Memory Amount (GB): 9999\n");
-    let parsed = parse_run(&text).unwrap();
+    let parsed = parse_run_interned(&text).unwrap();
     assert_eq!(parsed.memory_gb, Some(9999));
 }
 
 #[test]
 fn report_with_only_garbage_after_header_fails_validation() {
     let text = "SPECpower_ssj2008 Report\n!!!! corrupted download !!!!\n";
-    let parsed = parse_run(text).unwrap();
-    assert!(validate(&parsed).is_err());
+    let parsed = parse_run_interned(text).unwrap();
+    assert!(validate_interned(&parsed).is_err());
 }
 
 #[test]
@@ -89,8 +89,11 @@ fn truncated_results_table_fails_validation_not_parsing() {
     let text = canonical();
     let cut = text.find("50% |").expect("mid-table marker");
     let truncated = &text[..cut];
-    let parsed = parse_run(truncated).expect("tolerant parse succeeds");
-    assert!(validate(&parsed).is_err(), "validation catches the damage");
+    let parsed = parse_run_interned(truncated).expect("tolerant parse succeeds");
+    assert!(
+        validate_interned(&parsed).is_err(),
+        "validation catches the damage"
+    );
 }
 
 #[test]
@@ -100,6 +103,6 @@ fn numbers_with_thousands_separators_everywhere() {
     let run = linear_test_run(5, 12_345_678.0, 100.0, 900.0);
     let text = write_run(&run);
     assert!(text.contains("12,345,678"));
-    let recovered = validate(&parse_run(&text).unwrap()).unwrap();
+    let recovered = validate_interned(&parse_run_interned(&text).unwrap()).unwrap();
     assert!((recovered.calibrated_max.value() - 12_345_678.0).abs() < 1.0);
 }

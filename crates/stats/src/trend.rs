@@ -137,7 +137,7 @@ fn median_slope_selected(pts: &[(f64, f64)]) -> Option<f64> {
         let mut a = i;
         while a <= j {
             let mut b = a;
-            while b + 1 <= j && pts[b + 1].1 == pts[a].1 {
+            while b < j && pts[b + 1].1 == pts[a].1 {
                 b += 1;
             }
             let m = (b - a + 1) as u64;

@@ -101,7 +101,7 @@ fn split_leading_number(s: &str) -> (u64, &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spec_format::{parse_run, validate, ValidityIssue};
+    use spec_format::{parse_run_interned, validate_interned, ValidityIssue};
     use spec_model::linear_test_run;
 
     fn base_text() -> String {
@@ -109,7 +109,7 @@ mod tests {
     }
 
     fn issues_of(text: &str) -> Vec<ValidityIssue> {
-        validate(&parse_run(text).expect("parses")).unwrap_err()
+        validate_interned(&parse_run_interned(text).expect("parses")).unwrap_err()
     }
 
     #[test]

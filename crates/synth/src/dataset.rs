@@ -606,8 +606,8 @@ mod tests {
         assert!(run.is_well_formed());
         assert_eq!(run.hw_year(), 2019);
         assert!(run.system.is_comparable_topology());
-        let parsed = spec_format::parse_run(&sub.text).unwrap();
-        let validated = spec_format::validate(&parsed).unwrap();
+        let parsed = spec_format::parse_run_interned(&sub.text).unwrap();
+        let validated = spec_format::validate_interned(&parsed).unwrap();
         assert_eq!(validated.system.total_cores(), run.system.total_cores());
     }
 
@@ -655,8 +655,8 @@ mod tests {
             },
         );
         assert!(sub.truth.is_none());
-        let parsed = spec_format::parse_run(&sub.text).unwrap();
-        assert!(spec_format::validate(&parsed).is_err());
+        let parsed = spec_format::parse_run_interned(&sub.text).unwrap();
+        assert!(spec_format::validate_interned(&parsed).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spec_format::{parse_run, validate, ValidityIssue};
+use spec_format::{parse_run_interned, validate_interned, ValidityIssue};
 use spec_synth::anomalies::inject;
 use spec_synth::lineup::{AMD_GENERATIONS, INTEL_GENERATIONS};
 use spec_synth::market::AnomalyKind;
@@ -77,8 +77,8 @@ proptest! {
     ) {
         let run = valid_run(seed, intel, gen_idx, sku_idx, year_off);
         let text = spec_format::write_run(&run);
-        let parsed = parse_run(&text).expect("canonical text parses");
-        prop_assert!(validate(&parsed).is_ok());
+        let parsed = parse_run_interned(&text).expect("canonical text parses");
+        prop_assert!(validate_interned(&parsed).is_ok());
     }
 
     #[test]
@@ -93,8 +93,8 @@ proptest! {
         let text = spec_format::write_run(&run);
         let (kind, expected) = TEXT_LEVEL_KINDS[kind_idx];
         let corrupted = inject(kind, &text, "Intel Xeon E5-2690");
-        let parsed = parse_run(&corrupted).expect("still parses");
-        let issues = validate(&parsed).expect_err("must fail validation");
+        let parsed = parse_run_interned(&corrupted).expect("still parses");
+        let issues = validate_interned(&parsed).expect_err("must fail validation");
         prop_assert_eq!(issues, vec![expected], "kind {:?}", kind);
     }
 
@@ -106,8 +106,8 @@ proptest! {
     ) {
         let mut run = valid_run(seed, intel, gen_idx, 0, 0);
         run.status = RunStatus::NotAccepted("marked non-compliant".into());
-        let parsed = parse_run(&spec_format::write_run(&run)).unwrap();
-        let issues = validate(&parsed).unwrap_err();
+        let parsed = parse_run_interned(&spec_format::write_run(&run)).unwrap();
+        let issues = validate_interned(&parsed).unwrap_err();
         prop_assert_eq!(issues, vec![ValidityIssue::NotAccepted]);
     }
 
@@ -120,8 +120,8 @@ proptest! {
         let mut run = valid_run(seed, intel, gen_idx, 0, 0);
         run.dates.hw_available = YearMonth::new(2002, 5).unwrap();
         run.dates.test = run.dates.hw_available.add_months(3);
-        let parsed = parse_run(&spec_format::write_run(&run)).unwrap();
-        let issues = validate(&parsed).unwrap_err();
+        let parsed = parse_run_interned(&spec_format::write_run(&run)).unwrap();
+        let issues = validate_interned(&parsed).unwrap_err();
         prop_assert_eq!(issues, vec![ValidityIssue::ImplausibleDate]);
     }
 }

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, full test suite, and a warning-free clippy
-# pass. The `format`, `core`, `diag`, `vfs`, `obs` and `intern` library
-# crates additionally deny `clippy::unwrap_used` at the crate level (see
-# their `lib.rs`), so any new `unwrap()` in parsing, pipeline, IO,
-# observability or interner code fails this script.
+# Tier-1 verification: build, full test suite, a warning-free clippy
+# pass, and a warning-free rustdoc build of `spec-format` (so intra-doc
+# links to removed parser items fail). The `format`, `core`, `diag`,
+# `vfs`, `obs` and `intern` library crates additionally deny
+# `clippy::unwrap_used` at the crate level (see their `lib.rs`), so any
+# new `unwrap()` in parsing, pipeline, IO, observability or interner code
+# fails this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p spec-format
 
 echo "tier1: OK"

@@ -1,7 +1,7 @@
 //! Property tests: SPEC report write → parse → validate round trips.
 
 use proptest::prelude::*;
-use spec_power_trends::format::{parse_run, validate, write_run};
+use spec_power_trends::format::{parse_run_interned, validate_interned, write_run};
 use spec_power_trends::model::{
     Cpu, JvmInfo, LevelMeasurement, LoadLevel, Megahertz, OpsPerWatt, OsInfo, RunDates,
     RunResult, RunStatus, SsjOps, SystemConfig, Watts, YearMonth,
@@ -98,20 +98,36 @@ proptest! {
     #[test]
     fn roundtrip_preserves_identity_and_structure(run in arb_run()) {
         let text = write_run(&run);
-        let parsed = parse_run(&text).expect("canonical output parses");
-        let recovered = validate(&parsed).expect("canonical output validates");
+        let parsed = parse_run_interned(&text).expect("canonical output parses");
+        let recovered = validate_interned(&parsed).expect("canonical output validates");
         prop_assert_eq!(recovered.id, run.id);
         prop_assert_eq!(recovered.system.chips, run.system.chips);
         prop_assert_eq!(recovered.system.total_cores(), run.system.total_cores());
         prop_assert_eq!(recovered.system.total_threads(), run.system.total_threads());
-        prop_assert_eq!(recovered.dates.hw_available, run.dates.hw_available);
+        prop_assert_eq!(recovered.dates, run.dates);
         prop_assert_eq!(recovered.system.memory_gb, run.system.memory_gb);
         prop_assert_eq!(recovered.levels.len(), 11);
+        // The writer is the parser's oracle: every categorical field the
+        // parser interns must come back unchanged.
+        prop_assert_eq!(&recovered.submitter, &run.submitter);
+        prop_assert_eq!(&recovered.system.manufacturer, &run.system.manufacturer);
+        prop_assert_eq!(&recovered.system.model, &run.system.model);
+        prop_assert_eq!(&recovered.system.form_factor, &run.system.form_factor);
+        prop_assert_eq!(&recovered.system.cpu.name, &run.system.cpu.name);
+        prop_assert_eq!(
+            &recovered.system.cpu.microarchitecture,
+            &run.system.cpu.microarchitecture
+        );
+        prop_assert_eq!(&recovered.system.os, &run.system.os);
+        prop_assert_eq!(&recovered.system.jvm, &run.system.jvm);
+        prop_assert_eq!(recovered.system.nodes, run.system.nodes);
+        prop_assert_eq!(recovered.system.jvm_instances, run.system.jvm_instances);
+        prop_assert_eq!(&recovered.status, &run.status);
     }
 
     #[test]
     fn roundtrip_preserves_metrics(run in arb_run()) {
-        let recovered = validate(&parse_run(&write_run(&run)).unwrap()).unwrap();
+        let recovered = validate_interned(&parse_run_interned(&write_run(&run)).unwrap()).unwrap();
         let eff0 = run.overall_efficiency().value();
         let eff1 = recovered.overall_efficiency().value();
         prop_assert!(((eff0 - eff1) / eff0).abs() < 0.01, "{} vs {}", eff0, eff1);
@@ -125,17 +141,17 @@ proptest! {
 
     #[test]
     fn second_roundtrip_is_fixed_point(run in arb_run()) {
-        // write(validate(parse(write(r)))) == write(validate(parse(…)))
-        let once = validate(&parse_run(&write_run(&run)).unwrap()).unwrap();
+        // write(validate_interned(parse(write(r)))) == write(validate_interned(parse(…)))
+        let once = validate_interned(&parse_run_interned(&write_run(&run)).unwrap()).unwrap();
         let text1 = write_run(&once);
-        let twice = validate(&parse_run(&text1).unwrap()).unwrap();
+        let twice = validate_interned(&parse_run_interned(&text1).unwrap()).unwrap();
         let text2 = write_run(&twice);
         prop_assert_eq!(text1, text2);
     }
 
     #[test]
     fn vendor_survives_roundtrip(run in arb_run()) {
-        let recovered = validate(&parse_run(&write_run(&run)).unwrap()).unwrap();
+        let recovered = validate_interned(&parse_run_interned(&write_run(&run)).unwrap()).unwrap();
         prop_assert_eq!(recovered.system.cpu.vendor(), run.system.cpu.vendor());
     }
 
@@ -146,8 +162,8 @@ proptest! {
         let text = write_run(&run);
         let cut_at = (text.len() as f64 * cut) as usize;
         let truncated = &text[..cut_at];
-        if let Ok(parsed) = parse_run(truncated) {
-            prop_assert!(validate(&parsed).is_err());
+        if let Ok(parsed) = parse_run_interned(truncated) {
+            prop_assert!(validate_interned(&parsed).is_err());
         }
     }
 }
