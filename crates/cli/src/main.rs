@@ -425,7 +425,7 @@ fn run_ingest(args: &Args) -> spec_diag::Result<()> {
             let vfs = spec_vfs::default_vfs();
             let paths = spec_analysis::list_report_files(vfs.as_ref(), dir)?;
             paths.chunks(INGEST_BATCH_REPORTS).try_for_each(|chunk| {
-                // Slab-packed shared buffers: one arena per batch, shards
+                // Slab-packed shared buffers read in parallel: shards
                 // borrow slices instead of holding per-file Strings.
                 let items = spec_analysis::read_inputs_shared(vfs.as_ref(), chunk);
                 ingest.push_input_batch(&items)

@@ -426,25 +426,30 @@ pub fn list_report_files(vfs: &dyn Vfs, dir: &Path) -> spec_diag::Result<Vec<Pat
         .collect())
 }
 
-/// Read one report file, degrading any failure — EIO after retries, a
-/// vanished file, a short read, invalid UTF-8 — into a
-/// [`RawInput::IoError`] record instead of propagating it.
-pub fn read_input(vfs: &dyn Vfs, path: &Path) -> (Option<String>, RawInput) {
-    let origin = path.file_name().map(|n| n.to_string_lossy().into_owned());
-    let input = match vfs.read_to_shared(path) {
-        Ok(text) => RawInput::Shared(text),
-        Err(e) => RawInput::IoError(format!("could not read file: {e}")),
-    };
-    (origin, input)
+/// Read report files into slab-packed shared buffers, in parallel on the
+/// ambient `tinypool` pool.
+///
+/// The paths are split into the pool's length-determined chunks; each
+/// chunk is read on a worker into its own [`spec_vfs::SlabArena`], and
+/// the chunks are concatenated in chunk order. So the result — one
+/// `(origin, input)` pair per path, in path order — is identical for any
+/// thread count. Each input borrows its slice of a slab as a
+/// [`RawInput::Shared`]. Any failure to read a file — EIO after retries,
+/// a vanished file, a short read, invalid UTF-8 — degrades into a
+/// [`RawInput::IoError`] record in that file's slot instead of
+/// propagating.
+pub fn read_inputs_shared(vfs: &dyn Vfs, paths: &[PathBuf]) -> Vec<(Option<String>, RawInput)> {
+    let ranges = tinypool::run_chunks(paths.len(), |_| {});
+    let chunks = tinypool::parallel_map(&ranges, |range| read_chunk(vfs, &paths[range.clone()]));
+    let mut items = Vec::with_capacity(paths.len());
+    for chunk in chunks {
+        items.extend(chunk);
+    }
+    items
 }
 
-/// Read a batch of report files into slab-packed shared buffers: one
-/// [`spec_vfs::SlabArena`] per call packs the texts of all readable files
-/// into a few large allocations, and each input borrows its slice as a
-/// [`RawInput::Shared`]. Unreadable files degrade to
-/// [`RawInput::IoError`] exactly like [`read_input`]. Returns one
-/// `(origin, input)` pair per path, in path order.
-pub fn read_inputs_shared(vfs: &dyn Vfs, paths: &[PathBuf]) -> Vec<(Option<String>, RawInput)> {
+/// Serial body of [`read_inputs_shared`]: one arena for a chunk of paths.
+fn read_chunk(vfs: &dyn Vfs, paths: &[PathBuf]) -> Vec<(Option<String>, RawInput)> {
     let mut arena = spec_vfs::SlabArena::new();
     // First pass reads (filling the arena), second pass zips the sealed
     // texts back to their origins; errors hold their slot so the zip
@@ -510,7 +515,7 @@ where
 ///
 /// Robustness: an unreadable directory is a typed [`spec_diag::TrendsError`];
 /// an unreadable *file* is not fatal — it is recorded as an `io-error`
-/// parse failure (see [`read_input`]) and the cascade continues.
+/// parse failure (see [`read_inputs_shared`]) and the cascade continues.
 pub fn load_from_dir_vfs(vfs: &dyn Vfs, dir: &Path) -> spec_diag::Result<AnalysisSet> {
     let entries = list_report_files(vfs, dir)?;
     let ranges = tinypool::run_chunks(entries.len(), |_| {});

@@ -487,10 +487,7 @@ impl Snapshot {
                 CorpusSource::Dir(dir) => {
                     let files = crate::pipeline::list_report_files(&*config.vfs, dir)?;
                     for chunk in files.chunks(STREAM_BATCH) {
-                        let items: Vec<(Option<String>, RawInput)> = chunk
-                            .iter()
-                            .map(|path| crate::pipeline::read_input(&*config.vfs, path))
-                            .collect();
+                        let items = crate::pipeline::read_inputs_shared(&*config.vfs, chunk);
                         stream
                             .push_input_batch(&items, &mut sink)
                             .map_err(frame_err)?;

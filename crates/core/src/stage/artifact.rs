@@ -10,8 +10,9 @@ use std::collections::BTreeMap;
 use spec_format::ComparabilityIssue;
 use spec_model::RunResult;
 
+use super::cache::{ContentHasher, Hash128};
 use super::codec::{Codec, CodecError, Reader, Writer};
-use crate::pipeline::{AnalysisSet, FilterReport, RawInput};
+use crate::pipeline::{AnalysisSet, FilterReport, RawInput, RawInputRef};
 use crate::table1::Table1;
 
 /// The raw corpus: `(origin, input)` per input file. Origin is the file
@@ -35,6 +36,33 @@ impl Codec for CorpusArtifact {
             items: Codec::decode(r)?,
         })
     }
+}
+
+/// Content hash of a raw corpus: the cache-key root of everything
+/// downstream of ingest.
+///
+/// Streams one [`ContentHasher`] over each input's origin, kind tag and
+/// text (or read-error detail) in corpus order, every variable-length
+/// field length-prefixed, so no two distinct corpora share an input
+/// stream: a changed byte, a renamed file, a reordering, a lost file
+/// (`IoError`) or a moved field boundary all change the fingerprint. The
+/// texts are hashed where they lie — no encoded copy of the corpus is
+/// built — and [`RawInput::Text`] and [`RawInput::Shared`] inputs with
+/// equal content fingerprint identically.
+pub fn corpus_fingerprint(items: &[(Option<String>, RawInput)]) -> Hash128 {
+    let mut h = ContentHasher::new();
+    h.update(&(items.len() as u64).to_le_bytes());
+    for (origin, input) in items {
+        match origin {
+            Some(name) => h.update(&[1]).update_field(name.as_bytes()),
+            None => h.update(&[0]),
+        };
+        match input.as_ref() {
+            RawInputRef::Text(text) => h.update(&[0]).update_field(text.as_bytes()),
+            RawInputRef::IoError(detail) => h.update(&[1]).update_field(detail.as_bytes()),
+        };
+    }
+    h.finish()
 }
 
 /// Output of the Validate stage: the stage-1-valid runs plus a
@@ -147,6 +175,69 @@ mod tests {
     use crate::pipeline::{load_from_texts, stage1_validate, stage2_split};
     use spec_format::write_run;
     use spec_model::linear_test_run;
+
+    #[test]
+    fn corpus_fingerprint_sees_every_byte_name_and_order() {
+        let corpus = |a: &str, b: &str, c: &str| -> Vec<(Option<String>, RawInput)> {
+            vec![
+                (Some("a.txt".into()), RawInput::Text(a.into())),
+                (Some("b.txt".into()), RawInput::Text(b.into())),
+                (None, RawInput::Text(c.into())),
+            ]
+        };
+        let base = corpus("alpha report", "beta", "gamma text");
+        let h = corpus_fingerprint(&base);
+
+        // Any single-bit flip in any text or file name.
+        for item in 0..base.len() {
+            for in_name in [false, true] {
+                let (origin, input) = &base[item];
+                let field = if in_name {
+                    match origin {
+                        Some(name) => name.clone(),
+                        None => continue,
+                    }
+                } else {
+                    match input.as_ref() {
+                        RawInputRef::Text(t) | RawInputRef::IoError(t) => t.to_string(),
+                    }
+                };
+                for byte in 0..field.len() {
+                    let mut bytes = field.clone().into_bytes();
+                    bytes[byte] ^= 0x01;
+                    let edited = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+                    let mut corpus = base.clone();
+                    if in_name {
+                        corpus[item].0 = Some(edited);
+                    } else {
+                        corpus[item].1 = RawInput::Text(edited);
+                    }
+                    assert_ne!(corpus_fingerprint(&corpus), h, "item {item} byte {byte}");
+                }
+            }
+        }
+
+        // Order, field boundaries, origin presence and read failures.
+        let mut swapped = base.clone();
+        swapped.swap(0, 1);
+        assert_ne!(corpus_fingerprint(&swapped), h);
+        assert_ne!(
+            corpus_fingerprint(&corpus("alpha repor", "tbeta", "gamma text")),
+            h
+        );
+        let mut unnamed = base.clone();
+        unnamed[0].0 = None;
+        assert_ne!(corpus_fingerprint(&unnamed), h);
+        let mut lost = base.clone();
+        lost[1].1 = RawInput::IoError("beta".into());
+        assert_ne!(corpus_fingerprint(&lost), h);
+        assert_ne!(corpus_fingerprint(&base[..2]), h);
+
+        // Shared and owned texts with equal content are the same corpus.
+        let mut shared = base.clone();
+        shared[0].1 = RawInput::Shared(spec_vfs::SharedText::new("alpha report".into()));
+        assert_eq!(corpus_fingerprint(&shared), h);
+    }
 
     #[test]
     fn assemble_matches_legacy_loader() {

@@ -1,14 +1,19 @@
 //! Content-addressed, self-healing on-disk artifact cache.
 //!
 //! Every stage output is stored in one file under the cache root, named by
-//! the hex of its *key* — an [`fnv128`] hash over (code version, stage id,
+//! the hex of its *key* — a [`content_hash`] over (code version, stage id,
 //! upstream artifact content hashes, stage parameters). The entry's header
-//! carries the *content hash* of the payload; since PR 3 every read
-//! verifies the **full payload** against that hash
-//! ([`ArtifactCache::verified_hash`]), not just the 20-byte header, so a
-//! torn or bit-rotted entry can never satisfy a warm run.
+//! carries the *content hash* of the payload, and every read verifies the
+//! **full payload** against it ([`ArtifactCache::verified_hash`]), not
+//! just the 20-byte header, so a torn or bit-rotted entry can never
+//! satisfy a warm run. Both hashes are [`spec_vfs::checksum`]'s
+//! word-at-a-time [`ContentHasher`], which runs at memory speed, so the
+//! full-payload check costs little next to reading the file. A verified
+//! payload is decoded in place from the read buffer, never copied.
 //!
-//! Entry layout: `b"SPT1"` magic ‖ 16-byte content hash ‖ codec payload.
+//! Entry layout: `b"SPT2"` magic ‖ 16-byte content hash ‖ codec payload.
+//! (`SPT1` entries carried FNV-1a-128 checksums; they are quarantined as
+//! written by an older cache format.)
 //!
 //! The cache is *self-healing* and degrades gracefully instead of failing:
 //!
@@ -36,80 +41,12 @@ use spec_vfs::Vfs;
 
 use super::codec::{decode_from_slice, encode_to_vec, Codec};
 
-/// 128-bit stable content hash (FNV-1a).
-///
-/// `std::hash` is documented to be unstable across releases, so cache keys
-/// use a hand-rolled FNV-1a 128 instead: the same bytes hash identically on
-/// every build, which is what makes on-disk keys meaningful across runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Hash128(pub u128);
+pub use spec_vfs::checksum::{content_hash, ContentHasher, Hash128};
 
-impl Hash128 {
-    /// Lower-case hex, fixed 32 chars — used as the cache file name.
-    pub fn hex(&self) -> String {
-        format!("{:032x}", self.0)
-    }
-
-    /// Big-endian bytes for embedding in entry headers.
-    pub fn to_bytes(self) -> [u8; 16] {
-        self.0.to_be_bytes()
-    }
-
-    /// Inverse of [`Self::to_bytes`].
-    pub fn from_bytes(bytes: [u8; 16]) -> Hash128 {
-        Hash128(u128::from_be_bytes(bytes))
-    }
-}
-
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
-
-/// Streaming FNV-1a 128 hasher.
-#[derive(Clone)]
-pub struct Fnv128 {
-    state: u128,
-}
-
-impl Default for Fnv128 {
-    fn default() -> Self {
-        Fnv128 { state: FNV_OFFSET }
-    }
-}
-
-impl Fnv128 {
-    /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv128 {
-        Fnv128::default()
-    }
-
-    /// Absorb bytes.
-    pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.state ^= b as u128;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    /// Absorb a length-prefixed field, so `("ab","c")` and `("a","bc")`
-    /// hash differently.
-    pub fn update_field(&mut self, bytes: &[u8]) -> &mut Self {
-        self.update(&(bytes.len() as u64).to_le_bytes());
-        self.update(bytes)
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> Hash128 {
-        Hash128(self.state)
-    }
-}
-
-/// One-shot FNV-1a 128 of a byte slice.
-pub fn fnv128(bytes: &[u8]) -> Hash128 {
-    Fnv128::new().update(bytes).finish()
-}
-
-const MAGIC: &[u8; 4] = b"SPT1";
+const MAGIC: &[u8; 4] = b"SPT2";
+/// Magic of the previous entry format (FNV-1a-128 checksums). Such an
+/// entry is not corrupt, just stale, and `doctor` says so.
+const OLD_MAGIC: &[u8; 4] = b"SPT1";
 const HEADER_LEN: usize = 4 + 16;
 
 /// Name of the quarantine subdirectory under the cache root.
@@ -177,24 +114,32 @@ impl FsckReport {
     }
 }
 
-/// Why an entry failed verification. Returned by the shared validator so
-/// the load path and `fsck` quarantine with identical reasons.
-fn entry_defect(bytes: &[u8]) -> Option<String> {
+/// Verify an entry's magic, header and full-payload checksum, returning
+/// the content hash from its header, or why it failed. Shared by the load
+/// path and `fsck` so both quarantine with identical reasons.
+fn verify_entry(bytes: &[u8]) -> Result<Hash128, String> {
     if bytes.len() < HEADER_LEN {
-        return Some(format!(
+        return Err(format!(
             "truncated header: {} of {HEADER_LEN} bytes",
             bytes.len()
         ));
     }
-    if &bytes[..4] != MAGIC {
-        return Some("bad magic (not an artifact entry)".to_string());
+    let magic = &bytes[..4];
+    if magic != MAGIC {
+        if magic == OLD_MAGIC {
+            return Err(
+                "written by an older cache format (SPT1; this build writes SPT2)".to_string(),
+            );
+        }
+        return Err("bad magic (not an artifact entry)".to_string());
     }
     let mut hash = [0u8; 16];
     hash.copy_from_slice(&bytes[4..HEADER_LEN]);
-    if fnv128(&bytes[HEADER_LEN..]) != Hash128::from_bytes(hash) {
-        return Some("payload checksum mismatch (torn write or bit rot)".to_string());
+    let hash = Hash128::from_bytes(hash);
+    if content_hash(&bytes[HEADER_LEN..]) != hash {
+        return Err("payload checksum mismatch (torn write or bit rot)".to_string());
     }
-    None
+    Ok(hash)
 }
 
 /// The on-disk artifact store rooted at `--cache-dir`.
@@ -314,9 +259,11 @@ impl ArtifactCache {
         swept
     }
 
-    /// Read and fully verify an entry, returning its raw payload and
-    /// content hash. Misses, unreadable files (degradation) and
-    /// quarantined corruption all read as `None`.
+    /// Read and fully verify an entry, returning its content hash and the
+    /// whole entry file; the payload is `bytes[HEADER_LEN..]`, borrowed in
+    /// place rather than moved to the front of the buffer. Misses,
+    /// unreadable files (degradation) and quarantined corruption all read
+    /// as `None`.
     fn read_entry(&self, key: &Hash128) -> Option<(Hash128, Vec<u8>)> {
         let path = self.entry_path(key);
         let bytes = match self.vfs.read_verified(&path) {
@@ -341,17 +288,17 @@ impl ArtifactCache {
                 return None;
             }
         };
-        if let Some(reason) = entry_defect(&bytes) {
-            self.quarantine(&path, &reason);
-            obs::count("cache.miss", 1);
-            return None;
+        match verify_entry(&bytes) {
+            Ok(hash) => {
+                obs::count("cache.hit", 1);
+                Some((hash, bytes))
+            }
+            Err(reason) => {
+                self.quarantine(&path, &reason);
+                obs::count("cache.miss", 1);
+                None
+            }
         }
-        obs::count("cache.hit", 1);
-        let mut hash = [0u8; 16];
-        hash.copy_from_slice(&bytes[4..HEADER_LEN]);
-        let mut payload = bytes;
-        payload.drain(..HEADER_LEN);
-        Some((Hash128::from_bytes(hash), payload))
     }
 
     /// The payload's content hash, after verifying the **entire payload**
@@ -365,9 +312,9 @@ impl ArtifactCache {
     /// Load and decode an entry. `None` on miss or any defect — corrupt
     /// and undecodable entries are quarantined and the caller recomputes.
     pub fn load<T: Codec>(&self, key: &Hash128) -> Option<(T, Hash128)> {
-        let (content_hash, payload) = self.read_entry(key)?;
-        match decode_from_slice::<T>(&payload) {
-            Ok(value) => Some((value, content_hash)),
+        let (hash, bytes) = self.read_entry(key)?;
+        match decode_from_slice::<T>(&bytes[HEADER_LEN..]) {
+            Ok(value) => Some((value, hash)),
             Err(e) => {
                 // Checksum-valid but undecodable: wrong artifact type or
                 // version skew that slipped the key. Quarantine so the
@@ -395,10 +342,10 @@ impl ArtifactCache {
     /// each artifact exactly once (for sizing and hashing) and hands the
     /// bytes here, so instrumentation never doubles the encode cost.
     pub fn store_encoded(&self, key: &Hash128, payload: &[u8]) -> Hash128 {
-        let content_hash = fnv128(payload);
+        let hash = content_hash(payload);
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&content_hash.to_bytes());
+        bytes.extend_from_slice(&hash.to_bytes());
         bytes.extend_from_slice(payload);
         let path = self.entry_path(key);
         let tmp = self.root.join(format!(".{}.tmp", key.hex()));
@@ -409,7 +356,7 @@ impl ArtifactCache {
             obs::count("cache.store", 1);
             obs::count("cache.store_bytes", payload.len() as u64);
         }
-        content_hash
+        hash
     }
 
     /// Number of entries currently stored (for tests and `explain`).
@@ -459,9 +406,9 @@ impl ArtifactCache {
                 continue;
             }
             match cache.vfs.read_verified(&path) {
-                Ok(bytes) => match entry_defect(&bytes) {
-                    None => report.healthy += 1,
-                    Some(reason) => {
+                Ok(bytes) => match verify_entry(&bytes) {
+                    Ok(_) => report.healthy += 1,
+                    Err(reason) => {
                         cache.quarantine(&path, &reason);
                         report.quarantined.push((name, reason));
                     }
@@ -507,30 +454,9 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable() {
-        // Reference value pinned so the on-disk format can never silently
-        // drift: changing the hash breaks every existing cache.
-        assert_eq!(
-            fnv128(b"hello").hex(),
-            "e3e1efd54283d94f7081314b599d31b3"
-        );
-        assert_eq!(fnv128(b"").0, FNV_OFFSET);
-        assert_ne!(fnv128(b"a"), fnv128(b"b"));
-    }
-
-    #[test]
-    fn field_framing_distinguishes_splits() {
-        let mut a = Fnv128::new();
-        a.update_field(b"ab").update_field(b"c");
-        let mut b = Fnv128::new();
-        b.update_field(b"a").update_field(b"bc");
-        assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
     fn store_load_verify_roundtrip() {
         let cache = tmp_cache("roundtrip");
-        let key = fnv128(b"stage-key");
+        let key = content_hash(b"stage-key");
         assert_eq!(cache.verified_hash(&key), None);
         assert!(cache.load::<Vec<u32>>(&key).is_none());
 
@@ -549,7 +475,7 @@ mod tests {
     fn corrupt_entries_are_quarantined_with_reasons() {
         let cache = tmp_cache("corrupt");
         let vfs = cache.vfs().clone();
-        let key = fnv128(b"k");
+        let key = content_hash(b"k");
         cache.store(&key, &vec![7u32]);
         let path = cache.root().join(format!("{}.art", key.hex()));
 
@@ -586,7 +512,7 @@ mod tests {
         // peek but must fail the full-payload verification.
         let cache = tmp_cache("torn");
         let vfs = cache.vfs().clone();
-        let key = fnv128(b"k");
+        let key = content_hash(b"k");
         cache.store(&key, &vec![1u32, 2, 3, 4, 5, 6, 7, 8]);
         let path = cache.root().join(format!("{}.art", key.hex()));
         let bytes = vfs.read_verified(&path).expect("entry readable");
@@ -604,10 +530,11 @@ mod tests {
     fn truncated_header_is_quarantined() {
         let cache = tmp_cache("trunc_header");
         let vfs = cache.vfs().clone();
-        let key = fnv128(b"k");
+        let key = content_hash(b"k");
         cache.store(&key, &vec![9u32]);
         let path = cache.root().join(format!("{}.art", key.hex()));
-        vfs.write(&path, b"SPT1\x00\x01").expect("truncate inside header");
+        vfs.write(&path, b"SPT2\x00\x01")
+            .expect("truncate inside header");
         assert!(cache.load::<Vec<u32>>(&key).is_none());
         let reason = vfs
             .read_to_string(
@@ -623,7 +550,7 @@ mod tests {
     #[test]
     fn wrong_type_decode_is_quarantined_miss() {
         let cache = tmp_cache("wrong_type");
-        let key = fnv128(b"k");
+        let key = content_hash(b"k");
         cache.store(&key, &"text".to_string());
         // Decoding a String entry as Vec<u64> must fail cleanly (the length
         // prefix reads as a huge vec length), not panic or alias.
@@ -660,10 +587,14 @@ mod tests {
             FaultVfs::new(Arc::new(RealVfs)).with_fault(OpKind::Write, 0, FaultKind::Enospc),
         );
         let cache = ArtifactCache::open_with(&dir, fault).unwrap();
-        let key = fnv128(b"k");
+        let key = content_hash(b"k");
         let hash = cache.store(&key, &vec![1u32]);
         assert_eq!(cache.health().write_errors, 1, "ENOSPC absorbed");
-        assert_eq!(hash, fnv128(&encode_to_vec(&vec![1u32])), "hash still exact");
+        assert_eq!(
+            hash,
+            content_hash(&encode_to_vec(&vec![1u32])),
+            "hash still exact"
+        );
         assert!(cache.load::<Vec<u32>>(&key).is_none(), "nothing stored");
         // A later store on a healthy disk succeeds.
         cache.store(&key, &vec![1u32]);
@@ -675,8 +606,8 @@ mod tests {
     fn fsck_classifies_healthy_torn_and_orphaned() {
         let cache = tmp_cache("fsck");
         let vfs = cache.vfs().clone();
-        let good = fnv128(b"good");
-        let torn = fnv128(b"torn");
+        let good = content_hash(b"good");
+        let torn = content_hash(b"torn");
         cache.store(&good, &vec![1u32, 2, 3]);
         cache.store(&torn, &vec![4u32, 5, 6, 7, 8, 9, 10, 11]);
         let torn_path = cache.root().join(format!("{}.art", torn.hex()));
@@ -706,6 +637,53 @@ mod tests {
     }
 
     #[test]
+    fn old_format_entry_is_reported_as_stale_not_corrupt() {
+        // An entry written by the previous format (`SPT1`, FNV-1a-128
+        // checksum) is intact, so "checksum mismatch (torn write or bit
+        // rot)" would be a false diagnosis.
+        let cache = tmp_cache("old_magic");
+        let vfs = cache.vfs().clone();
+        let key = content_hash(b"k");
+        cache.store(&key, &vec![1u32, 2, 3]);
+        let path = cache.root().join(format!("{}.art", key.hex()));
+        let mut bytes = vfs.read_verified(&path).expect("entry readable");
+        bytes[..4].copy_from_slice(b"SPT1");
+        vfs.write(&path, &bytes).expect("rewrite with old magic");
+
+        let report = ArtifactCache::fsck_with(cache.root(), vfs.clone()).unwrap();
+        assert_eq!(report.healthy, 0);
+        assert_eq!(report.quarantined.len(), 1);
+        let reason = &report.quarantined[0].1;
+        assert!(
+            reason.contains("written by an older cache format"),
+            "{reason}"
+        );
+        assert!(!reason.contains("checksum"), "{reason}");
+        assert!(report
+            .to_text()
+            .contains("written by an older cache format"));
+
+        // The load path quarantines with the same diagnosis.
+        cache.store(&key, &vec![1u32, 2, 3]);
+        let mut bytes = vfs.read_verified(&path).expect("entry readable");
+        bytes[..4].copy_from_slice(b"SPT1");
+        vfs.write(&path, &bytes).expect("rewrite with old magic");
+        assert!(cache.load::<Vec<u32>>(&key).is_none());
+        let sidecar = vfs
+            .read_to_string(
+                &cache
+                    .quarantine_dir()
+                    .join(format!("{}.art.reason", key.hex())),
+            )
+            .expect("reason sidecar");
+        assert!(
+            sidecar.contains("written by an older cache format"),
+            "{sidecar}"
+        );
+        cleanup(&cache);
+    }
+
+    #[test]
     fn store_is_durable_through_the_vfs_sync_protocol() {
         use spec_vfs::{FaultVfs, OpKind};
         let dir = std::env::temp_dir().join("spec_cache_test_durable");
@@ -713,7 +691,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let fault = Arc::new(FaultVfs::new(Arc::new(RealVfs)));
         let cache = ArtifactCache::open_with(&dir, fault.clone()).unwrap();
-        cache.store(&fnv128(b"k"), &vec![1u32]);
+        cache.store(&content_hash(b"k"), &vec![1u32]);
         // The write path must fsync the temp file AND the parent directory
         // around the rename — that is what makes the rename crash-durable.
         assert_eq!(fault.op_count(OpKind::SyncFile), 1, "temp file fsynced");

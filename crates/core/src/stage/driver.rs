@@ -2,9 +2,10 @@
 //! and (when a cache is attached) persists every stage output under a
 //! content-addressed key.
 //!
-//! A stage's key is `fnv128(code version ‖ stage name ‖ upstream content
-//! hashes ‖ parameters)`. On a warm run the driver resolves upstream keys
-//! through checksum-verified [`ArtifactCache::verified_hash`] reads, so
+//! A stage's key is `content_hash(code version ‖ stage name ‖ upstream
+//! content hashes ‖ parameters)`. On a warm run the driver resolves
+//! upstream keys through checksum-verified
+//! [`ArtifactCache::verified_hash`] reads, so
 //! e.g. `figures` after `analyze` decodes exactly one artifact (the
 //! rendered SVGs) and re-parses **nothing** — asserted by the
 //! stage-invocation counters in [`StageStats`].
@@ -26,10 +27,10 @@ use spec_synth::{generate_dataset, SynthConfig};
 use spec_vfs::Vfs;
 
 use super::artifact::{
-    assemble_set, ComparableArtifact, CorpusArtifact, DeriveArtifact, FilesArtifact,
-    ValidateArtifact,
+    assemble_set, corpus_fingerprint, ComparableArtifact, CorpusArtifact, DeriveArtifact,
+    FilesArtifact, ValidateArtifact,
 };
-use super::cache::{fnv128, ArtifactCache, Fnv128, Hash128};
+use super::cache::{content_hash, ArtifactCache, ContentHasher, Hash128};
 use super::codec::{encode_to_vec, Codec};
 use super::graph::{
     ComparableStage, DeriveStage, ExportDataStage, ExportFiguresStage, Fig1Stage, Fig2Stage,
@@ -37,7 +38,7 @@ use super::graph::{
 };
 use super::CODE_VERSION;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
-use crate::pipeline::{AnalysisSet, FilterReport, RawInput};
+use crate::pipeline::{AnalysisSet, FilterReport, RawInput, RawInputRef};
 use crate::report::Study;
 
 /// Where the raw corpus comes from.
@@ -193,7 +194,7 @@ impl PipelineDriver {
         let payload = encode_to_vec(&value);
         let h = match &self.cache {
             Some(cache) => cache.store_encoded(&key, &payload),
-            None => fnv128(&payload),
+            None => content_hash(&payload),
         };
         self.stat_mut(id).executed += 1;
         if obs::enabled() {
@@ -215,7 +216,7 @@ impl PipelineDriver {
     }
 
     fn stage_key(&self, id: StageId, deps: &[Hash128], salt: &[u8]) -> Hash128 {
-        let mut h = Fnv128::new();
+        let mut h = ContentHasher::new();
         h.update_field(CODE_VERSION.as_bytes());
         h.update_field(id.name().as_bytes());
         for dep in deps {
@@ -294,7 +295,7 @@ impl PipelineDriver {
     // ------------------------------------------------------------ ingest --
 
     fn synthetic_corpus_key(&self, config: &SynthConfig) -> Hash128 {
-        let mut h = Fnv128::new();
+        let mut h = ContentHasher::new();
         h.update_field(CODE_VERSION.as_bytes());
         h.update_field(StageId::Ingest.name().as_bytes());
         h.update_field(b"synthetic");
@@ -346,15 +347,21 @@ impl PipelineDriver {
                 // source; the content hash doubles as the cache key input.
                 let mut sp = obs::span(StageId::Ingest.name());
                 let artifact = self.read_dir_corpus(&dir)?;
-                let payload = encode_to_vec(&artifact);
-                let h = fnv128(&payload);
+                let h = corpus_fingerprint(&artifact.items);
                 self.stat_mut(StageId::Ingest).executed += 1;
                 if obs::enabled() {
-                    self.sizes.insert(StageId::Ingest, payload.len());
+                    let text_bytes: usize = artifact
+                        .items
+                        .iter()
+                        .map(|(_, input)| match input.as_ref() {
+                            RawInputRef::Text(t) | RawInputRef::IoError(t) => t.len(),
+                        })
+                        .sum();
+                    self.sizes.insert(StageId::Ingest, text_bytes);
                     sp.record("kind", "stage");
                     sp.record("outcome", "computed");
                     sp.record("files", artifact.items.len());
-                    sp.record("out_bytes", payload.len());
+                    sp.record("out_bytes", text_bytes);
                     sp.observe_into("stage.execute_us");
                     obs::count("stage.ingest.executed", 1);
                 }
@@ -369,7 +376,7 @@ impl PipelineDriver {
                         .map(|(origin, text)| (origin, RawInput::Text(text)))
                         .collect(),
                 };
-                let h = fnv128(&encode_to_vec(&artifact));
+                let h = corpus_fingerprint(&artifact.items);
                 self.hashes.insert(StageId::Ingest, h);
                 self.corpus = Some(Rc::new(artifact));
                 Ok(h)

@@ -20,7 +20,7 @@ use super::artifact::{
 };
 use super::codec::Codec;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
-use crate::pipeline::{stage1_validate_inputs, stage2_split};
+use crate::pipeline::{stage1_validate_inputs, stage2_split, FilterReport};
 use crate::report::Study;
 
 /// Identity of one pipeline stage.
@@ -145,6 +145,11 @@ pub trait Stage {
 }
 
 /// Parse + validate (§II stage 1).
+///
+/// Runs per `tinypool` chunk of the corpus and merges the chunks in
+/// order ([`FilterReport::merge`] offsets parse-failure indices), so the
+/// artifact — and its encoded bytes and cache hash — is the same at any
+/// thread count.
 pub struct ValidateStage;
 
 impl Stage for ValidateStage {
@@ -153,12 +158,21 @@ impl Stage for ValidateStage {
     const ID: StageId = StageId::Validate;
 
     fn run(corpus: &CorpusArtifact) -> spec_diag::Result<ValidateArtifact> {
-        let (valid, report) = stage1_validate_inputs(
-            corpus
-                .items
-                .iter()
-                .map(|(origin, input)| (origin.as_deref(), input.as_ref())),
-        );
+        let items = &corpus.items;
+        let ranges = tinypool::run_chunks(items.len(), |_| {});
+        let chunks = tinypool::parallel_map(&ranges, |range| {
+            stage1_validate_inputs(
+                items[range.clone()]
+                    .iter()
+                    .map(|(origin, input)| (origin.as_deref(), input.as_ref())),
+            )
+        });
+        let mut valid = Vec::new();
+        let mut report = FilterReport::default();
+        for (chunk_valid, chunk_report) in chunks {
+            valid.extend(chunk_valid);
+            report.merge(&chunk_report);
+        }
         Ok(ValidateArtifact { valid, report })
     }
 }

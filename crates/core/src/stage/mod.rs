@@ -27,11 +27,11 @@ pub mod graph;
 pub mod partition;
 
 pub use artifact::{
-    assemble_set, ComparableArtifact, CorpusArtifact, DeriveArtifact, FilesArtifact,
-    ValidateArtifact,
+    assemble_set, corpus_fingerprint, ComparableArtifact, CorpusArtifact, DeriveArtifact,
+    FilesArtifact, ValidateArtifact,
 };
 pub use cache::{
-    fnv128, ArtifactCache, CacheHealth, Fnv128, FsckReport, Hash128, QUARANTINE_DIR,
+    content_hash, ArtifactCache, CacheHealth, ContentHasher, FsckReport, Hash128, QUARANTINE_DIR,
 };
 pub use codec::{decode_from_slice, encode_to_vec, Codec, CodecError, Reader, Writer};
 pub use driver::{CorpusSource, PipelineDriver, StageStats};
@@ -49,8 +49,11 @@ pub use graph::{
 /// misses instead of stale hits.
 /// (`/2`: the corpus artifact gained the `RawInput` tag byte.
 /// `/3`: the Validate artifact switched to dictionary-encoded strings.
-/// `/5`: artifacts are partitioned by (year, vendor) with merge stages.)
-pub const CODE_VERSION: &str = "spec-trends/stage-graph/6";
+/// `/5`: artifacts are partitioned by (year, vendor) with merge stages.
+/// `/7`: keys and checksums moved from FNV-1a-128 to
+/// [`spec_vfs::checksum::ContentHasher`], and the corpus hash became
+/// [`corpus_fingerprint`].)
+pub const CODE_VERSION: &str = "spec-trends/stage-graph/7";
 
 /// Write rendered `(name, content)` files into `dir` (created if needed)
 /// through `vfs`, returning the written paths in order. Each file lands

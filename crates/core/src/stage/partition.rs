@@ -37,8 +37,8 @@ use spec_ssj::Settings;
 use spec_synth::generate_dataset;
 use spec_vfs::Vfs;
 
-use super::artifact::{ComparableArtifact, CorpusArtifact, ValidateArtifact};
-use super::cache::{fnv128, ArtifactCache, Fnv128, Hash128};
+use super::artifact::{corpus_fingerprint, ComparableArtifact, CorpusArtifact, ValidateArtifact};
+use super::cache::{content_hash, ArtifactCache, ContentHasher, Hash128};
 use super::codec::{encode_to_vec, Codec, CodecError, Reader, Writer};
 use super::driver::{CorpusSource, StageStats};
 use super::CODE_VERSION;
@@ -143,7 +143,7 @@ pub fn part_key_of_input(input: &RawInput) -> PartKey {
     }
 }
 
-/// Deterministic shard assignment for a partition: an FNV hash of the
+/// Deterministic shard assignment for a partition: a hash of the
 /// partition label folded modulo the shard count. Every process — shard
 /// daemons, the fan-out front-end, tests and smoke scripts — derives the
 /// same owner for a key from nothing but `(key, shard_count)`, so shards
@@ -153,10 +153,24 @@ pub fn shard_of(key: &PartKey, count: usize) -> usize {
     if count <= 1 {
         return 0;
     }
-    let bytes = fnv128(key.label().as_bytes()).to_bytes();
+    let bytes = placement_hash(key.label().as_bytes()).to_be_bytes();
     let mut lo = [0u8; 8];
     lo.copy_from_slice(&bytes[..8]);
     (u64::from_le_bytes(lo) % count as u64) as usize
+}
+
+/// FNV-1a-128 of a short partition label — a *placement contract*, not a
+/// content hash. [`shard_of`] must place every key exactly where earlier
+/// builds did, or a fleet would rebalance partitions between shards on
+/// upgrade, so this stays FNV even though every content hash in the
+/// workspace is [`ContentHasher`]. The placements are pinned by
+/// `shard_placement_is_pinned`.
+fn placement_hash(label: &[u8]) -> u128 {
+    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
+    const PRIME: u128 = 0x0000000001000000000000000000013b;
+    label
+        .iter()
+        .fold(OFFSET, |h, &b| (h ^ b as u128).wrapping_mul(PRIME))
 }
 
 /// One shard's identity in an N-way partition split (`--shard i/N`).
@@ -253,7 +267,7 @@ struct Partition {
     items: Vec<(Option<String>, RawInput)>,
     /// Global corpus index of each input.
     gidx: Vec<u32>,
-    /// Content hash over the encoded inputs — the partition-local cache
+    /// [`corpus_fingerprint`] of the inputs — the partition-local cache
     /// key root. Global indices are deliberately excluded so insertions
     /// elsewhere in the corpus cannot invalidate this partition.
     hash: Hash128,
@@ -319,7 +333,7 @@ pub struct MergedAnalysis {
 }
 
 fn part_stage_key(kind: PartStageKind, label: &str, dep: Hash128) -> Hash128 {
-    let mut h = Fnv128::new();
+    let mut h = ContentHasher::new();
     h.update_field(CODE_VERSION.as_bytes());
     h.update_field(kind.name().as_bytes());
     h.update_field(label.as_bytes());
@@ -351,7 +365,7 @@ fn resolve_part_stage<T: Codec>(
     let payload = encode_to_vec(&value);
     let h = match cache {
         Some(cache) => cache.store_encoded(&key, &payload),
-        None => fnv128(&payload),
+        None => content_hash(&payload),
     };
     if obs::enabled() {
         sp.record("kind", "stage");
@@ -426,10 +440,7 @@ fn materialize_corpus(
         }
         CorpusSource::Dir(dir) => {
             let files = crate::pipeline::list_report_files(&**vfs, dir)?;
-            let items = files
-                .iter()
-                .map(|path| crate::pipeline::read_input(&**vfs, path))
-                .collect();
+            let items = crate::pipeline::read_inputs_shared(&**vfs, &files);
             Ok(CorpusArtifact { items })
         }
         CorpusSource::Memory(items) => Ok(CorpusArtifact {
@@ -567,7 +578,7 @@ impl PartitionedDriver {
             let part = map.entry(key).or_insert_with(|| Partition {
                 items: Vec::new(),
                 gidx: Vec::new(),
-                hash: fnv128(&[]),
+                hash: Hash128(0),
             });
             part.gidx.push(g as u32);
             part.items.push((origin, input));
@@ -576,7 +587,7 @@ impl PartitionedDriver {
             map.retain(|key, _| shard.owns(key));
         }
         for part in map.values_mut() {
-            part.hash = fnv128(&encode_to_vec(&part.items));
+            part.hash = corpus_fingerprint(&part.items);
         }
         self.split_runs += 1;
         let parts: Vec<(PartKey, Partition)> = map.into_iter().collect();
@@ -717,7 +728,7 @@ impl PartitionedDriver {
         if let Some(t) = &self.table1 {
             return Ok(t.clone());
         }
-        let mut h = Fnv128::new();
+        let mut h = ContentHasher::new();
         h.update_field(CODE_VERSION.as_bytes());
         h.update_field(b"part-table1");
         h.update_field(&self.seed.to_le_bytes());
@@ -1092,6 +1103,58 @@ mod tests {
                 // The hash spreads: no shard owns everything.
                 assert!(owned.iter().all(|&n| n < keys.len()), "{owned:?}");
             }
+        }
+    }
+
+    #[test]
+    fn shard_placement_is_pinned() {
+        // The owner of every (year, vendor) partition at N = 2 and N = 3,
+        // one digit per vendor (intel, amd, other), years 2000..=2026 and
+        // then the unknown year. Changing any of these rebalances
+        // `serve_fleet`'s shards, so `shard_of` is a placement contract.
+        let pinned: [(usize, [&str; 28]); 2] = [
+            (
+                2,
+                [
+                    "011", "001", "000", "110", "001", "000", "100", "011", "101", "100", "001",
+                    "101", "010", "001", "001", "111", "001", "101", "011", "111", "010", "100",
+                    "000", "011", "101", "001", "101", "011",
+                ],
+            ),
+            (
+                3,
+                [
+                    "100", "111", "220", "201", "002", "010", "021", "111", "102", "000", "002",
+                    "122", "102", "121", "012", "220", "001", "212", "220", "020", "200", "112",
+                    "202", "011", "110", "000", "222", "122",
+                ],
+            ),
+        ];
+        let years: Vec<i32> = (2000..=2026).chain([-1]).collect();
+        let vendors = [CpuVendor::Intel, CpuVendor::Amd, CpuVendor::Other];
+        for (count, rows) in pinned {
+            for (year, row) in years.iter().zip(rows) {
+                let got: String = vendors
+                    .iter()
+                    .map(|&vendor| {
+                        shard_of(
+                            &PartKey {
+                                year: *year,
+                                vendor,
+                            },
+                            count,
+                        )
+                        .to_string()
+                    })
+                    .collect();
+                assert_eq!(got, row, "year {year} at N = {count}");
+            }
+        }
+        // The grid covers every partition of the seed corpus.
+        let seed = generate_dataset(&spec_synth::SynthConfig::default());
+        for text in seed.texts() {
+            let key = part_key_of_text(text);
+            assert!(years.contains(&key.year), "{}", key.label());
         }
     }
 

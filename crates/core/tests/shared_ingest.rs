@@ -187,3 +187,137 @@ fn unreadable_files_interleave_with_shared_reads() {
     assert_eq!(set.report.not_reports, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Writes `n` small files of varied length (including an empty one and
+/// one larger than a slab) and returns the directory and the texts in
+/// sorted-name order. 300 files make well over 64 read chunks, so the
+/// pool really fans the read out.
+fn varied_dir(name: &str, n: usize) -> (PathBuf, Vec<String>) {
+    let dir = tmp_dir(name);
+    let texts: Vec<String> = (0..n)
+        .map(|i| match i {
+            7 => String::new(),
+            150 => "x".repeat(spec_vfs::DEFAULT_SLAB_BYTES + 17),
+            _ => format!("report {i}\n{}", "line\n".repeat(i % 23)),
+        })
+        .collect();
+    for (i, text) in texts.iter().enumerate() {
+        std::fs::write(dir.join(format!("f{i:04}.txt")), text).unwrap();
+    }
+    (dir, texts)
+}
+
+fn text_of(input: &RawInput) -> &str {
+    match input {
+        RawInput::Shared(t) => t.as_str(),
+        other => panic!("expected Shared, got {other:?}"),
+    }
+}
+
+#[test]
+fn parallel_read_equals_serial_read_at_any_thread_count() {
+    let (dir, texts) = varied_dir("par_read", 300);
+    let vfs = RealVfs;
+    let files = spec_analysis::list_report_files(&vfs, &dir).unwrap();
+    for threads in [1, 2, 8] {
+        let items = tinypool::Pool::new(threads).install(|| read_inputs_shared(&vfs, &files));
+        assert_eq!(items.len(), texts.len(), "{threads} threads");
+        for (i, ((origin, input), text)) in items.iter().zip(&texts).enumerate() {
+            assert_eq!(origin.as_deref(), Some(format!("f{i:04}.txt").as_str()));
+            assert_eq!(text_of(input), text, "file {i} at {threads} threads");
+        }
+        // Chunk arenas give back their unused reservation: all slabs
+        // together hold at most one slab more than the texts.
+        let used: usize = texts.iter().map(String::len).sum();
+        let mut slabs: Vec<(usize, usize)> = items
+            .iter()
+            .filter_map(|(_, input)| match input {
+                RawInput::Shared(t) => Some((t.slab_id(), t.slab_capacity())),
+                _ => None,
+            })
+            .collect();
+        slabs.sort_unstable();
+        slabs.dedup();
+        let capacity: usize = slabs.iter().map(|&(_, cap)| cap).sum();
+        assert!(
+            capacity <= used + spec_vfs::DEFAULT_SLAB_BYTES,
+            "{threads} threads: {capacity} bytes of slabs for {used} bytes of text"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn parallel_read_keeps_io_error_slots_in_place() {
+    use spec_vfs::{FaultKind, FaultVfs, OpKind};
+    use std::sync::Arc;
+
+    let (dir, texts) = varied_dir("par_read_eio", 300);
+    let files = spec_analysis::list_report_files(&RealVfs, &dir).unwrap();
+    let schedule = [3usize, 64, 65, 200, 299];
+    for threads in [1, 2, 8] {
+        let mut vfs = FaultVfs::new(Arc::new(RealVfs));
+        for at in schedule {
+            vfs = vfs.with_fault(OpKind::Read, at, FaultKind::Eio);
+        }
+        let items = tinypool::Pool::new(threads).install(|| read_inputs_shared(&vfs, &files));
+        // Which file each scheduled fault hit depends on the interleaving;
+        // the trace says, and those files — only those — must be IoError
+        // records in their own slots.
+        let failed: Vec<PathBuf> = vfs
+            .trace()
+            .into_iter()
+            .filter(|t| t.op == OpKind::Read && t.injected.is_some())
+            .map(|t| t.path)
+            .collect();
+        assert_eq!(failed.len(), schedule.len(), "{threads} threads");
+        if threads == 1 {
+            // One worker reads in path order: the k-th read is file k.
+            let expected: Vec<PathBuf> = schedule.iter().map(|&k| files[k].clone()).collect();
+            assert_eq!(failed, expected);
+        }
+        assert_eq!(items.len(), texts.len());
+        for (i, (origin, input)) in items.iter().enumerate() {
+            assert_eq!(origin.as_deref(), Some(format!("f{i:04}.txt").as_str()));
+            if failed.contains(&files[i]) {
+                match input {
+                    RawInput::IoError(detail) => {
+                        assert!(detail.starts_with("could not read file:"), "{detail}")
+                    }
+                    other => {
+                        panic!("file {i} at {threads} threads: expected IoError, got {other:?}")
+                    }
+                }
+            } else {
+                assert_eq!(text_of(input), texts[i], "file {i} at {threads} threads");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corpus_fingerprint_is_thread_count_invariant_and_content_sensitive() {
+    use spec_analysis::stage::corpus_fingerprint;
+
+    let (dir, _) = varied_dir("fingerprint", 300);
+    let vfs = RealVfs;
+    let files = spec_analysis::list_report_files(&vfs, &dir).unwrap();
+    let read =
+        |threads: usize| tinypool::Pool::new(threads).install(|| read_inputs_shared(&vfs, &files));
+    let baseline = corpus_fingerprint(&read(1));
+    for threads in [2, 8] {
+        assert_eq!(
+            corpus_fingerprint(&read(threads)),
+            baseline,
+            "{threads} threads"
+        );
+    }
+    // Editing one byte of one file on disk changes the fingerprint.
+    let path = dir.join("f0123.txt");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[12] ^= 1;
+    std::fs::write(&path, bytes).unwrap();
+    assert_ne!(corpus_fingerprint(&read(2)), baseline);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -25,20 +25,6 @@ use crate::column::{Column, DType};
 use crate::error::{FrameError, Result};
 use crate::frame::Frame;
 
-const FNV_OFFSET: u128 = 0x6c62272e07bb0142_62b821756295c58d;
-const FNV_PRIME: u128 = 0x0000000001000000_000000000000013b;
-
-/// One-shot FNV-1a 128 digest, mirroring the artifact cache's checksum so
-/// spill files and cache entries share one integrity idiom.
-pub fn fnv128(bytes: &[u8]) -> u128 {
-    let mut state = FNV_OFFSET;
-    for &b in bytes {
-        state ^= b as u128;
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
-
 fn dtype_tag(dt: DType) -> u8 {
     match dt {
         DType::F64 => 0,
@@ -334,12 +320,5 @@ mod tests {
         let n = bytes.len();
         bytes[n - 4..].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(decode_frame(&bytes), Err(FrameError::Codec(_))));
-    }
-
-    #[test]
-    fn fnv128_distinguishes_payloads() {
-        assert_ne!(fnv128(b"a"), fnv128(b"b"));
-        assert_ne!(fnv128(b""), fnv128(b"\0"));
-        assert_eq!(fnv128(b"spec"), fnv128(b"spec"));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Cold segments of a [`crate::SegFrame`] are written through `spec-vfs`
 //! with the same integrity envelope as the artifact cache: a magic +
-//! version header, the payload length, and an FNV-1a-128 checksum of the
-//! payload, published tmp-then-rename (spill files are transient scratch,
+//! version header, the payload length, and a
+//! [`spec_vfs::checksum::content_hash`] of the payload (the cache's
+//! checksum), published tmp-then-rename (spill files are transient scratch,
 //! so the durability fsyncs of `atomic_write` are skipped — the checksum
 //! alone guards integrity). A segment that fails
 //! verification on read-back is moved to a `quarantine/` subdirectory
@@ -14,13 +15,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use spec_vfs::checksum::{content_hash, Hash128};
 use spec_vfs::Vfs;
 
-use crate::segcodec::fnv128;
-
-/// Magic prefix of a spill file (`SPill SeGment v1`).
-const MAGIC: &[u8; 8] = b"SPSEG1\0\0";
-/// Header: magic + u64 payload length + u128 FNV-1a checksum.
+/// Magic prefix of a spill file (`SPill SeGment v2`; v1 used FNV-1a-128).
+const MAGIC: &[u8; 8] = b"SPSEG2\0\0";
+/// Header: magic + u64 payload length + 128-bit content hash.
 const HEADER_LEN: usize = 8 + 8 + 16;
 /// Quarantine subdirectory under the spill root, matching the cache's.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -94,12 +94,12 @@ impl SegmentStore for VfsSegmentStore {
         let mut file = Vec::with_capacity(HEADER_LEN + payload.len());
         file.extend_from_slice(MAGIC);
         file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&fnv128(payload).to_le_bytes());
+        file.extend_from_slice(&content_hash(payload).to_bytes());
         file.extend_from_slice(payload);
         // Spill segments are process-transient scratch: if we crash they are
         // useless, so `atomic_write`'s fsync + read-back verification would
         // only add latency. Tmp-then-rename keeps readers from ever seeing a
-        // torn file; the FNV-1a-128 checksum in the header (verified on
+        // torn file; the content-hash checksum in the header (verified on
         // `load`, with quarantine on mismatch) covers integrity.
         let path = self.seg_path(id);
         let mut tmp = path.clone().into_os_string();
@@ -135,7 +135,7 @@ impl SegmentStore for VfsSegmentStore {
         let payload_len = u64::from_le_bytes(len8) as usize;
         let mut sum16 = [0u8; 16];
         sum16.copy_from_slice(&bytes[16..HEADER_LEN]);
-        let expected = u128::from_le_bytes(sum16);
+        let expected = Hash128::from_bytes(sum16);
         let payload = &bytes[HEADER_LEN..];
         if payload.len() != payload_len {
             return Err(corrupt(format!(
@@ -143,7 +143,7 @@ impl SegmentStore for VfsSegmentStore {
                 payload.len()
             )));
         }
-        if fnv128(payload) != expected {
+        if content_hash(payload) != expected {
             return Err(corrupt("checksum mismatch".into()));
         }
         Ok(payload.to_vec())

@@ -24,6 +24,9 @@
 //!   A torn write is detected *before* the rename, so a half-written file
 //!   can never land under the final name.
 //!
+//! [`checksum`] holds the workspace's one content hash, which every
+//! on-disk integrity check and content-addressed key uses.
+//!
 //! Std-only by design, like `spec-diag`: this crate sits below the
 //! pipeline crates in the dependency DAG.
 
@@ -31,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+pub mod checksum;
 mod fault;
 mod real;
 mod retry;
@@ -111,14 +115,6 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
                 format!("{} is not valid UTF-8", path.display()),
             )
         })
-    }
-
-    /// [`Vfs::read_to_string`] wrapped into an [`Arc`]-backed immutable
-    /// [`SharedText`], the zero-copy ingest input: downstream stages and
-    /// shards clone the handle (two words + a refcount bump) and borrow
-    /// `&str` slices instead of copying per-file `String`s around.
-    fn read_to_shared(&self, path: &Path) -> io::Result<SharedText> {
-        self.read_to_string(path).map(SharedText::new)
     }
 
     /// Durable atomic write with an explicit temp path: write `tmp`, fsync

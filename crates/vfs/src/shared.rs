@@ -65,6 +65,12 @@ impl SharedText {
     pub fn slab_id(&self) -> usize {
         Arc::as_ptr(&self.slab) as usize
     }
+
+    /// Allocated capacity of the backing slab in bytes. Used by tests to
+    /// bound the arena's memory overhead.
+    pub fn slab_capacity(&self) -> usize {
+        self.slab.capacity()
+    }
 }
 
 impl fmt::Debug for SharedText {
@@ -132,6 +138,8 @@ impl From<String> for SharedText {
 ///   contiguous slice;
 /// * a text at least as large as the slab capacity gets a dedicated slab
 ///   ([`SlabArena::push_owned`] adopts the `String` without copying);
+/// * sealing gives the open slab's unused reservation back, so an arena
+///   holding a few small texts costs what the texts cost;
 /// * sealed slabs are immutable — `String` reallocation can only happen
 ///   to the open slab, which no `SharedText` points into yet.
 #[derive(Debug, Default)]
@@ -172,6 +180,10 @@ impl SlabArena {
         if self.open_spans.is_empty() {
             return;
         }
+        // The open slab reserved a full `slab_bytes`; a short last slab
+        // (an arena per read chunk usually has only one) gives the slack
+        // back.
+        self.open.shrink_to_fit();
         let slab = Arc::new(std::mem::take(&mut self.open));
         for (start, end) in self.open_spans.drain(..) {
             self.done.push(SharedText {
@@ -303,6 +315,35 @@ mod tests {
         assert_eq!(texts[0].as_str(), "12345678");
         assert_eq!(texts[1].as_str(), "tail");
         assert_ne!(texts[0].slab_id(), texts[1].slab_id());
+    }
+
+    #[test]
+    fn sealed_slabs_hold_no_reserved_slack() {
+        // Sealed capacity ≤ used bytes + one slab per arena: a chunk's
+        // arena must not keep a full slab reservation for a few texts.
+        for (slab_bytes, texts) in [(1024usize, 3usize), (64, 40), (DEFAULT_SLAB_BYTES, 40)] {
+            let mut arena = SlabArena::with_slab_bytes(slab_bytes);
+            for i in 0..texts {
+                arena.push(&format!("report text {i:04}"));
+            }
+            let sealed = arena.finish();
+            let used: usize = sealed.iter().map(SharedText::len).sum();
+            let mut slabs: Vec<(usize, usize)> = sealed
+                .iter()
+                .map(|t| (t.slab_id(), t.slab_capacity()))
+                .collect();
+            slabs.sort_unstable();
+            slabs.dedup();
+            let capacity: usize = slabs.iter().map(|&(_, cap)| cap).sum();
+            assert!(
+                capacity <= used + slab_bytes,
+                "slab {slab_bytes}: capacity {capacity} for {used} used bytes"
+            );
+            // With one short slab, nothing is reserved beyond the texts.
+            if slabs.len() == 1 {
+                assert_eq!(capacity, used, "slab {slab_bytes}");
+            }
+        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ fn cache_survives_corruption_of_any_entry() {
     for entry in std::fs::read_dir(cache.root()).unwrap() {
         let path = entry.unwrap().path();
         if path.extension().is_some_and(|e| e == "art") {
-            std::fs::write(&path, b"SPT1torn").unwrap();
+            std::fs::write(&path, b"SPT2torn").unwrap();
         }
     }
 

@@ -75,3 +75,59 @@ fn filter_report_is_identical_across_thread_counts() {
     }
     assert!(reports.windows(2).all(|w| w[0] == w[1]));
 }
+
+#[test]
+fn validate_artifact_is_byte_identical_across_thread_counts() {
+    use spec_power_trends::analysis::stage::{
+        content_hash, encode_to_vec, CorpusArtifact, Stage, ValidateArtifact, ValidateStage,
+    };
+    use spec_power_trends::analysis::{stage1_validate_inputs, RawInput};
+
+    // The generated corpus plus a parse failure and a read failure in
+    // different chunks, so merged parse-failure indices are exercised.
+    let mut items: Vec<(Option<String>, RawInput)> = generate_dataset(&cfg())
+        .texts()
+        .enumerate()
+        .map(|(i, t)| (Some(format!("r{i:04}.txt")), RawInput::Text(t.to_owned())))
+        .collect();
+    items.insert(
+        5,
+        (
+            Some("junk.txt".into()),
+            RawInput::Text("not a report".into()),
+        ),
+    );
+    items.insert(
+        700,
+        (Some("lost.txt".into()), RawInput::IoError("EIO".into())),
+    );
+    let corpus = CorpusArtifact { items };
+
+    // Reference: the whole corpus validated in one sequential pass.
+    let (valid, report) = stage1_validate_inputs(
+        corpus
+            .items
+            .iter()
+            .map(|(origin, input)| (origin.as_deref(), input.as_ref())),
+    );
+    let sequential = encode_to_vec(&ValidateArtifact { valid, report });
+
+    for threads in THREAD_COUNTS {
+        let artifact = Pool::new(threads)
+            .install(|| ValidateStage::run(&corpus))
+            .expect("validate stage");
+        let payload = encode_to_vec(&artifact);
+        assert_eq!(
+            payload, sequential,
+            "{threads}-thread Validate payload differs"
+        );
+        assert_eq!(content_hash(&payload), content_hash(&sequential));
+        let indices: Vec<usize> = artifact
+            .report
+            .parse_failures
+            .iter()
+            .map(|r| r.index)
+            .collect();
+        assert_eq!(indices, vec![5, 700], "{threads} threads");
+    }
+}
