@@ -1,20 +1,154 @@
 //! Data export: the processed per-figure series as CSV files, mirroring the
-//! paper's Zenodo artifact which ships raw *and* processed data.
+//! paper's Zenodo artifact which ships raw *and* processed data — and the
+//! one renderer behind every export file, CSV and SVG alike.
 
 use std::path::{Path, PathBuf};
 
+use spec_model::RunResult;
 use tinyframe::{Agg, Column, Frame, DEFAULT_SEGMENT_ROWS};
 
 use crate::features::runs_to_seg_frame;
+use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
 use crate::report::Study;
+
+/// What the two export stages render from, borrowed: the valid and
+/// comparable runs plus the six figure aggregates. [`Study`] lends its
+/// own fields (`Study::export_inputs`); the pipeline driver lends its
+/// memoized stage artifacts, so exporting copies no run.
+#[derive(Clone, Copy)]
+pub struct ExportInputs<'a> {
+    /// The §II valid set.
+    pub valid: &'a [RunResult],
+    /// The §II comparable set.
+    pub comparable: &'a [RunResult],
+    /// Figure 1.
+    pub fig1: &'a fig1::Fig1Features,
+    /// Figure 2.
+    pub fig2: &'a fig2::Fig2Power,
+    /// Figure 3.
+    pub fig3: &'a fig3::Fig3Efficiency,
+    /// Figure 4.
+    pub fig4: &'a fig4::Fig4Proportionality,
+    /// Figure 5.
+    pub fig5: &'a fig5::Fig5Idle,
+    /// Figure 6.
+    pub fig6: &'a fig6::Fig6Extrapolated,
+}
+
+/// One export file: its name and the closure that renders its content.
+type RenderTask<'r> = (String, Box<dyn Fn() -> String + Sync + 'r>);
+
+fn task<'r>(name: impl Into<String>, render: impl Fn() -> String + Sync + 'r) -> RenderTask<'r> {
+    (name.into(), Box::new(render))
+}
+
+/// Render every file as one `tinypool` task, returned in `tasks` order —
+/// so the bytes and their order are the same at any thread count.
+fn render(tasks: Vec<RenderTask<'_>>) -> Vec<(String, String)> {
+    tinypool::map_tasks(&tasks, |(name, render)| (name.clone(), render()))
+}
+
+/// Render all figure SVGs as `(file name, SVG text)` pairs, in the order
+/// they are written.
+pub(crate) fn figure_files(inputs: ExportInputs<'_>) -> Vec<(String, String)> {
+    let ExportInputs {
+        fig1,
+        fig2,
+        fig3,
+        fig4,
+        fig5,
+        fig6,
+        ..
+    } = inputs;
+    let mut tasks = vec![
+        task("fig1_shares.svg", move || {
+            fig1.share_chart().to_svg(860, 520)
+        }),
+        task("fig1_counts.svg", move || {
+            fig1.counts_chart().to_svg(860, 340)
+        }),
+        task("fig2_power.svg", move || fig2.chart().to_svg(860, 520)),
+        task("fig3_efficiency.svg", move || fig3.chart().to_svg(860, 520)),
+        task("fig3_efficiency_log.svg", move || {
+            fig3.chart_log().to_svg(860, 520)
+        }),
+    ];
+    for load in fig4::LOADS {
+        tasks.push(task(format!("fig4_rel_eff_{load}.svg"), move || {
+            fig4.chart(load).to_svg(860, 520)
+        }));
+    }
+    // The paper shows Figure 4 as one panel grid.
+    tasks.push(task("fig4_grid.svg", move || {
+        let panels: Vec<tinyplot::Chart> =
+            fig4::LOADS.iter().map(|&load| fig4.chart(load)).collect();
+        tinyplot::render_grid(&panels, 2, 640, 430)
+    }));
+    tasks.push(task("fig5_idle.svg", move || fig5.chart().to_svg(860, 520)));
+    tasks.push(task("fig6_extrapolated.svg", move || {
+        fig6.chart().to_svg(860, 520)
+    }));
+    render(tasks)
+}
+
+/// Render the processed data behind every figure as `(file name, CSV
+/// text)` pairs, in the order they are written.
+pub(crate) fn data_files(inputs: ExportInputs<'_>) -> Vec<(String, String)> {
+    let ExportInputs {
+        valid,
+        comparable,
+        fig1,
+        fig2,
+        fig3,
+        fig4,
+        fig5,
+        fig6,
+    } = inputs;
+    // Tasks start in file order, and the full per-run feature tables (the
+    // master processed dataset) are both first and by far the largest.
+    // Each renders segment-by-segment, never materialized as one frame.
+    let runs_csv = |runs: &[RunResult]| {
+        runs_to_seg_frame(runs, DEFAULT_SEGMENT_ROWS)
+            .to_csv()
+            .expect("resident segments render")
+    };
+    render(vec![
+        task("comparable_runs.csv", move || runs_csv(comparable)),
+        task("valid_runs.csv", move || runs_csv(valid)),
+        task("fig1_shares.csv", move || fig1_frame(fig1).to_csv()),
+        task("fig2_per_socket_power.csv", move || {
+            series_frame(&fig2.scatter, "w_per_socket").to_csv()
+        }),
+        task("fig3_overall_efficiency.csv", move || {
+            series_frame(&fig3.scatter, "overall_eff").to_csv()
+        }),
+        task("fig5_idle_fraction.csv", move || {
+            series_frame(&fig5.scatter, "idle_fraction").to_csv()
+        }),
+        task("fig6_extrapolated_quotient.csv", move || {
+            series_frame(&fig6.scatter, "extrap_quotient").to_csv()
+        }),
+        task("fig4_relative_efficiency.csv", move || {
+            fig4_frame(fig4).to_csv()
+        }),
+        task("yearly_summary.csv", move || {
+            yearly_summary_of(comparable).to_csv()
+        }),
+    ])
+}
 
 /// Build the per-year summary table (one row per year): run counts, mean
 /// per-socket power, mean idle fraction, median overall efficiency.
+pub fn yearly_summary(study: &Study) -> Frame {
+    yearly_summary_of(&study.set.comparable)
+}
+
+/// [`yearly_summary`] over the comparable runs themselves.
 ///
 /// Runs through the segmented store's streaming group-by, which is
 /// bit-identical to the in-memory `group_by(..).agg(..)` path.
-pub fn yearly_summary(study: &Study) -> Frame {
-    runs_to_seg_frame(&study.set.comparable, DEFAULT_SEGMENT_ROWS)
+pub(crate) fn yearly_summary_of(comparable: &[RunResult]) -> Frame {
+    runs_to_seg_frame(comparable, DEFAULT_SEGMENT_ROWS)
         .group_agg(
             &["year"],
             &[
@@ -72,9 +206,9 @@ pub(crate) fn series_frame(
 }
 
 /// The Figure 1 CSV frame: year, run count and one share column per
-/// feature. Shared by [`Study::data_files`] and the serve daemon's
+/// feature. Shared by [`data_files`] and the serve daemon's
 /// filtered `/data/1` endpoint so both render identical bytes.
-pub(crate) fn fig1_frame(fig1: &crate::figures::fig1::Fig1Features) -> Frame {
+pub(crate) fn fig1_frame(fig1: &fig1::Fig1Features) -> Frame {
     let mut frame = Frame::from_columns([(
         "year",
         Column::I64(fig1.years.iter().map(|&y| y as i64).collect()),
@@ -98,7 +232,7 @@ pub(crate) fn fig1_frame(fig1: &crate::figures::fig1::Fig1Features) -> Frame {
 }
 
 /// The Figure 4 CSV frame: per-bin box statistics.
-pub(crate) fn fig4_frame(fig4: &crate::figures::fig4::Fig4Proportionality) -> Frame {
+pub(crate) fn fig4_frame(fig4: &fig4::Fig4Proportionality) -> Frame {
     let cells = &fig4.cells;
     Frame::from_columns([
         (
@@ -132,59 +266,25 @@ pub(crate) fn fig4_frame(fig4: &crate::figures::fig4::Fig4Proportionality) -> Fr
 }
 
 impl Study {
+    /// This study's fields as the export renderer's borrowed inputs.
+    pub(crate) fn export_inputs(&self) -> ExportInputs<'_> {
+        ExportInputs {
+            valid: &self.set.valid,
+            comparable: &self.set.comparable,
+            fig1: &self.fig1,
+            fig2: &self.fig2,
+            fig3: &self.fig3,
+            fig4: &self.fig4,
+            fig5: &self.fig5,
+            fig6: &self.fig6,
+        }
+    }
+
     /// Render the processed data behind every figure in memory as
     /// `(file name, CSV text)` pairs, in the order [`Self::write_data`]
     /// writes them.
     pub fn data_files(&self) -> Vec<(String, String)> {
-        let mut files = Vec::new();
-        let mut save = |name: &str, content: String| {
-            files.push((name.to_string(), content));
-        };
-
-        // Full per-run feature table (the master processed dataset),
-        // rendered segment-by-segment so the full table is never
-        // materialized as one frame.
-        save(
-            "comparable_runs.csv",
-            runs_to_seg_frame(&self.set.comparable, DEFAULT_SEGMENT_ROWS)
-                .to_csv()
-                .expect("resident segments render"),
-        );
-        save(
-            "valid_runs.csv",
-            runs_to_seg_frame(&self.set.valid, DEFAULT_SEGMENT_ROWS)
-                .to_csv()
-                .expect("resident segments render"),
-        );
-
-        // Figure 1: shares per year.
-        save("fig1_shares.csv", fig1_frame(&self.fig1).to_csv());
-
-        // Figures 2/3/5/6: scatter series.
-        save(
-            "fig2_per_socket_power.csv",
-            series_frame(&self.fig2.scatter, "w_per_socket").to_csv(),
-        );
-        save(
-            "fig3_overall_efficiency.csv",
-            series_frame(&self.fig3.scatter, "overall_eff").to_csv(),
-        );
-        save(
-            "fig5_idle_fraction.csv",
-            series_frame(&self.fig5.scatter, "idle_fraction").to_csv(),
-        );
-        save(
-            "fig6_extrapolated_quotient.csv",
-            series_frame(&self.fig6.scatter, "extrap_quotient").to_csv(),
-        );
-
-        // Figure 4: box statistics per bin.
-        save("fig4_relative_efficiency.csv", fig4_frame(&self.fig4).to_csv());
-
-        // Yearly summary table.
-        save("yearly_summary.csv", yearly_summary(self).to_csv());
-
-        files
+        data_files(self.export_inputs())
     }
 
     /// Write the processed data behind every figure as CSV files; returns

@@ -270,34 +270,7 @@ impl Study {
     /// Render all figure SVGs in memory as `(file name, SVG text)` pairs,
     /// in the order [`Self::write_figures`] writes them.
     pub fn figure_files(&self) -> Vec<(String, String)> {
-        let mut files = Vec::new();
-        let mut save = |name: &str, svg: String| files.push((name.to_string(), svg));
-        save("fig1_shares.svg", self.fig1.share_chart().to_svg(860, 520));
-        save("fig1_counts.svg", self.fig1.counts_chart().to_svg(860, 340));
-        save("fig2_power.svg", self.fig2.chart().to_svg(860, 520));
-        save("fig3_efficiency.svg", self.fig3.chart().to_svg(860, 520));
-        save(
-            "fig3_efficiency_log.svg",
-            self.fig3.chart_log().to_svg(860, 520),
-        );
-        for load in crate::figures::fig4::LOADS {
-            save(
-                &format!("fig4_rel_eff_{load}.svg"),
-                self.fig4.chart(load).to_svg(860, 520),
-            );
-        }
-        // The paper shows Figure 4 as one panel grid.
-        let fig4_panels: Vec<tinyplot::Chart> = crate::figures::fig4::LOADS
-            .iter()
-            .map(|&load| self.fig4.chart(load))
-            .collect();
-        save(
-            "fig4_grid.svg",
-            tinyplot::render_grid(&fig4_panels, 2, 640, 430),
-        );
-        save("fig5_idle.svg", self.fig5.chart().to_svg(860, 520));
-        save("fig6_extrapolated.svg", self.fig6.chart().to_svg(860, 520));
-        files
+        crate::export::figure_files(self.export_inputs())
     }
 
     /// Write all figure SVGs into a directory; returns the paths.

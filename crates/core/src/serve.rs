@@ -514,24 +514,33 @@ impl Snapshot {
         let (valid, comparable) = split_tagged(&tagged);
         drop(tagged);
         query_sp.observe_into("serve.refresh_full_query_us");
-        let figure_files: Vec<(String, String)> = (1..=6)
-            .map(|n| {
-                let mut fig_sp = obs::span("serve.refresh.render_figure");
-                fig_sp.record("figure", u64::from(n));
-                let rendered = render_figure(n, &valid, &comparable);
-                fig_sp.observe_into("serve.refresh_render_us");
-                (figure_file_name(n).to_string(), rendered)
-            })
+        // The six SVGs then the six CSVs, each one pool task with its own
+        // span (on whichever thread renders it).
+        let renders: Vec<(Kind, u8)> = [Kind::Figures, Kind::Data]
+            .into_iter()
+            .flat_map(|kind| (1..=6).map(move |n| (kind, n)))
             .collect();
-        let data_files: Vec<(String, String)> = (1..=6)
-            .map(|n| {
-                let mut data_sp = obs::span("serve.refresh.render_data");
-                data_sp.record("data", u64::from(n));
-                let rendered = render_data(n, &valid, &comparable);
-                data_sp.observe_into("serve.refresh_render_us");
-                (data_file_name(n).to_string(), rendered)
-            })
-            .collect();
+        let mut files = tinypool::map_tasks(&renders, |&(kind, n)| {
+            let (span, field) = match kind {
+                Kind::Figures => ("serve.refresh.render_figure", "figure"),
+                Kind::Data => ("serve.refresh.render_data", "data"),
+            };
+            let mut render_sp = obs::span(span);
+            render_sp.record(field, u64::from(n));
+            render_sp.observe_into("serve.refresh_render_us");
+            match kind {
+                Kind::Figures => (
+                    figure_file_name(n).to_string(),
+                    render_figure(n, &valid, &comparable),
+                ),
+                Kind::Data => (
+                    data_file_name(n).to_string(),
+                    render_data(n, &valid, &comparable),
+                ),
+            }
+        });
+        let data_files = files.split_off(6);
+        let figure_files = files;
         let partitions: Vec<PartitionSummary> = stream
             .partition_counts()
             .iter()

@@ -37,6 +37,7 @@ use super::graph::{
     Fig3Stage, Fig4Stage, Fig5Stage, Fig6Stage, Stage, StageId, ValidateStage,
 };
 use super::CODE_VERSION;
+use crate::export::ExportInputs;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
 use crate::pipeline::{AnalysisSet, FilterReport, RawInput, RawInputRef};
 use crate::report::Study;
@@ -511,46 +512,58 @@ impl PipelineDriver {
 }
 
 macro_rules! figure_accessors {
-    ($value_fn:ident, $hash_fn:ident, $slot:ident, $stage:ty, $out:ty, $input:ident) => {
+    ($value_fn:ident, $hash_fn:ident, $slot:ident, $stage:ty, $out:ty, $compute:expr) => {
         impl PipelineDriver {
             /// The figure artifact.
             pub fn $value_fn(&mut self) -> spec_diag::Result<Rc<$out>> {
                 if let Some(v) = &self.$slot {
                     return Ok(v.clone());
                 }
-                self.resolve_value(<$stage>::ID, |me| me.figure_key(<$stage>::ID), |me| &mut me.$slot, |me| {
-                    let runs = me.$input()?;
-                    <$stage>::run(&runs)
-                })
+                self.resolve_value(
+                    <$stage>::ID,
+                    |me| me.figure_key(<$stage>::ID),
+                    |me| &mut me.$slot,
+                    $compute,
+                )
             }
 
             fn $hash_fn(&mut self) -> spec_diag::Result<Hash128> {
                 if let Some(&h) = self.hashes.get(&<$stage>::ID) {
                     return Ok(h);
                 }
-                self.resolve_hash(<$stage>::ID, |me| me.figure_key(<$stage>::ID), |me| &mut me.$slot, |me| {
-                    let runs = me.$input()?;
-                    <$stage>::run(&runs)
-                })
+                self.resolve_hash(
+                    <$stage>::ID,
+                    |me| me.figure_key(<$stage>::ID),
+                    |me| &mut me.$slot,
+                    $compute,
+                )
             }
         }
     };
 }
 
-figure_accessors!(fig1, fig1_hash, fig1, Fig1Stage, fig1::Fig1Features, valid_runs_for_fig1);
-figure_accessors!(fig2, fig2_hash, fig2, Fig2Stage, fig2::Fig2Power, comparable_runs);
-figure_accessors!(fig3, fig3_hash, fig3, Fig3Stage, fig3::Fig3Efficiency, comparable_runs);
-figure_accessors!(fig4, fig4_hash, fig4, Fig4Stage, fig4::Fig4Proportionality, comparable_runs);
-figure_accessors!(fig5, fig5_hash, fig5, Fig5Stage, fig5::Fig5Idle, comparable_runs);
-figure_accessors!(fig6, fig6_hash, fig6, Fig6Stage, fig6::Fig6Extrapolated, comparable_runs);
+// Figure 1 reads the Validate artifact's runs in place; Figures 2–6 read
+// the comparable runs materialized once per driver.
+figure_accessors!(fig1, fig1_hash, fig1, Fig1Stage, fig1::Fig1Features, |me| {
+    Fig1Stage::run(&me.validate()?.valid)
+});
+figure_accessors!(fig2, fig2_hash, fig2, Fig2Stage, fig2::Fig2Power, |me| {
+    Fig2Stage::run(&me.comparable_runs()?)
+});
+figure_accessors!(fig3, fig3_hash, fig3, Fig3Stage, fig3::Fig3Efficiency, |me| {
+    Fig3Stage::run(&me.comparable_runs()?)
+});
+figure_accessors!(fig4, fig4_hash, fig4, Fig4Stage, fig4::Fig4Proportionality, |me| {
+    Fig4Stage::run(&me.comparable_runs()?)
+});
+figure_accessors!(fig5, fig5_hash, fig5, Fig5Stage, fig5::Fig5Idle, |me| {
+    Fig5Stage::run(&me.comparable_runs()?)
+});
+figure_accessors!(fig6, fig6_hash, fig6, Fig6Stage, fig6::Fig6Extrapolated, |me| {
+    Fig6Stage::run(&me.comparable_runs()?)
+});
 
 impl PipelineDriver {
-    /// The valid runs, for Figure 1 (borrows the Validate artifact).
-    fn valid_runs_for_fig1(&mut self) -> spec_diag::Result<Rc<Vec<RunResult>>> {
-        let validate = self.validate()?;
-        Ok(Rc::new(validate.valid.clone()))
-    }
-
     fn derive_key(&mut self) -> spec_diag::Result<Hash128> {
         let vh = self.validate_hash()?;
         let ch = self.comparable_hash()?;
@@ -625,6 +638,32 @@ impl PipelineDriver {
         Ok(self.stage_key(id, &deps, &[]))
     }
 
+    /// Run an export stage over borrowed stage artifacts: the valid runs
+    /// in place, the memoized comparable runs and the six figures — no
+    /// [`Study`], so nothing is cloned. Artifacts resolve in the order
+    /// [`Self::study`] resolves them (Derive included, which the export
+    /// key depends on), so a partly warm cache sees the same reads.
+    fn export_with<T>(
+        &mut self,
+        run: impl FnOnce(ExportInputs<'_>) -> spec_diag::Result<T>,
+    ) -> spec_diag::Result<T> {
+        let validate = self.validate()?;
+        let comparable = self.comparable_runs()?;
+        let (fig1, fig2, fig3) = (self.fig1()?, self.fig2()?, self.fig3()?);
+        let (fig4, fig5, fig6) = (self.fig4()?, self.fig5()?, self.fig6()?);
+        self.derive()?;
+        run(ExportInputs {
+            valid: &validate.valid,
+            comparable: &comparable,
+            fig1: &fig1,
+            fig2: &fig2,
+            fig3: &fig3,
+            fig4: &fig4,
+            fig5: &fig5,
+            fig6: &fig6,
+        })
+    }
+
     /// The rendered figure SVGs. On a warm run this decodes one cache
     /// entry and executes no stage at all.
     pub fn export_figures(&mut self) -> spec_diag::Result<Rc<FilesArtifact>> {
@@ -635,10 +674,7 @@ impl PipelineDriver {
             StageId::ExportFigures,
             |me| me.export_key(StageId::ExportFigures),
             |me| &mut me.export_figures,
-            |me| {
-                let study = me.study()?;
-                ExportFiguresStage::run(&study)
-            },
+            |me| me.export_with(ExportFiguresStage::run),
         )
     }
 
@@ -651,10 +687,7 @@ impl PipelineDriver {
             StageId::ExportData,
             |me| me.export_key(StageId::ExportData),
             |me| &mut me.export_data,
-            |me| {
-                let study = me.study()?;
-                ExportDataStage::run(&study)
-            },
+            |me| me.export_with(ExportDataStage::run),
         )
     }
 

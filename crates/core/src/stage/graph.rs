@@ -19,9 +19,9 @@ use super::artifact::{
     ComparableArtifact, CorpusArtifact, DeriveArtifact, FilesArtifact, ValidateArtifact,
 };
 use super::codec::Codec;
+use crate::export::ExportInputs;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
 use crate::pipeline::{stage1_validate_inputs, stage2_split, FilterReport};
-use crate::report::Study;
 
 /// Identity of one pipeline stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -236,13 +236,13 @@ impl Stage for DeriveStage {
 pub struct ExportDataStage;
 
 impl Stage for ExportDataStage {
-    type In<'a> = &'a Study;
+    type In<'a> = ExportInputs<'a>;
     type Out = FilesArtifact;
     const ID: StageId = StageId::ExportData;
 
-    fn run(study: &Study) -> spec_diag::Result<FilesArtifact> {
+    fn run(inputs: ExportInputs<'_>) -> spec_diag::Result<FilesArtifact> {
         Ok(FilesArtifact {
-            files: study.data_files(),
+            files: crate::export::data_files(inputs),
         })
     }
 }
@@ -251,13 +251,13 @@ impl Stage for ExportDataStage {
 pub struct ExportFiguresStage;
 
 impl Stage for ExportFiguresStage {
-    type In<'a> = &'a Study;
+    type In<'a> = ExportInputs<'a>;
     type Out = FilesArtifact;
     const ID: StageId = StageId::ExportFigures;
 
-    fn run(study: &Study) -> spec_diag::Result<FilesArtifact> {
+    fn run(inputs: ExportInputs<'_>) -> spec_diag::Result<FilesArtifact> {
         Ok(FilesArtifact {
-            files: study.figure_files(),
+            files: crate::export::figure_files(inputs),
         })
     }
 }

@@ -25,6 +25,10 @@
 //!   count** — the determinism the filter-cascade and dataset-generation
 //!   tests assert.
 //!
+//! [`Pool::map_tasks`] is the coarse-grained variant: one chunk per item
+//! and no inline cutoff, for a handful of items that each cost
+//! milliseconds (rendering the export files).
+//!
 //! Ambient-pool override for tests: [`Pool::install`] runs a closure with a
 //! specific pool as the calling thread's ambient pool, so the free functions
 //! ([`parallel_map`] etc.) route to it instead of the global instance.
@@ -321,7 +325,38 @@ impl Pool {
         F: Fn(usize, &T) -> U + Sync,
     {
         let n = items.len();
-        if n < PARALLEL_THRESHOLD || self.inner.threads == 1 {
+        if n < PARALLEL_THRESHOLD {
+            return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+        }
+        self.map_chunked(items, chunk_for(n), f)
+    }
+
+    /// Order-preserving map over a few coarse tasks: one chunk per item
+    /// and no [`PARALLEL_THRESHOLD`] cutoff, so even two items can run on
+    /// two threads. For work where each item costs milliseconds (rendering
+    /// one export file) rather than nanoseconds. Results come back in item
+    /// order, the submitting thread runs tasks too, a 1-thread pool runs
+    /// them inline, and a panicking task re-panics here once every task
+    /// has finished.
+    pub fn map_tasks<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+        F: Fn(&T) -> U + Sync,
+    {
+        self.map_chunked(items, 1, |_, item| f(item))
+    }
+
+    /// Map `items` through `f` in chunks of `chunk` items, writing each
+    /// result into its input's slot.
+    fn map_chunked<T, U, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+        F: Fn(usize, &T) -> U + Sync,
+    {
+        let n = items.len();
+        if n <= chunk || self.inner.threads == 1 {
             return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
         }
 
@@ -329,7 +364,7 @@ impl Pool {
         // SAFETY: `MaybeUninit` needs no initialisation.
         unsafe { out.set_len(n) };
         let base = SendPtr(out.as_mut_ptr());
-        self.execute(n, chunk_for(n), &|range| {
+        self.execute(n, chunk, &|range| {
             // Rebind so the closure captures the whole `SendPtr` (which is
             // Sync) — edition-2021 disjoint capture would otherwise capture
             // the raw-pointer field itself, which is not.
@@ -534,6 +569,17 @@ where
     with_current(|pool| pool.parallel_map_indexed(items, f))
 }
 
+/// Order-preserving map over coarse tasks on the ambient pool (see
+/// [`Pool::map_tasks`]).
+pub fn map_tasks<T, U, F>(items: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    with_current(|pool| pool.map_tasks(items, f))
+}
+
 /// Deterministic parallel reduce on the ambient pool.
 pub fn parallel_reduce<T, A, I, F, C>(items: &[T], identity: I, fold: F, combine: C) -> A
 where
@@ -679,6 +725,87 @@ mod tests {
         });
         assert_eq!(out.len(), 300);
         assert_eq!(out[0], (0..100).sum::<u64>());
+    }
+
+    #[test]
+    fn map_tasks_preserves_order_and_runs_inline_on_one_thread() {
+        let items: Vec<u64> = (0..21).collect();
+        let expected: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
+        for threads in [1, 2, 8] {
+            let pool = Pool::new(threads);
+            assert_eq!(
+                pool.map_tasks(&items, |&x| x * 3 + 1),
+                expected,
+                "threads={threads}"
+            );
+        }
+        let me = std::thread::current().id();
+        let ran_on = Pool::new(1).map_tasks(&items, |_| std::thread::current().id());
+        assert!(
+            ran_on.iter().all(|&id| id == me),
+            "1-thread pool runs inline"
+        );
+        assert!(Pool::new(2).map_tasks(&[] as &[u8], |&x| x).is_empty());
+    }
+
+    #[test]
+    fn map_tasks_panic_propagates_after_every_task_finished() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        for threads in [2, 8] {
+            let pool = Pool::new(threads);
+            let items: Vec<usize> = (0..8).collect();
+            let finished = AtomicUsize::new(0);
+            let (panicked_tx, panicked_rx) = mpsc::channel::<()>();
+            let (panicked_tx, panicked_rx) = (Mutex::new(panicked_tx), Mutex::new(panicked_rx));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.map_tasks(&items, |&i| {
+                    if i == 0 {
+                        panicked_tx.lock().unwrap().send(()).unwrap();
+                        panic!("task {i} fails");
+                    }
+                    if i == 1 {
+                        // Still running after the panic has happened.
+                        let rx = panicked_rx.lock().unwrap();
+                        rx.recv_timeout(Duration::from_secs(10)).unwrap();
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    i
+                })
+            }));
+            assert!(result.is_err(), "threads={threads}");
+            assert_eq!(finished.load(Ordering::SeqCst), 7, "threads={threads}");
+            assert_eq!(pool.map_tasks(&items, |&i| i + 1)[7], 8, "pool survives");
+        }
+    }
+
+    #[test]
+    fn map_tasks_allows_nested_parallel_map() {
+        let pool = Pool::new(2);
+        let inner: Vec<u64> = (0..1_000).collect();
+        let out = pool.map_tasks(&[1u64, 2, 3], |&k| {
+            pool.parallel_map(&inner, |&y| y * k).iter().sum::<u64>()
+        });
+        let base: u64 = inner.iter().sum();
+        assert_eq!(out, vec![base, 2 * base, 3 * base]);
+    }
+
+    #[test]
+    fn map_tasks_runs_two_tasks_concurrently() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        // Each task signals the other and waits for the other's signal:
+        // only two tasks running at once can both receive.
+        let pool = Pool::new(2);
+        let (tx0, rx0) = mpsc::channel::<()>();
+        let (tx1, rx1) = mpsc::channel::<()>();
+        let ends = [Mutex::new((tx0, rx1)), Mutex::new((tx1, rx0))];
+        let met = pool.map_tasks(&ends, |end| {
+            let end = end.lock().unwrap();
+            end.0.send(()).unwrap();
+            end.1.recv_timeout(Duration::from_secs(10)).is_ok()
+        });
+        assert_eq!(met, vec![true, true]);
     }
 
     #[test]

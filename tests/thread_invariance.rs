@@ -131,3 +131,68 @@ fn validate_artifact_is_byte_identical_across_thread_counts() {
         assert_eq!(indices, vec![5, 700], "{threads} threads");
     }
 }
+
+#[test]
+fn export_artifacts_and_cache_entries_are_byte_identical_across_thread_counts() {
+    use spec_power_trends::analysis::stage::{content_hash, encode_to_vec, Hash128};
+    use spec_power_trends::analysis::{ArtifactCache, CorpusSource, PipelineDriver};
+
+    let items: Vec<(Option<String>, String)> = generate_dataset(&cfg())
+        .texts()
+        .map(|t| (None, t.to_owned()))
+        .collect();
+    // Per thread count: both export payloads, their content hashes, and
+    // every cache entry (named by key, holding the header hash) the cold
+    // run wrote.
+    type Run = (Vec<u8>, Vec<u8>, [Hash128; 2], Vec<(String, Vec<u8>)>);
+    let run = |threads: usize| -> Run {
+        let dir = std::env::temp_dir().join(format!(
+            "spec_thread_invariance_export_{}_{threads}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ArtifactCache::open(&dir).expect("open cache");
+        let mut driver =
+            PipelineDriver::new(CorpusSource::Memory(items.clone()), cfg().settings, 7)
+                .with_cache(cache);
+        let (figures, data) = Pool::new(threads).install(|| {
+            (
+                driver.export_figures().expect("export figures"),
+                driver.export_data().expect("export data"),
+            )
+        });
+        assert_eq!(figures.files.len(), 12, "{threads} threads");
+        assert_eq!(data.files.len(), 9, "{threads} threads");
+        let (figures, data) = (encode_to_vec(&*figures), encode_to_vec(&*data));
+        let hashes = [content_hash(&figures), content_hash(&data)];
+        let mut entries: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .expect("cache dir")
+            .map(|entry| {
+                let entry = entry.expect("cache entry");
+                (
+                    entry.file_name().to_string_lossy().into_owned(),
+                    std::fs::read(entry.path()).expect("read entry"),
+                )
+            })
+            .collect();
+        entries.sort();
+        std::fs::remove_dir_all(&dir).expect("remove cache");
+        (figures, data, hashes, entries)
+    };
+
+    let baseline = run(1);
+    assert!(baseline.3.len() >= 11, "every executed stage was cached");
+    for threads in [2, 8] {
+        let got = run(threads);
+        assert!(
+            got.0 == baseline.0,
+            "{threads}-thread export-figures payload differs"
+        );
+        assert!(
+            got.1 == baseline.1,
+            "{threads}-thread export-data payload differs"
+        );
+        assert_eq!(got.2, baseline.2, "{threads}-thread export hashes differ");
+        assert!(got.3 == baseline.3, "{threads}-thread cache entries differ");
+    }
+}
