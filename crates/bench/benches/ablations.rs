@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use spec_bench::{bench_settings, comparable};
 use spec_model::LoadLevel;
 use spec_ssj::{reference_sut, simulate_run};
-use tinyframe::parallel_map;
+use tinypool::parallel_map;
 
 /// Package C-states on/off: drives the Figure 5 idle-fraction era trends.
 fn ablation_package_cstates(c: &mut Criterion) {

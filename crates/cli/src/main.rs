@@ -428,7 +428,7 @@ fn run_ingest(args: &Args) -> spec_diag::Result<()> {
                 // Slab-packed shared buffers read in parallel: shards
                 // borrow slices instead of holding per-file Strings.
                 let items = spec_analysis::read_inputs_shared(vfs.as_ref(), chunk);
-                ingest.push_input_batch(&items)
+                ingest.push_batch(&items)
             })
         }
         None => {

@@ -157,12 +157,9 @@ pub fn runs_to_seg_frame(runs: &[RunResult], segment_rows: usize) -> SegFrame {
             .expect("fresh store adopts the feature schema");
         return seg;
     }
-    let ranges = tinypool::run_chunks(runs.len(), |_| {});
-    let arenas: Vec<Vec<Frame>> = tinypool::parallel_map(&ranges, |range| {
-        runs[range.clone()]
-            .chunks(segment_rows)
-            .map(runs_to_frame)
-            .collect()
+    let shards: Vec<&[RunResult]> = runs.chunks(tinypool::chunk_for(runs.len())).collect();
+    let arenas: Vec<Vec<Frame>> = tinypool::parallel_map(&shards, |shard| {
+        shard.chunks(segment_rows).map(runs_to_frame).collect()
     });
     for arena in arenas {
         for frame in arena {

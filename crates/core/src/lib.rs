@@ -49,10 +49,9 @@ pub use correlation::{explore, IdleCorrelationReport, VendorStats};
 pub use export::{yearly_summary, yearly_summary_markdown};
 pub use features::{runs_to_frame, runs_to_seg_frame, FEATURE_COLUMNS};
 pub use pipeline::{
-    list_report_files, load_from_dir, load_from_dir_vfs, load_from_inputs, load_from_named_texts,
-    load_from_texts, load_from_texts_parallel, read_inputs_shared, stage1_validate,
-    stage1_validate_inputs, stage2_split, AnalysisSet, FilterReport, ParseFailureRecord, RawInput,
-    RawInputRef,
+    list_report_files, load_from_dir, load_from_dir_vfs, load_from_texts, load_from_texts_parallel,
+    read_inputs_shared, stage1_validate_inputs_indexed, stage2_split, AnalysisSet, CascadeInput,
+    FilterReport, ParseFailureRecord, RawInput, RawInputRef,
 };
 pub use stage::{
     ArtifactCache, CacheHealth, CorpusSource, FsckReport, PipelineDriver, ShardSpec, StageId,

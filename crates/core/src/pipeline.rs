@@ -2,13 +2,19 @@
 //! comparable analysis set, with a per-category accounting of everything
 //! that was filtered out.
 //!
-//! The cascade is embarrassingly parallel per report, so
-//! [`load_from_texts_parallel`] shards the input into contiguous ranges,
-//! runs the full two-stage cascade per shard on the `tinypool` pool, and
-//! merges the per-shard [`FilterReport`]s and run vectors **in shard
-//! order**. Because every count lives in a `BTreeMap` and the merge is
-//! ordered concatenation, the result is identical to the sequential
-//! [`load_from_texts`] for every thread count.
+//! The cascade is embarrassingly parallel per report, and one private
+//! kernel, `cascade`, is the only place it is sharded: it cuts a slice of
+//! [`CascadeInput`] items (bare texts or `(origin, text|input)` pairs)
+//! into the `tinypool` pool's contiguous chunks, runs stage 1
+//! ([`stage1_validate_inputs_indexed`]) per chunk on a worker, lets the
+//! caller finish each chunk there (stage 2 via [`stage2_split`], then
+//! runs, feature arenas or routed rows), and merges the per-chunk
+//! [`FilterReport`]s **in chunk order**. [`load_from_texts_parallel`],
+//! the stage graph's Validate stage and both streaming drivers
+//! ([`crate::stream`]) are continuations of that kernel. Because every
+//! count lives in a `BTreeMap` and the merge is ordered concatenation,
+//! each result is identical to the sequential [`load_from_texts`] for
+//! every thread count.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -20,6 +26,8 @@ use spec_format::{
 use spec_model::RunResult;
 use spec_obs as obs;
 use spec_vfs::Vfs;
+
+use crate::stage::{part_key_of_text, PartKey};
 
 /// One raw corpus input: either the report text, or the record that the
 /// input could not be read.
@@ -215,82 +223,90 @@ pub struct AnalysisSet {
     pub report: FilterReport,
 }
 
-/// Run the §II cascade over report texts.
+impl AnalysisSet {
+    /// Finish the cascade over stage-1 survivors: stage 2 fills the
+    /// report's stage-2 fields and picks out the comparable runs.
+    fn from_stage1(valid: Vec<RunResult>, mut report: FilterReport) -> AnalysisSet {
+        let indices = split_report(&mut report, &valid);
+        let comparable = indices.iter().map(|&i| valid[i as usize].clone()).collect();
+        AnalysisSet {
+            valid,
+            comparable,
+            report,
+        }
+    }
+}
+
+/// One corpus item the cascade consumes: a bare report text (`String`,
+/// `&str`) or an `(origin, text)` / `(origin, input)` pair. The cascade
+/// borrows each item, so no origin or text is copied on the way in.
+pub trait CascadeInput: Sync {
+    /// The item's origin (file name, when known) and borrowed input.
+    fn input(&self) -> (Option<&str>, RawInputRef<'_>);
+
+    /// The item's (year, vendor) partition; unreadable inputs go to
+    /// [`PartKey::UNKNOWN`].
+    fn part_key(&self) -> PartKey {
+        match self.input().1 {
+            RawInputRef::Text(text) => part_key_of_text(text),
+            RawInputRef::IoError(_) => PartKey::UNKNOWN,
+        }
+    }
+}
+
+impl CascadeInput for String {
+    fn input(&self) -> (Option<&str>, RawInputRef<'_>) {
+        (None, RawInputRef::Text(self))
+    }
+}
+
+impl CascadeInput for &str {
+    fn input(&self) -> (Option<&str>, RawInputRef<'_>) {
+        (None, RawInputRef::Text(self))
+    }
+}
+
+impl CascadeInput for (Option<String>, String) {
+    fn input(&self) -> (Option<&str>, RawInputRef<'_>) {
+        (self.0.as_deref(), RawInputRef::Text(&self.1))
+    }
+}
+
+impl CascadeInput for (Option<String>, RawInput) {
+    fn input(&self) -> (Option<&str>, RawInputRef<'_>) {
+        (self.0.as_deref(), self.1.as_ref())
+    }
+}
+
+/// Run the §II cascade over report texts, sequentially — the reference
+/// every sharded path ([`load_from_texts_parallel`], the Validate stage,
+/// the streaming drivers) is tested against.
 pub fn load_from_texts<I, S>(texts: I) -> AnalysisSet
 where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    load_from_named_texts(texts.into_iter().map(|t| (None::<String>, t)))
-}
-
-/// Run the §II cascade over `(origin, text)` pairs, attaching the origin
-/// (typically a file name) to any parse-failure diagnostics. This is the
-/// workhorse behind [`load_from_texts`] and [`load_from_dir`].
-pub fn load_from_named_texts<I, N, S>(items: I) -> AnalysisSet
-where
-    I: IntoIterator<Item = (Option<N>, S)>,
-    N: Into<String>,
-    S: AsRef<str>,
-{
-    let (valid, mut report) = stage1_validate(items);
-    let (indices, stage2) = stage2_split(&valid);
-    let comparable: Vec<RunResult> = indices
-        .iter()
-        .map(|&i| valid[i as usize].clone())
-        .collect();
-    report.stage2 = stage2;
-    report.comparable = comparable.len();
-    AnalysisSet {
-        valid,
-        comparable,
-        report,
-    }
-}
-
-/// Stage 0+1 of the cascade: parse every text and run the §II validity
-/// checks. Returns the surviving runs and a [`FilterReport`] whose stage-2
-/// fields are still empty — the `Validate` stage of the stage graph.
-pub fn stage1_validate<I, N, S>(items: I) -> (Vec<RunResult>, FilterReport)
-where
-    I: IntoIterator<Item = (Option<N>, S)>,
-    N: Into<String>,
-    S: AsRef<str>,
-{
-    let owned: Vec<(Option<String>, S)> = items
-        .into_iter()
-        .map(|(origin, text)| (origin.map(Into::into), text))
-        .collect();
-    stage1_validate_inputs(
-        owned
+    let texts: Vec<S> = texts.into_iter().collect();
+    let (valid, report, _) = stage1_validate_inputs_indexed(
+        texts
             .iter()
-            .map(|(origin, text)| (origin.as_deref(), RawInputRef::Text(text.as_ref()))),
-    )
+            .map(|text| (None, RawInputRef::Text(text.as_ref()))),
+    );
+    AnalysisSet::from_stage1(valid, report)
 }
 
-/// [`stage1_validate`] over [`RawInputRef`]s: texts run the normal
-/// parse+validate path; `IoError` inputs are counted as `io-error` parse
-/// failures (graceful degradation — the cascade never aborts on a single
-/// unreadable file).
-pub fn stage1_validate_inputs<'a, I, N>(items: I) -> (Vec<RunResult>, FilterReport)
+/// Stage 0+1 of the cascade: parse every input and run the §II validity
+/// checks. Texts run the normal parse+validate path; `IoError` inputs are
+/// counted as `io-error` parse failures (graceful degradation — the
+/// cascade never aborts on a single unreadable file).
+///
+/// Returns the surviving runs, a [`FilterReport`] whose stage-2 fields
+/// are still empty, and for each valid run the zero-based index of the
+/// input it came from — the partitioned stage graph and the streaming
+/// drivers use that mapping to place survivors in global corpus order.
+pub fn stage1_validate_inputs_indexed<'a, I>(items: I) -> (Vec<RunResult>, FilterReport, Vec<u32>)
 where
-    I: IntoIterator<Item = (Option<N>, RawInputRef<'a>)>,
-    N: Into<String>,
-{
-    let (valid, report, _) = stage1_validate_inputs_indexed(items);
-    (valid, report)
-}
-
-/// [`stage1_validate_inputs`] that also returns, for each valid run, the
-/// zero-based index of the input it came from — the partitioned stage graph
-/// needs the mapping to place a partition's survivors back into global
-/// corpus order when merging.
-pub fn stage1_validate_inputs_indexed<'a, I, N>(
-    items: I,
-) -> (Vec<RunResult>, FilterReport, Vec<u32>)
-where
-    I: IntoIterator<Item = (Option<N>, RawInputRef<'a>)>,
-    N: Into<String>,
+    I: IntoIterator<Item = (Option<&'a str>, RawInputRef<'a>)>,
 {
     let mut report = FilterReport::default();
     let mut valid = Vec::new();
@@ -305,7 +321,7 @@ where
                 report.not_reports += 1;
                 report.parse_failures.push(ParseFailureRecord {
                     index,
-                    origin: origin.map(Into::into),
+                    origin: origin.map(str::to_string),
                     failure: ParseFailure::io_error(detail),
                 });
                 continue;
@@ -319,7 +335,7 @@ where
                 report.not_reports += 1;
                 report.parse_failures.push(ParseFailureRecord {
                     index,
-                    origin: origin.map(Into::into),
+                    origin: origin.map(str::to_string),
                     failure,
                 });
                 continue;
@@ -374,43 +390,100 @@ pub fn stage2_split(valid: &[RunResult]) -> (Vec<u32>, BTreeMap<ComparabilityIss
     (indices, stage2)
 }
 
-/// Run the §II cascade over a slice of report texts in parallel.
-///
-/// Same result as [`load_from_texts`] — bit-for-bit, for any thread count:
-/// the input is split into contiguous shards whose layout depends only on
-/// the input length, each shard runs the full cascade independently, and
-/// shard outputs are concatenated/merged in shard order.
-pub fn load_from_texts_parallel<S>(texts: &[S]) -> AnalysisSet
-where
-    S: AsRef<str> + Sync,
-{
-    let ranges = tinypool::run_chunks(texts.len(), |_| {});
-    let shards = tinypool::parallel_map(&ranges, |range| {
-        let mut sp = obs::span("ingest-shard");
-        if obs::enabled() {
-            sp.record("start", range.start);
-            sp.record("items", range.len());
-            sp.observe_into("ingest.shard_us");
-        }
-        load_from_texts(texts[range.clone()].iter().map(AsRef::as_ref))
-    });
-    merge_shards(shards)
+/// Stage 2 over stage-1 survivors: fills `report`'s stage-2 fields and
+/// returns the indices of the comparable runs.
+pub(crate) fn split_report(report: &mut FilterReport, valid: &[RunResult]) -> Vec<u32> {
+    let (indices, stage2) = stage2_split(valid);
+    report.stage2 = stage2;
+    report.comparable = indices.len();
+    indices
 }
 
-fn merge_shards(shards: Vec<AnalysisSet>) -> AnalysisSet {
+/// One pool chunk after stage 1, handed to a [`cascade`] continuation.
+pub(crate) struct Stage1Chunk<'a, T> {
+    /// The chunk's inputs.
+    pub(crate) items: &'a [T],
+    /// Position of `items[0]` in the whole slice.
+    pub(crate) start: usize,
+    /// Stage-1 survivors, in input order.
+    pub(crate) valid: Vec<RunResult>,
+    /// The chunk's accounting; stage-2 fields still empty.
+    pub(crate) report: FilterReport,
+    /// `item_index[j]`: the chunk-local input index of `valid[j]`.
+    pub(crate) item_index: Vec<u32>,
+}
+
+/// The sharded §II cascade — the one place a corpus is split across the
+/// `tinypool` workers.
+///
+/// `items` is cut into the pool's chunks, whose layout depends only on
+/// `items.len()`. Each chunk runs stage 1 on a worker, and `finish` turns
+/// it into the chunk's final report and output on the same worker (runs,
+/// feature arenas, routed rows — whatever the caller builds). Reports
+/// merge in chunk order ([`FilterReport::merge`] offsets parse-failure
+/// indices), and outputs come back in chunk order, so the result is
+/// identical for any thread count. With `shard_spans`, each chunk is
+/// traced as an `ingest-shard` span timed into `ingest.shard_us`.
+pub(crate) fn cascade<T, R, F>(items: &[T], shard_spans: bool, finish: F) -> (FilterReport, Vec<R>)
+where
+    T: CascadeInput,
+    R: Send,
+    F: Fn(Stage1Chunk<'_, T>) -> (FilterReport, R) + Sync,
+{
+    let ranges = tinypool::run_chunks(items.len(), |_| {});
+    let chunks = tinypool::parallel_map(&ranges, |range| {
+        let _sp = shard_spans.then(|| {
+            let mut sp = obs::span("ingest-shard");
+            if obs::enabled() {
+                sp.record("start", range.start);
+                sp.record("items", range.len());
+                sp.observe_into("ingest.shard_us");
+            }
+            sp
+        });
+        let slice = &items[range.clone()];
+        let (valid, report, item_index) =
+            stage1_validate_inputs_indexed(slice.iter().map(CascadeInput::input));
+        finish(Stage1Chunk {
+            items: slice,
+            start: range.start,
+            valid,
+            report,
+            item_index,
+        })
+    });
     let mut report = FilterReport::default();
-    let mut valid = Vec::new();
-    let mut comparable = Vec::new();
-    for shard in shards {
-        report.merge(&shard.report);
-        valid.extend(shard.valid);
-        comparable.extend(shard.comparable);
-    }
-    AnalysisSet {
-        valid,
-        comparable,
+    let outputs = chunks
+        .into_iter()
+        .map(|(chunk_report, output)| {
+            report.merge(&chunk_report);
+            output
+        })
+        .collect();
+    (report, outputs)
+}
+
+/// Run the §II cascade over a slice of inputs in parallel.
+///
+/// Same result as the sequential cascade over the whole slice
+/// ([`load_from_texts`] for bare texts) — bit-for-bit, for any thread
+/// count: each chunk of the `cascade` kernel runs both stages, and
+/// chunk outputs are concatenated in chunk order.
+pub fn load_from_texts_parallel<T: CascadeInput>(items: &[T]) -> AnalysisSet {
+    let (report, chunks) = cascade(items, true, |chunk| {
+        let set = AnalysisSet::from_stage1(chunk.valid, chunk.report);
+        (set.report, (set.valid, set.comparable))
+    });
+    let mut set = AnalysisSet {
+        valid: Vec::new(),
+        comparable: Vec::new(),
         report,
+    };
+    for (valid, comparable) in chunks {
+        set.valid.extend(valid);
+        set.comparable.extend(comparable);
     }
+    set
 }
 
 /// List the `*.txt` report files under `dir`, sorted. Failure to read the
@@ -481,55 +554,18 @@ fn read_chunk(vfs: &dyn Vfs, paths: &[PathBuf]) -> Vec<(Option<String>, RawInput
         .collect()
 }
 
-/// Run the cascade over owned `(origin, input)` pairs.
-pub fn load_from_inputs<I>(items: I) -> AnalysisSet
-where
-    I: IntoIterator<Item = (Option<String>, RawInput)>,
-{
-    let owned: Vec<(Option<String>, RawInput)> = items.into_iter().collect();
-    let (valid, mut report) = stage1_validate_inputs(
-        owned
-            .iter()
-            .map(|(origin, input)| (origin.as_deref(), input.as_ref())),
-    );
-    let (indices, stage2) = stage2_split(&valid);
-    let comparable: Vec<RunResult> = indices
-        .iter()
-        .map(|&i| valid[i as usize].clone())
-        .collect();
-    report.stage2 = stage2;
-    report.comparable = comparable.len();
-    AnalysisSet {
-        valid,
-        comparable,
-        report,
-    }
-}
-
 /// Load every `*.txt` file in a directory and run the cascade.
 ///
-/// Files are processed in sorted-path order, but each shard of files is
-/// read *and* cascaded on a pool worker, so one shard's file I/O overlaps
-/// another's parsing. Results are merged in shard order and match a
+/// The files are read in sorted-path order by [`read_inputs_shared`]
+/// and cascaded by [`load_from_texts_parallel`]; the result matches a
 /// sequential read-then-[`load_from_texts`] exactly.
 ///
 /// Robustness: an unreadable directory is a typed [`spec_diag::TrendsError`];
 /// an unreadable *file* is not fatal — it is recorded as an `io-error`
-/// parse failure (see [`read_inputs_shared`]) and the cascade continues.
+/// parse failure and the cascade continues.
 pub fn load_from_dir_vfs(vfs: &dyn Vfs, dir: &Path) -> spec_diag::Result<AnalysisSet> {
     let entries = list_report_files(vfs, dir)?;
-    let ranges = tinypool::run_chunks(entries.len(), |_| {});
-    let shards = tinypool::parallel_map(&ranges, |range| {
-        let mut sp = obs::span("ingest-shard");
-        if obs::enabled() {
-            sp.record("start", range.start);
-            sp.record("items", range.len());
-            sp.observe_into("ingest.shard_us");
-        }
-        let items = read_inputs_shared(vfs, &entries[range.clone()]);
-        load_from_inputs(items)
-    });
-    Ok(merge_shards(shards))
+    Ok(load_from_texts_parallel(&read_inputs_shared(vfs, &entries)))
 }
 
 /// [`load_from_dir_vfs`] on the default (real, retrying) filesystem.
@@ -641,7 +677,7 @@ mod tests {
                 RawInput::IoError("could not read file: No such file or directory".to_string()),
             ),
         ];
-        let set = load_from_inputs(items);
+        let set = load_from_texts_parallel(&items);
         assert_eq!(set.report.raw, 2);
         assert_eq!(set.report.not_reports, 1);
         assert_eq!(set.valid.len(), 1);
@@ -752,34 +788,6 @@ mod tests {
         assert!(md.contains("raw submissions: 1"));
         assert!(md.contains("more than one node or more than two sockets: 1"));
         assert!(md.contains("comparable dataset: 0"));
-    }
-
-    #[test]
-    fn parallel_matches_sequential_for_any_thread_count() {
-        // A mixed bag: clean runs, a non-report, stage-1 and stage-2
-        // rejects — every counter in the report gets exercised.
-        let mut texts: Vec<String> = (0..300)
-            .map(|i| write_run(&linear_test_run(i, 1e6, 60.0, 300.0)))
-            .collect();
-        texts[7] = "not a report".into();
-        let mut rejected = linear_test_run(400, 1e6, 60.0, 300.0);
-        rejected.status = RunStatus::NotAccepted("x".into());
-        texts[13] = write_run(&rejected);
-        let mut sparc = linear_test_run(401, 1e6, 60.0, 300.0);
-        sparc.system.cpu.name = "SPARC T3-1".into();
-        texts[200] = write_run(&sparc);
-
-        let sequential = load_from_texts(&texts);
-        for threads in [1, 2, 8] {
-            let pool = tinypool::Pool::new(threads);
-            let parallel = pool.install(|| load_from_texts_parallel(&texts));
-            assert_eq!(parallel.report, sequential.report, "{threads} threads");
-            assert_eq!(parallel.valid.len(), sequential.valid.len());
-            assert_eq!(parallel.comparable.len(), sequential.comparable.len());
-            for (a, b) in parallel.valid.iter().zip(&sequential.valid) {
-                assert_eq!(a.id, b.id);
-            }
-        }
     }
 
     #[test]

@@ -113,7 +113,7 @@ use tinyframe::{Column, Frame};
 use crate::export::{fig1_frame, fig4_frame, series_frame};
 use crate::figures::common::RunRow;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
-use crate::pipeline::{FilterReport, RawInput};
+use crate::pipeline::FilterReport;
 use crate::stage::{
     decode_from_slice, encode_to_vec, ArtifactCache, CorpusSource, PartKey, PartitionSummary,
     PartitionedDriver, ShardSpec,
@@ -488,22 +488,12 @@ impl Snapshot {
                     let files = crate::pipeline::list_report_files(&*config.vfs, dir)?;
                     for chunk in files.chunks(STREAM_BATCH) {
                         let items = crate::pipeline::read_inputs_shared(&*config.vfs, chunk);
-                        stream
-                            .push_input_batch(&items, &mut sink)
-                            .map_err(frame_err)?;
+                        stream.push_batch(&items, &mut sink).map_err(frame_err)?;
                     }
                 }
                 CorpusSource::Memory(items) => {
                     for chunk in items.chunks(STREAM_BATCH) {
-                        let owned: Vec<(Option<String>, RawInput)> = chunk
-                            .iter()
-                            .map(|(origin, text)| {
-                                (origin.clone(), RawInput::Text(text.clone()))
-                            })
-                            .collect();
-                        stream
-                            .push_input_batch(&owned, &mut sink)
-                            .map_err(frame_err)?;
+                        stream.push_batch(chunk, &mut sink).map_err(frame_err)?;
                     }
                 }
             }

@@ -172,7 +172,9 @@ impl Codec for FilesArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{load_from_texts, stage1_validate, stage2_split};
+    use crate::pipeline::{
+        load_from_texts, stage1_validate_inputs_indexed, stage2_split, CascadeInput,
+    };
     use spec_format::write_run;
     use spec_model::linear_test_run;
 
@@ -251,7 +253,8 @@ mod tests {
 
         let legacy = load_from_texts(&texts);
 
-        let (valid, report) = stage1_validate(texts.iter().map(|t| (None::<String>, t)));
+        let (valid, report, _) =
+            stage1_validate_inputs_indexed(texts.iter().map(CascadeInput::input));
         let (indices, stage2) = stage2_split(&valid);
         let assembled = assemble_set(
             &ValidateArtifact { valid, report },
@@ -270,7 +273,8 @@ mod tests {
             write_run(&linear_test_run(0, 1e6, 60.0, 300.0)),
             "junk".to_string(),
         ];
-        let (valid, report) = stage1_validate(texts.iter().map(|t| (None::<String>, t)));
+        let (valid, report, _) =
+            stage1_validate_inputs_indexed(texts.iter().map(CascadeInput::input));
         let (indices, stage2) = stage2_split(&valid);
 
         let mut items: Vec<(Option<String>, RawInput)> = texts

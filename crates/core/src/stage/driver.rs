@@ -57,6 +57,31 @@ pub enum CorpusSource {
     Memory(Vec<(Option<String>, String)>),
 }
 
+impl CorpusSource {
+    /// Materialize the raw corpus: generate the synthetic dataset, read a
+    /// directory through `vfs`, or copy the in-memory texts. An unreadable
+    /// directory is a typed error; an unreadable *file* degrades into a
+    /// [`RawInput::IoError`] record that the Validate stage counts as an
+    /// `io-error` parse failure — one lost file never aborts the run.
+    pub(crate) fn materialize(&self, vfs: &dyn Vfs) -> spec_diag::Result<CorpusArtifact> {
+        let items = match self {
+            CorpusSource::Synthetic(config) => generate_dataset(config)
+                .texts()
+                .map(|t| (None, RawInput::Text(t.to_string())))
+                .collect(),
+            CorpusSource::Dir(dir) => {
+                let files = crate::pipeline::list_report_files(vfs, dir)?;
+                crate::pipeline::read_inputs_shared(vfs, &files)
+            }
+            CorpusSource::Memory(items) => items
+                .iter()
+                .map(|(origin, text)| (origin.clone(), RawInput::Text(text.clone())))
+                .collect(),
+        };
+        Ok(CorpusArtifact { items })
+    }
+}
+
 /// Per-stage invocation counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageStats {
@@ -308,76 +333,49 @@ impl PipelineDriver {
         h.finish()
     }
 
-    fn generate_synthetic(config: &SynthConfig) -> CorpusArtifact {
-        let dataset = generate_dataset(config);
-        CorpusArtifact {
-            items: dataset
-                .texts()
-                .map(|t| (None, RawInput::Text(t.to_string())))
-                .collect(),
-        }
-    }
-
-    /// Read a directory corpus through the driver's [`Vfs`]. An unreadable
-    /// directory is a typed error; an unreadable *file* degrades into a
-    /// [`RawInput::IoError`] record that the Validate stage counts as an
-    /// `io-error` parse failure — one lost file never aborts the run.
-    fn read_dir_corpus(&self, dir: &std::path::Path) -> spec_diag::Result<CorpusArtifact> {
-        let files = crate::pipeline::list_report_files(&*self.vfs, dir)?;
-        let items = crate::pipeline::read_inputs_shared(&*self.vfs, &files);
-        Ok(CorpusArtifact { items })
-    }
-
     /// Content hash of the corpus, computed as cheaply as the source allows.
     fn corpus_hash(&mut self) -> spec_diag::Result<Hash128> {
         if let Some(&h) = self.hashes.get(&StageId::Ingest) {
             return Ok(h);
         }
-        match self.source.clone() {
+        match &self.source {
             CorpusSource::Synthetic(config) => {
                 let key_config = config.clone();
                 self.resolve_hash(
                     StageId::Ingest,
                     move |me| Ok(me.synthetic_corpus_key(&key_config)),
                     |me| &mut me.corpus,
-                    move |_| Ok(Self::generate_synthetic(&config)),
+                    |me| me.source.materialize(&*me.vfs),
                 )
             }
-            CorpusSource::Dir(dir) => {
+            CorpusSource::Dir(_) | CorpusSource::Memory(_) => {
                 // Reading the files *is* the ingest work for a directory
                 // source; the content hash doubles as the cache key input.
-                let mut sp = obs::span(StageId::Ingest.name());
-                let artifact = self.read_dir_corpus(&dir)?;
+                // An in-memory corpus is already read: no span, nothing
+                // counted as executed.
+                let is_dir = matches!(self.source, CorpusSource::Dir(_));
+                let mut sp = is_dir.then(|| obs::span(StageId::Ingest.name()));
+                let artifact = self.source.materialize(&*self.vfs)?;
                 let h = corpus_fingerprint(&artifact.items);
-                self.stat_mut(StageId::Ingest).executed += 1;
-                if obs::enabled() {
-                    let text_bytes: usize = artifact
-                        .items
-                        .iter()
-                        .map(|(_, input)| match input.as_ref() {
-                            RawInputRef::Text(t) | RawInputRef::IoError(t) => t.len(),
-                        })
-                        .sum();
-                    self.sizes.insert(StageId::Ingest, text_bytes);
-                    sp.record("kind", "stage");
-                    sp.record("outcome", "computed");
-                    sp.record("files", artifact.items.len());
-                    sp.record("out_bytes", text_bytes);
-                    sp.observe_into("stage.execute_us");
-                    obs::count("stage.ingest.executed", 1);
+                if let Some(sp) = &mut sp {
+                    self.stat_mut(StageId::Ingest).executed += 1;
+                    if obs::enabled() {
+                        let text_bytes: usize = artifact
+                            .items
+                            .iter()
+                            .map(|(_, input)| match input.as_ref() {
+                                RawInputRef::Text(t) | RawInputRef::IoError(t) => t.len(),
+                            })
+                            .sum();
+                        self.sizes.insert(StageId::Ingest, text_bytes);
+                        sp.record("kind", "stage");
+                        sp.record("outcome", "computed");
+                        sp.record("files", artifact.items.len());
+                        sp.record("out_bytes", text_bytes);
+                        sp.observe_into("stage.execute_us");
+                        obs::count("stage.ingest.executed", 1);
+                    }
                 }
-                self.hashes.insert(StageId::Ingest, h);
-                self.corpus = Some(Rc::new(artifact));
-                Ok(h)
-            }
-            CorpusSource::Memory(items) => {
-                let artifact = CorpusArtifact {
-                    items: items
-                        .into_iter()
-                        .map(|(origin, text)| (origin, RawInput::Text(text)))
-                        .collect(),
-                };
-                let h = corpus_fingerprint(&artifact.items);
                 self.hashes.insert(StageId::Ingest, h);
                 self.corpus = Some(Rc::new(artifact));
                 Ok(h)
@@ -389,14 +387,14 @@ impl PipelineDriver {
         if let Some(c) = &self.corpus {
             return Ok(c.clone());
         }
-        match self.source.clone() {
+        match &self.source {
             CorpusSource::Synthetic(config) => {
                 let key_config = config.clone();
                 self.resolve_value(
                     StageId::Ingest,
                     move |me| Ok(me.synthetic_corpus_key(&key_config)),
                     |me| &mut me.corpus,
-                    move |_| Ok(Self::generate_synthetic(&config)),
+                    |me| me.source.materialize(&*me.vfs),
                 )
             }
             CorpusSource::Dir(_) | CorpusSource::Memory(_) => {
@@ -816,8 +814,7 @@ mod tests {
             CorpusSource::Memory(items) => items,
             _ => unreachable!(),
         };
-        let legacy_set =
-            crate::pipeline::load_from_named_texts(items.iter().map(|(o, t)| (o.clone(), t)));
+        let legacy_set = crate::pipeline::load_from_texts_parallel(&items);
         let legacy = crate::report::run_study(legacy_set, &Settings::fast(), 7);
 
         let mut d = driver(None);

@@ -21,7 +21,7 @@ use super::artifact::{
 use super::codec::Codec;
 use crate::export::ExportInputs;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
-use crate::pipeline::{stage1_validate_inputs, stage2_split, FilterReport};
+use crate::pipeline::{cascade, stage2_split};
 
 /// Identity of one pipeline stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -146,10 +146,10 @@ pub trait Stage {
 
 /// Parse + validate (§II stage 1).
 ///
-/// Runs per `tinypool` chunk of the corpus and merges the chunks in
-/// order ([`FilterReport::merge`] offsets parse-failure indices), so the
-/// artifact — and its encoded bytes and cache hash — is the same at any
-/// thread count.
+/// Stage 1 of the sharded cascade kernel with no stage-2 continuation:
+/// chunks merge in order ([`crate::pipeline::FilterReport::merge`]
+/// offsets parse-failure indices), so the artifact — and its encoded
+/// bytes and cache hash — is the same at any thread count.
 pub struct ValidateStage;
 
 impl Stage for ValidateStage {
@@ -158,21 +158,8 @@ impl Stage for ValidateStage {
     const ID: StageId = StageId::Validate;
 
     fn run(corpus: &CorpusArtifact) -> spec_diag::Result<ValidateArtifact> {
-        let items = &corpus.items;
-        let ranges = tinypool::run_chunks(items.len(), |_| {});
-        let chunks = tinypool::parallel_map(&ranges, |range| {
-            stage1_validate_inputs(
-                items[range.clone()]
-                    .iter()
-                    .map(|(origin, input)| (origin.as_deref(), input.as_ref())),
-            )
-        });
-        let mut valid = Vec::new();
-        let mut report = FilterReport::default();
-        for (chunk_valid, chunk_report) in chunks {
-            valid.extend(chunk_valid);
-            report.merge(&chunk_report);
-        }
+        let (report, chunks) = cascade(&corpus.items, false, |chunk| (chunk.report, chunk.valid));
+        let valid = chunks.into_iter().flatten().collect();
         Ok(ValidateArtifact { valid, report })
     }
 }

@@ -34,10 +34,9 @@ use std::sync::Arc;
 use spec_model::{CpuVendor, RunResult};
 use spec_obs as obs;
 use spec_ssj::Settings;
-use spec_synth::generate_dataset;
 use spec_vfs::Vfs;
 
-use super::artifact::{corpus_fingerprint, ComparableArtifact, CorpusArtifact, ValidateArtifact};
+use super::artifact::{corpus_fingerprint, ComparableArtifact, ValidateArtifact};
 use super::cache::{content_hash, ArtifactCache, ContentHasher, Hash128};
 use super::codec::{encode_to_vec, Codec, CodecError, Reader, Writer};
 use super::driver::{CorpusSource, StageStats};
@@ -45,8 +44,8 @@ use super::CODE_VERSION;
 use crate::figures::common::{extract_rows, RunRow};
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
 use crate::pipeline::{
-    stage1_validate_inputs_indexed, stage2_split, AnalysisSet, FilterReport, ParseFailureRecord,
-    RawInput,
+    stage1_validate_inputs_indexed, stage2_split, AnalysisSet, CascadeInput, FilterReport,
+    ParseFailureRecord, RawInput,
 };
 use crate::report::Study;
 use crate::table1::Table1;
@@ -388,17 +387,15 @@ fn resolve_partition(
 ) -> PartResolved {
     let label = key.label();
     let vkey = part_stage_key(PartStageKind::Validate, &label, part.hash);
-    let (validate, vh, vhit) = resolve_part_stage(cache, PartStageKind::Validate, &label, vkey, || {
-        let (valid, report, item_index) = stage1_validate_inputs_indexed(
-            part.items
-                .iter()
-                .map(|(origin, input)| (origin.as_deref(), input.as_ref())),
-        );
-        PartValidateArtifact {
-            validate: ValidateArtifact { valid, report },
-            item_index,
-        }
-    });
+    let (validate, vh, vhit) =
+        resolve_part_stage(cache, PartStageKind::Validate, &label, vkey, || {
+            let (valid, report, item_index) =
+                stage1_validate_inputs_indexed(part.items.iter().map(CascadeInput::input));
+            PartValidateArtifact {
+                validate: ValidateArtifact { valid, report },
+                item_index,
+            }
+        });
     let ckey = part_stage_key(PartStageKind::Comparable, &label, vh);
     let (comparable, _, chit) =
         resolve_part_stage(cache, PartStageKind::Comparable, &label, ckey, || {
@@ -418,37 +415,6 @@ fn resolve_partition(
             (PartStageKind::Comparable, chit),
             (PartStageKind::Rows, rhit),
         ],
-    }
-}
-
-/// Materialize the raw corpus for a source (the partitioned Split stage
-/// reads the corpus every run — reading is not parsing, and it is what
-/// detects changed inputs).
-fn materialize_corpus(
-    source: &CorpusSource,
-    vfs: &Arc<dyn Vfs>,
-) -> spec_diag::Result<CorpusArtifact> {
-    match source {
-        CorpusSource::Synthetic(config) => {
-            let dataset = generate_dataset(config);
-            Ok(CorpusArtifact {
-                items: dataset
-                    .texts()
-                    .map(|t| (None, RawInput::Text(t.to_string())))
-                    .collect(),
-            })
-        }
-        CorpusSource::Dir(dir) => {
-            let files = crate::pipeline::list_report_files(&**vfs, dir)?;
-            let items = crate::pipeline::read_inputs_shared(&**vfs, &files);
-            Ok(CorpusArtifact { items })
-        }
-        CorpusSource::Memory(items) => Ok(CorpusArtifact {
-            items: items
-                .iter()
-                .map(|(origin, text)| (origin.clone(), RawInput::Text(text.clone())))
-                .collect(),
-        }),
     }
 }
 
@@ -570,7 +536,9 @@ impl PartitionedDriver {
             return Ok(p.clone());
         }
         let mut sp = obs::span("part-split");
-        let corpus = materialize_corpus(&self.source, &self.vfs)?;
+        // The Split stage reads the corpus every run — reading is not
+        // parsing, and it is what detects changed inputs.
+        let corpus = self.source.materialize(&*self.vfs)?;
         let total = corpus.items.len();
         let mut map: BTreeMap<PartKey, Partition> = BTreeMap::new();
         for (g, (origin, input)) in corpus.items.into_iter().enumerate() {
@@ -1151,7 +1119,7 @@ mod tests {
             }
         }
         // The grid covers every partition of the seed corpus.
-        let seed = generate_dataset(&spec_synth::SynthConfig::default());
+        let seed = spec_synth::generate_dataset(&spec_synth::SynthConfig::default());
         for text in seed.texts() {
             let key = part_key_of_text(text);
             assert!(years.contains(&key.year), "{}", key.label());

@@ -3,22 +3,33 @@
 //! [`crate::pipeline::load_from_texts`] holds every report text, every
 //! parsed [`RunResult`] and (downstream) the whole feature frame in memory
 //! at once, which is what capped corpus scaling near ×100. This module
-//! ingests the corpus in bounded batches instead: each batch is sharded
-//! across the `tinypool` workers, each shard runs the full §II cascade and
-//! renders its survivors into segment-sized feature frames (a private
-//! *segment arena*), and the shard arenas are adopted into two
-//! [`SegFrame`] stores — one for stage-1-valid runs, one for comparable
-//! runs — in shard order. With spill enabled the stores evict cold
-//! segments through `spec-vfs`, so peak memory is the batch size plus the
-//! resident-set budget regardless of corpus scale.
+//! ingests the corpus in bounded batches instead. Both drivers share one
+//! streaming core: each batch goes through the pipeline's sharded cascade
+//! kernel, where every chunk runs stage 1 and stage 2 on a worker, routes
+//! each input to its (year, vendor) partition and counts it there; the
+//! driver then keeps only its projection of the chunk.
+//!
+//! * [`StreamIngest`] renders each chunk's survivors into segment-sized
+//!   feature frames (a private *segment arena*) and adopts the arenas into
+//!   two [`SegFrame`] stores — one for stage-1-valid runs, one for
+//!   comparable runs — in chunk order. With spill enabled the stores evict
+//!   cold segments through `spec-vfs`, so peak memory is the batch size
+//!   plus the resident-set budget regardless of corpus scale.
+//! * [`StreamRows`] hands every survivor to a sink as a routed
+//!   [`RunRow`] tuple.
+//!
+//! Both accept any [`CascadeInput`] slice: bare texts, or `(origin, text)`
+//! and `(origin, input)` pairs, where an unreadable file arrives as a
+//! [`crate::pipeline::RawInput::IoError`] and is accounted as an
+//! `io-error` parse failure instead of aborting the stream.
 //!
 //! Correctness contract: ingesting any batch split of a corpus produces a
 //! [`FilterReport`] and feature tables **bit-identical** to the monolithic
 //! [`crate::pipeline::load_from_texts`] +
 //! [`crate::features::runs_to_frame`] path. This holds because stage 1 is
-//! per-input, stage 2 is per-run ([`stage2_split`] inspects each run
-//! independently), and [`FilterReport::merge`] is associative with
-//! index offsetting.
+//! per-input, stage 2 is per-run ([`crate::pipeline::stage2_split`]
+//! inspects each run independently), and [`FilterReport::merge`] is
+//! associative with index offsetting.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -31,10 +42,8 @@ use tinyframe::{Frame, SegFrame, VfsSegmentStore, DEFAULT_SEGMENT_ROWS};
 
 use crate::features::runs_to_frame;
 use crate::figures::common::{extract_rows, RunRow};
-use crate::pipeline::{
-    stage1_validate_inputs_indexed, stage2_split, FilterReport, RawInput, RawInputRef,
-};
-use crate::stage::{part_key_of_input, part_key_of_text, PartKey};
+use crate::pipeline::{cascade, split_report, CascadeInput, FilterReport};
+use crate::stage::PartKey;
 
 /// Spill configuration for [`StreamIngest`].
 #[derive(Clone, Debug)]
@@ -65,10 +74,11 @@ impl Default for StreamConfig {
     }
 }
 
-/// Per-(year, vendor) partition cascade counts accumulated by
-/// [`StreamIngest`]. The same key derivation as the partitioned stage
-/// graph ([`part_key_of_text`]), so a streamed corpus can be checked
-/// against [`crate::stage::PartitionedDriver::partition_summary`]
+/// Per-(year, vendor) partition cascade counts accumulated by the
+/// streaming drivers. The same key derivation as the partitioned stage
+/// graph ([`crate::stage::part_key_of_text`]), so a streamed corpus can
+/// be checked against
+/// [`crate::stage::PartitionedDriver::partition_summary`]
 /// partition-for-partition.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamPartitionCounts {
@@ -88,60 +98,93 @@ impl StreamPartitionCounts {
     }
 }
 
-/// Incremental ingest state: push batches of report texts, read off the
+/// One cascade chunk after stage 2, handed to a driver's projection.
+struct SplitChunk {
+    /// Stage-1 survivors, in input order.
+    valid: Vec<RunResult>,
+    /// `comparable[j]`: whether `valid[j]` survives stage 2.
+    comparable: Vec<bool>,
+    /// Partition key and batch-local input index of each survivor.
+    route: Vec<(PartKey, u32)>,
+}
+
+/// The state both streaming drivers accumulate: the cascade accounting
+/// and the per-partition counts, over every batch so far.
+#[derive(Debug, Default)]
+struct StreamCore {
+    report: FilterReport,
+    partitions: BTreeMap<PartKey, StreamPartitionCounts>,
+    batches: usize,
+}
+
+impl StreamCore {
+    /// Cascade one batch through the sharded kernel. Each chunk runs
+    /// stage 2, counts its inputs per partition (routing is per input, so
+    /// chunk and batch merging stays associative) and is projected by
+    /// `project` on its worker; the projections come back in chunk order,
+    /// with the report and counts already merged.
+    fn push<T, R>(&mut self, items: &[T], project: impl Fn(SplitChunk) -> R + Sync) -> Vec<R>
+    where
+        T: CascadeInput,
+        R: Send,
+    {
+        let (report, chunks) = cascade(items, false, |chunk| {
+            let mut report = chunk.report;
+            let indices = split_report(&mut report, &chunk.valid);
+            let keys: Vec<PartKey> = chunk.items.iter().map(CascadeInput::part_key).collect();
+            let mut partitions: BTreeMap<PartKey, StreamPartitionCounts> = BTreeMap::new();
+            for key in &keys {
+                partitions.entry(*key).or_default().raw += 1;
+            }
+            let mut comparable = vec![false; chunk.valid.len()];
+            for &i in &indices {
+                comparable[i as usize] = true;
+            }
+            let route = chunk
+                .item_index
+                .iter()
+                .zip(&comparable)
+                .map(|(&input, &comp)| {
+                    let key = keys[input as usize];
+                    let counts = partitions.entry(key).or_default();
+                    counts.valid += 1;
+                    counts.comparable += usize::from(comp);
+                    (key, chunk.start as u32 + input)
+                })
+                .collect();
+            let split = SplitChunk {
+                valid: chunk.valid,
+                comparable,
+                route,
+            };
+            (report, (partitions, project(split)))
+        });
+        self.report.merge(&report);
+        self.batches += 1;
+        chunks
+            .into_iter()
+            .map(|(partitions, output)| {
+                for (key, counts) in &partitions {
+                    self.partitions.entry(*key).or_default().merge(counts);
+                }
+                output
+            })
+            .collect()
+    }
+}
+
+/// Incremental ingest state: push batches of reports, read off the
 /// accumulated [`FilterReport`], segmented feature tables and per-partition
 /// counts at any point.
 #[derive(Debug)]
 pub struct StreamIngest {
     valid: SegFrame,
     comparable: SegFrame,
-    report: FilterReport,
-    partitions: BTreeMap<PartKey, StreamPartitionCounts>,
-    batches: usize,
+    core: StreamCore,
 }
 
 fn frame_to_io(err: tinyframe::FrameError) -> io::Error {
     io::Error::other(err)
-}
-
-/// Per-shard stage-2 + feature-arena construction shared by the text and
-/// input batch paths.
-type Shard = (
-    FilterReport,
-    Vec<Frame>,
-    Vec<Frame>,
-    BTreeMap<PartKey, StreamPartitionCounts>,
-);
-
-/// `keys[i]` is the partition of shard input `i`; `item_index[j]` is the
-/// shard input each valid run `j` came from — together they route every
-/// cascade level to its (year, vendor) partition. The routing is
-/// per-input, so shard/batch merging stays associative.
-fn shard_arenas(
-    valid: Vec<RunResult>,
-    mut report: FilterReport,
-    segment_rows: usize,
-    keys: &[PartKey],
-    item_index: &[u32],
-) -> Shard {
-    let (indices, stage2) = stage2_split(&valid);
-    report.comparable = indices.len();
-    report.stage2 = stage2;
-    let comparable: Vec<RunResult> = indices.iter().map(|&i| valid[i as usize].clone()).collect();
-    let mut partitions: BTreeMap<PartKey, StreamPartitionCounts> = BTreeMap::new();
-    for key in keys {
-        partitions.entry(*key).or_default().raw += 1;
-    }
-    for &input in item_index {
-        partitions.entry(keys[input as usize]).or_default().valid += 1;
-    }
-    for &run in &indices {
-        let key = keys[item_index[run as usize] as usize];
-        partitions.entry(key).or_default().comparable += 1;
-    }
-    let valid_arena: Vec<Frame> = valid.chunks(segment_rows).map(runs_to_frame).collect();
-    let comp_arena: Vec<Frame> = comparable.chunks(segment_rows).map(runs_to_frame).collect();
-    (report, valid_arena, comp_arena, partitions)
 }
 
 impl StreamIngest {
@@ -175,83 +218,33 @@ impl StreamIngest {
         Ok(StreamIngest {
             valid,
             comparable,
-            report: FilterReport::default(),
-            partitions: BTreeMap::new(),
-            batches: 0,
+            core: StreamCore::default(),
         })
     }
 
-    /// Ingest one batch of report texts.
+    /// Ingest one batch of reports: bare texts, or `(origin, text|input)`
+    /// pairs such as [`crate::pipeline::read_inputs_shared`] returns.
     ///
-    /// The batch is sharded across the worker pool; each shard runs
-    /// stage 1 + stage 2 and builds its segment arena of feature frames,
-    /// and arenas are merged in shard order, so the result is identical
-    /// for any batch split and any thread count.
-    pub fn push_batch<S>(&mut self, texts: &[S]) -> tinyframe::Result<()>
-    where
-        S: AsRef<str> + Sync,
-    {
+    /// Each cascade chunk builds its segment arenas of feature frames on
+    /// its worker, and arenas are adopted in chunk order, so the result is
+    /// identical for any batch split and any thread count.
+    pub fn push_batch<T: CascadeInput>(&mut self, items: &[T]) -> tinyframe::Result<()> {
         let segment_rows = self.valid.segment_rows();
         let mut sp = obs::span("stream-batch");
-        let ranges = tinypool::run_chunks(texts.len(), |_| {});
-        let shards: Vec<Shard> = tinypool::parallel_map(&ranges, |range| {
-            let slice = &texts[range.clone()];
-            let keys: Vec<PartKey> = slice.iter().map(|t| part_key_of_text(t.as_ref())).collect();
-            let (valid, report, item_index) = stage1_validate_inputs_indexed(
-                slice
-                    .iter()
-                    .map(|t| (None::<String>, RawInputRef::Text(t.as_ref()))),
-            );
-            shard_arenas(valid, report, segment_rows, &keys, &item_index)
-        });
-        self.merge_shards(shards)?;
-        if obs::enabled() {
-            sp.record("items", texts.len());
-            sp.observe_into("ingest.stream_batch_us");
-            obs::count("ingest.stream_batches", 1);
-        }
-        Ok(())
-    }
-
-    /// [`Self::push_batch`] over owned `(origin, input)` pairs — the
-    /// directory-ingest form, where an unreadable file arrives as an
-    /// [`RawInput::IoError`] and is accounted as an `io-error` parse
-    /// failure instead of aborting the stream.
-    pub fn push_input_batch(
-        &mut self,
-        items: &[(Option<String>, RawInput)],
-    ) -> tinyframe::Result<()> {
-        let segment_rows = self.valid.segment_rows();
-        let mut sp = obs::span("stream-batch");
-        let ranges = tinypool::run_chunks(items.len(), |_| {});
-        let shards: Vec<Shard> = tinypool::parallel_map(&ranges, |range| {
-            let slice = &items[range.clone()];
-            let keys: Vec<PartKey> = slice
+        let arenas = self.core.push(items, |chunk| {
+            let comparable: Vec<RunResult> = chunk
+                .valid
                 .iter()
-                .map(|(_, input)| part_key_of_input(input))
+                .zip(&chunk.comparable)
+                .filter(|(_, &comp)| comp)
+                .map(|(run, _)| run.clone())
                 .collect();
-            let (valid, report, item_index) = stage1_validate_inputs_indexed(
-                slice
-                    .iter()
-                    .map(|(origin, input)| (origin.clone(), input.as_ref())),
-            );
-            shard_arenas(valid, report, segment_rows, &keys, &item_index)
+            let arena = |runs: &[RunResult]| -> Vec<Frame> {
+                runs.chunks(segment_rows).map(runs_to_frame).collect()
+            };
+            (arena(&chunk.valid), arena(&comparable))
         });
-        self.merge_shards(shards)?;
-        if obs::enabled() {
-            sp.record("items", items.len());
-            sp.observe_into("ingest.stream_batch_us");
-            obs::count("ingest.stream_batches", 1);
-        }
-        Ok(())
-    }
-
-    fn merge_shards(&mut self, shards: Vec<Shard>) -> tinyframe::Result<()> {
-        for (report, valid_arena, comp_arena, partitions) in shards {
-            self.report.merge(&report);
-            for (key, counts) in &partitions {
-                self.partitions.entry(*key).or_default().merge(counts);
-            }
+        for (valid_arena, comp_arena) in arenas {
             for frame in valid_arena {
                 self.valid.append_frame(frame)?;
             }
@@ -259,28 +252,30 @@ impl StreamIngest {
                 self.comparable.append_frame(frame)?;
             }
         }
-        self.batches += 1;
         if obs::enabled() {
-            obs::set_gauge("ingest.partitions", self.partitions.len() as i64);
+            obs::set_gauge("ingest.partitions", self.core.partitions.len() as i64);
+            sp.record("items", items.len());
+            sp.observe_into("ingest.stream_batch_us");
+            obs::count("ingest.stream_batches", 1);
         }
         Ok(())
     }
 
     /// Accumulated filter accounting over every batch so far.
     pub fn report(&self) -> &FilterReport {
-        &self.report
+        &self.core.report
     }
 
     /// Number of batches ingested.
     pub fn batches(&self) -> usize {
-        self.batches
+        self.core.batches
     }
 
     /// Accumulated per-(year, vendor) partition cascade counts. Sums
     /// across partitions equal the corresponding [`Self::report`] totals
     /// for any batch split and thread count.
     pub fn partition_counts(&self) -> &BTreeMap<PartKey, StreamPartitionCounts> {
-        &self.partitions
+        &self.core.partitions
     }
 
     /// The segmented feature table of stage-1-valid runs.
@@ -295,54 +290,8 @@ impl StreamIngest {
 
     /// Tear down into `(valid, comparable, report)`.
     pub fn into_parts(self) -> (SegFrame, SegFrame, FilterReport) {
-        (self.valid, self.comparable, self.report)
+        (self.valid, self.comparable, self.core.report)
     }
-}
-
-/// Per-shard output of the streaming row cascade: the shard's stage-1/2
-/// accounting, its routed `(key, batch-local input index, comparable,
-/// row)` tuples and its per-partition counts.
-type RowShard = (
-    FilterReport,
-    Vec<(PartKey, u32, bool, RunRow)>,
-    BTreeMap<PartKey, StreamPartitionCounts>,
-);
-
-fn shard_rows(
-    valid: Vec<RunResult>,
-    report: FilterReport,
-    keys: &[PartKey],
-    item_index: &[u32],
-    local_base: u32,
-) -> RowShard {
-    let (indices, stage2) = stage2_split(&valid);
-    let mut report = report;
-    report.comparable = indices.len();
-    report.stage2 = stage2;
-    let mut comparable = vec![false; valid.len()];
-    for &i in &indices {
-        comparable[i as usize] = true;
-    }
-    let mut partitions: BTreeMap<PartKey, StreamPartitionCounts> = BTreeMap::new();
-    for key in keys {
-        partitions.entry(*key).or_default().raw += 1;
-    }
-    let rows = extract_rows(&valid);
-    let routed: Vec<(PartKey, u32, bool, RunRow)> = rows
-        .into_iter()
-        .zip(&comparable)
-        .zip(item_index)
-        .map(|((row, &comp), &input)| {
-            let key = keys[input as usize];
-            let counts = partitions.entry(key).or_default();
-            counts.valid += 1;
-            if comp {
-                counts.comparable += 1;
-            }
-            (key, local_base + input, comp, row)
-        })
-        .collect();
-    (report, routed, partitions)
 }
 
 /// Streaming [`RunRow`] cascade: push batches of reports, receive every
@@ -359,8 +308,7 @@ fn shard_rows(
 /// order exactly (pinned by tests below).
 #[derive(Debug, Default)]
 pub struct StreamRows {
-    report: FilterReport,
-    partitions: BTreeMap<PartKey, StreamPartitionCounts>,
+    core: StreamCore,
 }
 
 impl StreamRows {
@@ -369,82 +317,28 @@ impl StreamRows {
         StreamRows::default()
     }
 
-    fn merge_row_shards<E>(
-        &mut self,
-        shards: Vec<RowShard>,
-        base: u32,
-        sink: &mut impl FnMut(PartKey, u32, bool, RunRow) -> Result<(), E>,
-    ) -> Result<(), E> {
-        for (report, routed, partitions) in shards {
-            self.report.merge(&report);
-            for (key, counts) in &partitions {
-                self.partitions.entry(*key).or_default().merge(counts);
-            }
-            for (key, local, comp, row) in routed {
-                sink(key, base + local, comp, row)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Ingest one batch of report texts, emitting each valid run's routed
-    /// row through `sink`. Batches are sharded over the worker pool and
-    /// merged in shard order, so emission order and global indices are
+    /// Ingest one batch of reports (bare texts or `(origin, text|input)`
+    /// pairs), emitting each valid run's routed row through `sink`. Chunks
+    /// are emitted in order, so emission order and global indices are
     /// identical for any batch split and thread count.
-    pub fn push_batch<S, E>(
+    pub fn push_batch<T, E>(
         &mut self,
-        texts: &[S],
+        items: &[T],
         mut sink: impl FnMut(PartKey, u32, bool, RunRow) -> Result<(), E>,
     ) -> Result<(), E>
     where
-        S: AsRef<str> + Sync,
+        T: CascadeInput,
     {
-        let base = self.report.raw as u32;
+        let base = self.core.report.raw as u32;
         let mut sp = obs::span("stream-rows-batch");
-        let ranges = tinypool::run_chunks(texts.len(), |_| {});
-        let shards: Vec<RowShard> = tinypool::parallel_map(&ranges, |range| {
-            let slice = &texts[range.clone()];
-            let keys: Vec<PartKey> = slice.iter().map(|t| part_key_of_text(t.as_ref())).collect();
-            let (valid, report, item_index) = stage1_validate_inputs_indexed(
-                slice
-                    .iter()
-                    .map(|t| (None::<String>, RawInputRef::Text(t.as_ref()))),
-            );
-            shard_rows(valid, report, &keys, &item_index, range.start as u32)
+        let chunks = self.core.push(items, |chunk| {
+            (extract_rows(&chunk.valid), chunk.comparable, chunk.route)
         });
-        self.merge_row_shards(shards, base, &mut sink)?;
-        if obs::enabled() {
-            sp.record("items", texts.len());
-            sp.observe_into("ingest.stream_batch_us");
-            obs::count("ingest.stream_row_batches", 1);
+        for (rows, comparable, route) in chunks {
+            for ((row, comp), (key, local)) in rows.into_iter().zip(comparable).zip(route) {
+                sink(key, base + local, comp, row)?;
+            }
         }
-        Ok(())
-    }
-
-    /// [`Self::push_batch`] over `(origin, input)` pairs — the directory
-    /// form, where unreadable files degrade to `io-error` parse failures.
-    pub fn push_input_batch<E>(
-        &mut self,
-        items: &[(Option<String>, RawInput)],
-        mut sink: impl FnMut(PartKey, u32, bool, RunRow) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let base = self.report.raw as u32;
-        let mut sp = obs::span("stream-rows-batch");
-        let ranges = tinypool::run_chunks(items.len(), |_| {});
-        let shards: Vec<RowShard> = tinypool::parallel_map(&ranges, |range| {
-            let slice = &items[range.clone()];
-            let keys: Vec<PartKey> = slice
-                .iter()
-                .map(|(_, input)| part_key_of_input(input))
-                .collect();
-            let (valid, report, item_index) = stage1_validate_inputs_indexed(
-                slice
-                    .iter()
-                    .map(|(origin, input)| (origin.clone(), input.as_ref())),
-            );
-            shard_rows(valid, report, &keys, &item_index, range.start as u32)
-        });
-        self.merge_row_shards(shards, base, &mut sink)?;
         if obs::enabled() {
             sp.record("items", items.len());
             sp.observe_into("ingest.stream_batch_us");
@@ -455,12 +349,12 @@ impl StreamRows {
 
     /// Accumulated filter accounting over every batch so far.
     pub fn report(&self) -> &FilterReport {
-        &self.report
+        &self.core.report
     }
 
     /// Accumulated per-(year, vendor) cascade counts.
     pub fn partition_counts(&self) -> &BTreeMap<PartKey, StreamPartitionCounts> {
-        &self.partitions
+        &self.core.partitions
     }
 }
 
@@ -494,35 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_monolithic_for_any_batch_split() {
-        let texts = corpus(40);
-        let legacy = load_from_texts(&texts);
-        let want_valid = runs_to_frame(&legacy.valid).to_csv();
-        let want_comp = runs_to_frame(&legacy.comparable).to_csv();
-        for batch in [1usize, 7, 40] {
-            let mut ingest = StreamIngest::new(&StreamConfig {
-                segment_rows: 16,
-                spill: None,
-            })
-            .unwrap();
-            for chunk in texts.chunks(batch) {
-                ingest.push_batch(chunk).unwrap();
-            }
-            assert_eq!(ingest.report(), &legacy.report, "batch={batch}");
-            assert_eq!(
-                ingest.valid_features().to_csv().unwrap(),
-                want_valid,
-                "batch={batch}"
-            );
-            assert_eq!(
-                ingest.comparable_features().to_csv().unwrap(),
-                want_comp,
-                "batch={batch}"
-            );
-        }
-    }
-
-    #[test]
     fn all_rejected_corpus_keeps_schema() {
         let mut ingest = StreamIngest::new(&StreamConfig {
             segment_rows: 8,
@@ -535,34 +400,6 @@ mod tests {
         assert_eq!(
             ingest.valid_features().to_csv().unwrap(),
             runs_to_frame(&[]).to_csv()
-        );
-    }
-
-    #[test]
-    fn input_batches_degrade_io_errors_like_the_monolith() {
-        let texts = corpus(10);
-        let mut items: Vec<(Option<String>, RawInput)> = texts
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (Some(format!("r{i}.txt")), RawInput::Text(t.clone())))
-            .collect();
-        items.push((
-            Some("gone.txt".into()),
-            RawInput::IoError("could not read file: EIO".into()),
-        ));
-        let legacy = crate::pipeline::load_from_inputs(items.clone());
-        let mut ingest = StreamIngest::new(&StreamConfig {
-            segment_rows: 4,
-            spill: None,
-        })
-        .unwrap();
-        for chunk in items.chunks(3) {
-            ingest.push_input_batch(chunk).unwrap();
-        }
-        assert_eq!(ingest.report(), &legacy.report);
-        assert_eq!(
-            ingest.valid_features().to_csv().unwrap(),
-            runs_to_frame(&legacy.valid).to_csv()
         );
     }
 

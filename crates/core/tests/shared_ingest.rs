@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use spec_analysis::stage::part_key_of_input;
 use spec_analysis::{
-    load_from_dir_vfs, load_from_inputs, load_from_texts, read_inputs_shared, RawInput,
+    load_from_dir_vfs, load_from_texts, load_from_texts_parallel, read_inputs_shared, RawInput,
 };
 use spec_format::write_run;
 use spec_model::linear_test_run;
@@ -89,8 +89,8 @@ fn shared_and_owned_inputs_are_interchangeable() {
     assert_eq!(part_key_of_input(&owned), part_key_of_input(&shared));
 
     // The cascade can consume either representation identically.
-    let a = load_from_inputs([(Some("a.txt".to_string()), owned)]);
-    let b = load_from_inputs([(Some("a.txt".to_string()), shared)]);
+    let a = load_from_texts_parallel(&[(Some("a.txt".to_string()), owned)]);
+    let b = load_from_texts_parallel(&[(Some("a.txt".to_string()), shared)]);
     assert_eq!(a.valid, b.valid);
     assert_eq!(a.report, b.report);
 }

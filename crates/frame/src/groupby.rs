@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use crate::column::{Column, KeyValue};
 use crate::error::{FrameError, Result};
 use crate::frame::Frame;
-use crate::par::parallel_map;
+use tinypool::parallel_map;
 
 /// An aggregation operator over a float (or int-promoted) column.
 #[derive(Clone, Copy, PartialEq, Debug)]

@@ -11,7 +11,7 @@
 //! * frames ([`Frame`]) with selection, boolean-mask filtering, stable
 //!   sorting and vertical stacking,
 //! * group-by with parallel aggregation ([`Frame::group_by`], [`Agg`]) built
-//!   on the persistent `tinypool` work-stealing pool ([`parallel_map`]),
+//!   on the persistent `tinypool` work-stealing pool,
 //! * left joins, value counts and `describe()` summaries
 //!   ([`Frame::left_join`], [`Frame::value_counts`], [`Frame::describe`]),
 //! * CSV round-tripping ([`Frame::to_csv`], [`Frame::from_csv`]).
@@ -38,7 +38,6 @@ pub mod error;
 pub mod frame;
 pub mod groupby;
 pub mod join;
-pub mod par;
 pub mod segcodec;
 pub mod segment;
 pub mod spill;
@@ -47,6 +46,5 @@ pub use column::{Column, DType, KeyValue, Value};
 pub use error::{FrameError, Result};
 pub use frame::Frame;
 pub use groupby::{Agg, GroupBy};
-pub use par::{parallel_chunks, parallel_map};
 pub use segment::{SegFrame, DEFAULT_SEGMENT_ROWS};
 pub use spill::{MemSegmentStore, SegmentStore, VfsSegmentStore};

@@ -2,7 +2,7 @@
 //!
 //! A persistent work-stealing thread pool for the SPEC Power workspace.
 //!
-//! The previous substrate (`tinyframe::par`) spawned a fresh set of scoped
+//! An earlier substrate (a `tinyframe` module) spawned a fresh set of scoped
 //! threads and an mpsc channel on **every** `parallel_map` call, so group-by
 //! aggregation and dataset generation paid thread-spawn latency per
 //! invocation. This crate replaces it with a pool that is created once per
@@ -421,7 +421,8 @@ impl Pool {
     }
 
     /// Run `f` for disjoint index ranges covering `0..n`, returning the
-    /// ranges used (compatibility surface for `tinyframe::parallel_chunks`).
+    /// ranges used; callers that shard a slice by these ranges get a layout
+    /// that depends only on `n`.
     pub fn run_chunks<F>(&self, n: usize, f: F) -> Vec<Range<usize>>
     where
         F: Fn(Range<usize>) + Sync,
@@ -653,6 +654,23 @@ mod tests {
         for threads in [2, 3, 8] {
             let got = reduce(&Pool::new(threads));
             assert_eq!(got.to_bits(), one.to_bits(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn small_input_sequential_path() {
+        let items: Vec<u32> = (0..10).collect();
+        let out = parallel_map(&items, |&x| x * 2);
+        assert_eq!(out, (0..10).map(|x| x * 2).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn chunk_layout_is_thread_count_independent() {
+        // The same n must produce the same ranges under any installed pool.
+        let baseline = run_chunks(5000, |_| {});
+        for threads in [1, 2, 8] {
+            let ranges = Pool::new(threads).install(|| run_chunks(5000, |_| {}));
+            assert_eq!(ranges, baseline);
         }
     }
 

@@ -5,14 +5,15 @@
 //! 2. the merged report is invariant under the shard layout (any way of
 //!    cutting the corpus into shards yields the whole-corpus report,
 //!    including parse-failure indices);
-//! 3. the stage-graph decomposition (`stage1_validate` → `stage2_split` →
-//!    `assemble_set`) is value-identical to the legacy one-shot loader.
+//! 3. the stage-graph decomposition (`stage1_validate_inputs_indexed` →
+//!    `stage2_split` → `assemble_set`) is value-identical to the one-shot
+//!    sequential loader.
 
 use proptest::prelude::*;
 
 use spec_power_trends::analysis::stage::{assemble_set, ComparableArtifact, ValidateArtifact};
 use spec_power_trends::analysis::{
-    load_from_named_texts, stage1_validate, stage2_split, FilterReport,
+    load_from_texts, stage1_validate_inputs_indexed, stage2_split, CascadeInput, FilterReport,
 };
 use spec_power_trends::format::write_run;
 use spec_power_trends::model::linear_test_run;
@@ -53,7 +54,7 @@ fn render(doc: &Doc) -> String {
 }
 
 fn report_for(texts: &[String]) -> FilterReport {
-    load_from_named_texts(texts.iter().map(|t| (None::<String>, t))).report
+    load_from_texts(texts).report
 }
 
 proptest! {
@@ -122,9 +123,10 @@ proptest! {
     ) {
         let texts: Vec<String> = docs.iter().map(render).collect();
 
-        let legacy = load_from_named_texts(texts.iter().map(|t| (None::<String>, t)));
+        let legacy = load_from_texts(&texts);
 
-        let (valid, report) = stage1_validate(texts.iter().map(|t| (None::<String>, t)));
+        let (valid, report, _) =
+            stage1_validate_inputs_indexed(texts.iter().map(CascadeInput::input));
         let (indices, stage2) = stage2_split(&valid);
         let assembled = assemble_set(
             &ValidateArtifact { valid, report },

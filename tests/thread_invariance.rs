@@ -81,7 +81,7 @@ fn validate_artifact_is_byte_identical_across_thread_counts() {
     use spec_power_trends::analysis::stage::{
         content_hash, encode_to_vec, CorpusArtifact, Stage, ValidateArtifact, ValidateStage,
     };
-    use spec_power_trends::analysis::{stage1_validate_inputs, RawInput};
+    use spec_power_trends::analysis::{stage1_validate_inputs_indexed, CascadeInput, RawInput};
 
     // The generated corpus plus a parse failure and a read failure in
     // different chunks, so merged parse-failure indices are exercised.
@@ -104,12 +104,8 @@ fn validate_artifact_is_byte_identical_across_thread_counts() {
     let corpus = CorpusArtifact { items };
 
     // Reference: the whole corpus validated in one sequential pass.
-    let (valid, report) = stage1_validate_inputs(
-        corpus
-            .items
-            .iter()
-            .map(|(origin, input)| (origin.as_deref(), input.as_ref())),
-    );
+    let (valid, report, _) =
+        stage1_validate_inputs_indexed(corpus.items.iter().map(CascadeInput::input));
     let sequential = encode_to_vec(&ValidateArtifact { valid, report });
 
     for threads in THREAD_COUNTS {
