@@ -281,7 +281,6 @@ fn overload_scenario(cache: ArtifactCache) -> OverloadResult {
         settings: bench_settings(),
     }));
     config.addr = "127.0.0.1:0".to_string();
-    config.settings = bench_settings();
     config.threads = 2;
     config.cache = Some(cache);
     config.limits = net::Limits {
@@ -408,7 +407,6 @@ fn sharded_x100_scenario() -> ShardedResult {
             settings: bench_settings(),
         }));
         config.addr = "127.0.0.1:0".to_string();
-        config.settings = bench_settings();
         config.threads = 2;
         config.mode = SnapshotMode::Stream;
         config.scale = SCALE;
@@ -450,7 +448,6 @@ fn sharded_x100_scenario() -> ShardedResult {
     }
     let mut config = ServeConfig::new(CorpusSource::Memory(Vec::new()));
     config.addr = "127.0.0.1:0".to_string();
-    config.settings = bench_settings();
     config.threads = 2;
     config.fan_out = addrs;
     let front = Server::start(config).expect("front end starts");
@@ -536,7 +533,6 @@ fn main() {
         settings: bench_settings(),
     }));
     config.addr = "127.0.0.1:0".to_string();
-    config.settings = bench_settings();
     config.threads = 4;
     config.cache = Some(ArtifactCache::open(cache_dir.clone()).expect("cache opens"));
 

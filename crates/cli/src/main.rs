@@ -747,7 +747,6 @@ fn run_serve(args: &Args) -> spec_diag::Result<()> {
     if let Some(addr) = &args.addr {
         config.addr = addr.clone();
     }
-    config.seed = args.seed;
     if let Some(dir) = &args.cache_dir {
         config.cache = Some(ArtifactCache::open(dir.clone())?);
     }

@@ -48,6 +48,63 @@ fn render(tasks: Vec<RenderTask<'_>>) -> Vec<(String, String)> {
     tinypool::map_tasks(&tasks, |(name, render)| (name.clone(), render()))
 }
 
+/// Width × height of every single-chart export SVG but `fig1_counts.svg`
+/// (860×340).
+const CHART: (u32, u32) = (860, 520);
+
+/// `fig1_shares.svg`, the body of serve's `/figures/1`: the
+/// feature-share chart.
+pub(crate) fn fig1_svg(fig1: &fig1::Fig1Features) -> String {
+    fig1.share_chart().to_svg(CHART.0, CHART.1)
+}
+
+/// `fig2_power.svg`, the body of serve's `/figures/2`.
+pub(crate) fn fig2_svg(fig2: &fig2::Fig2Power) -> String {
+    fig2.chart().to_svg(CHART.0, CHART.1)
+}
+
+/// `fig3_efficiency.svg`, the body of serve's `/figures/3` (linear axis).
+pub(crate) fn fig3_svg(fig3: &fig3::Fig3Efficiency) -> String {
+    fig3.chart().to_svg(CHART.0, CHART.1)
+}
+
+/// `fig4_grid.svg`, the body of serve's `/figures/4`: as in the paper,
+/// one grid of 640×430 panels, two per row, one per load level.
+pub(crate) fn fig4_svg(fig4: &fig4::Fig4Proportionality) -> String {
+    let panels: Vec<tinyplot::Chart> = fig4::LOADS.iter().map(|&load| fig4.chart(load)).collect();
+    tinyplot::render_grid(&panels, 2, 640, 430)
+}
+
+/// `fig5_idle.svg`, the body of serve's `/figures/5`.
+pub(crate) fn fig5_svg(fig5: &fig5::Fig5Idle) -> String {
+    fig5.chart().to_svg(CHART.0, CHART.1)
+}
+
+/// `fig6_extrapolated.svg`, the body of serve's `/figures/6`.
+pub(crate) fn fig6_svg(fig6: &fig6::Fig6Extrapolated) -> String {
+    fig6.chart().to_svg(CHART.0, CHART.1)
+}
+
+/// `fig2_per_socket_power.csv`, the body of serve's `/data/2`.
+pub(crate) fn fig2_csv(fig2: &fig2::Fig2Power) -> String {
+    series_frame(&fig2.scatter, "w_per_socket").to_csv()
+}
+
+/// `fig3_overall_efficiency.csv`, the body of serve's `/data/3`.
+pub(crate) fn fig3_csv(fig3: &fig3::Fig3Efficiency) -> String {
+    series_frame(&fig3.scatter, "overall_eff").to_csv()
+}
+
+/// `fig5_idle_fraction.csv`, the body of serve's `/data/5`.
+pub(crate) fn fig5_csv(fig5: &fig5::Fig5Idle) -> String {
+    series_frame(&fig5.scatter, "idle_fraction").to_csv()
+}
+
+/// `fig6_extrapolated_quotient.csv`, the body of serve's `/data/6`.
+pub(crate) fn fig6_csv(fig6: &fig6::Fig6Extrapolated) -> String {
+    series_frame(&fig6.scatter, "extrap_quotient").to_csv()
+}
+
 /// Render all figure SVGs as `(file name, SVG text)` pairs, in the order
 /// they are written.
 pub(crate) fn figure_files(inputs: ExportInputs<'_>) -> Vec<(String, String)> {
@@ -61,33 +118,24 @@ pub(crate) fn figure_files(inputs: ExportInputs<'_>) -> Vec<(String, String)> {
         ..
     } = inputs;
     let mut tasks = vec![
-        task("fig1_shares.svg", move || {
-            fig1.share_chart().to_svg(860, 520)
-        }),
+        task("fig1_shares.svg", move || fig1_svg(fig1)),
         task("fig1_counts.svg", move || {
             fig1.counts_chart().to_svg(860, 340)
         }),
-        task("fig2_power.svg", move || fig2.chart().to_svg(860, 520)),
-        task("fig3_efficiency.svg", move || fig3.chart().to_svg(860, 520)),
+        task("fig2_power.svg", move || fig2_svg(fig2)),
+        task("fig3_efficiency.svg", move || fig3_svg(fig3)),
         task("fig3_efficiency_log.svg", move || {
-            fig3.chart_log().to_svg(860, 520)
+            fig3.chart_log().to_svg(CHART.0, CHART.1)
         }),
     ];
     for load in fig4::LOADS {
         tasks.push(task(format!("fig4_rel_eff_{load}.svg"), move || {
-            fig4.chart(load).to_svg(860, 520)
+            fig4.chart(load).to_svg(CHART.0, CHART.1)
         }));
     }
-    // The paper shows Figure 4 as one panel grid.
-    tasks.push(task("fig4_grid.svg", move || {
-        let panels: Vec<tinyplot::Chart> =
-            fig4::LOADS.iter().map(|&load| fig4.chart(load)).collect();
-        tinyplot::render_grid(&panels, 2, 640, 430)
-    }));
-    tasks.push(task("fig5_idle.svg", move || fig5.chart().to_svg(860, 520)));
-    tasks.push(task("fig6_extrapolated.svg", move || {
-        fig6.chart().to_svg(860, 520)
-    }));
+    tasks.push(task("fig4_grid.svg", move || fig4_svg(fig4)));
+    tasks.push(task("fig5_idle.svg", move || fig5_svg(fig5)));
+    tasks.push(task("fig6_extrapolated.svg", move || fig6_svg(fig6)));
     render(tasks)
 }
 
@@ -115,22 +163,12 @@ pub(crate) fn data_files(inputs: ExportInputs<'_>) -> Vec<(String, String)> {
     render(vec![
         task("comparable_runs.csv", move || runs_csv(comparable)),
         task("valid_runs.csv", move || runs_csv(valid)),
-        task("fig1_shares.csv", move || fig1_frame(fig1).to_csv()),
-        task("fig2_per_socket_power.csv", move || {
-            series_frame(&fig2.scatter, "w_per_socket").to_csv()
-        }),
-        task("fig3_overall_efficiency.csv", move || {
-            series_frame(&fig3.scatter, "overall_eff").to_csv()
-        }),
-        task("fig5_idle_fraction.csv", move || {
-            series_frame(&fig5.scatter, "idle_fraction").to_csv()
-        }),
-        task("fig6_extrapolated_quotient.csv", move || {
-            series_frame(&fig6.scatter, "extrap_quotient").to_csv()
-        }),
-        task("fig4_relative_efficiency.csv", move || {
-            fig4_frame(fig4).to_csv()
-        }),
+        task("fig1_shares.csv", move || fig1_csv(fig1)),
+        task("fig2_per_socket_power.csv", move || fig2_csv(fig2)),
+        task("fig3_overall_efficiency.csv", move || fig3_csv(fig3)),
+        task("fig5_idle_fraction.csv", move || fig5_csv(fig5)),
+        task("fig6_extrapolated_quotient.csv", move || fig6_csv(fig6)),
+        task("fig4_relative_efficiency.csv", move || fig4_csv(fig4)),
         task("yearly_summary.csv", move || {
             yearly_summary_of(comparable).to_csv()
         }),
@@ -183,7 +221,7 @@ pub fn yearly_summary_markdown(study: &Study) -> String {
     out
 }
 
-pub(crate) fn series_frame(
+fn series_frame(
     series: &[(spec_model::CpuVendor, Vec<(f64, f64)>)],
     y_name: &str,
 ) -> Frame {
@@ -205,10 +243,9 @@ pub(crate) fn series_frame(
     .expect("fresh frame")
 }
 
-/// The Figure 1 CSV frame: year, run count and one share column per
-/// feature. Shared by [`data_files`] and the serve daemon's
-/// filtered `/data/1` endpoint so both render identical bytes.
-pub(crate) fn fig1_frame(fig1: &fig1::Fig1Features) -> Frame {
+/// `fig1_shares.csv`, the body of serve's `/data/1`: year, run count
+/// and one share column per feature.
+pub(crate) fn fig1_csv(fig1: &fig1::Fig1Features) -> String {
     let mut frame = Frame::from_columns([(
         "year",
         Column::I64(fig1.years.iter().map(|&y| y as i64).collect()),
@@ -228,11 +265,12 @@ pub(crate) fn fig1_frame(fig1: &fig1::Fig1Features) -> Frame {
             )
             .expect("same length");
     }
-    frame
+    frame.to_csv()
 }
 
-/// The Figure 4 CSV frame: per-bin box statistics.
-pub(crate) fn fig4_frame(fig4: &fig4::Fig4Proportionality) -> Frame {
+/// `fig4_relative_efficiency.csv`, the body of serve's `/data/4`:
+/// per-bin box statistics.
+pub(crate) fn fig4_csv(fig4: &fig4::Fig4Proportionality) -> String {
     let cells = &fig4.cells;
     Frame::from_columns([
         (
@@ -263,6 +301,7 @@ pub(crate) fn fig4_frame(fig4: &fig4::Fig4Proportionality) -> Frame {
         ),
     ])
     .expect("fresh frame")
+    .to_csv()
 }
 
 impl Study {

@@ -31,16 +31,21 @@
 //! the snapshot's row store via the same `compute_rows` reduce the
 //! pipeline uses, then memoized per snapshot in an LRU bounded by
 //! `memo_cap` (`serve.memo_entries` / `serve.memo_evictions` gauges) so
-//! repeated queries are sub-millisecond. Unfiltered responses serve the
-//! stage graph's cached export bytes unchanged.
+//! repeated queries are sub-millisecond. Unfiltered responses are
+//! rendered once per snapshot, by the same renderers, from one query
+//! over all rows: they are the bytes `spec-trends figures`/`export`
+//! write for the same corpus.
 //!
 //! ## Snapshots, shards and fan-out (see DESIGN.md §17)
 //!
-//! [`SnapshotMode::Graph`] builds through the partitioned stage graph;
-//! [`SnapshotMode::Stream`] streams the corpus (optionally `scale`×
-//! replicated) through [`crate::stream::StreamRows`] straight into the
-//! row store, so a ×100 corpus serves in fixed RSS. Both modes produce
-//! byte-identical responses.
+//! One builder, `Snapshot::build`, makes every snapshot. Its only choice
+//! is the row source that fills the row store: [`SnapshotMode::Graph`]
+//! takes the partitioned stage graph's cached, incremental
+//! per-partition rows; [`SnapshotMode::Stream`] streams the corpus
+//! (optionally `scale`× replicated) through
+//! [`crate::stream::StreamRows`] straight into the store, so a ×100
+//! corpus serves in fixed RSS. Everything after the fill is shared, so
+//! both modes produce byte-identical responses.
 //!
 //! `ServeConfig::shard = Some(i/N)` keeps only the partitions a
 //! deterministic hash of the partition key assigns to shard *i*;
@@ -76,9 +81,11 @@
 //! `tests/serve_chaos.rs` suite pins that balance under seeded
 //! adversarial clients from [`faultnet`].
 //!
-//! A watcher thread polls the corpus directory's fingerprint and rebuilds
-//! the [`PartitionedDriver`] on change — only the touched (year, vendor)
-//! partition's stages re-execute, which `/stats` reports per refresh.
+//! A watcher thread polls the corpus directory's fingerprint and builds a
+//! new snapshot on change — in Graph mode through a fresh
+//! [`PartitionedDriver`] over the shared artifact cache, so only the
+//! touched (year, vendor) partition's stages re-execute, which `/stats`
+//! reports per refresh.
 //!
 //! Request handling is panic-proof: each connection runs under
 //! `catch_unwind`, malformed requests map to typed 4xx/5xx through the
@@ -110,7 +117,7 @@ use spec_ssj::Settings;
 use spec_vfs::Vfs;
 use tinyframe::{Column, Frame};
 
-use crate::export::{fig1_frame, fig4_frame, series_frame};
+use crate::export;
 use crate::figures::common::RunRow;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
 use crate::pipeline::FilterReport;
@@ -148,9 +155,10 @@ pub struct ServeConfig {
     pub addr: String,
     /// Where the corpus comes from (usually [`CorpusSource::Dir`]).
     pub source: CorpusSource,
-    /// Simulation settings folded into derive-stage keys.
+    /// Has no effect: no served response depends on the Table I
+    /// simulation these settings configure.
     pub settings: Settings,
-    /// Table 1 seed.
+    /// Has no effect: no served response depends on the Table I seed.
     pub seed: u64,
     /// Artifact cache shared with `analyze` (warm partitions).
     pub cache: Option<ArtifactCache>,
@@ -355,35 +363,81 @@ impl Memo {
 struct Snapshot {
     /// Monotonic refresh counter (0 = the startup build).
     generation: u64,
-    /// Full §II cascade accounting (shard builds: the owned slice).
-    report: FilterReport,
+    /// The row fill's cascade accounting, partition table and counters.
+    fill: RowFill,
     /// Out-of-core `(gidx, comparable, row)` store, per partition — the
     /// filtered-query and scatter-gather row source.
     rows: Mutex<rows::RowStore>,
-    /// Pre-rendered figure SVGs, by file name.
-    figure_files: Vec<(String, String)>,
-    /// Pre-rendered CSVs, by file name.
-    data_files: Vec<(String, String)>,
-    /// Per-partition cascade summary from the build that made this.
-    partitions: Vec<PartitionSummary>,
-    /// Stage executions during the refresh that built this snapshot.
-    executed: usize,
-    /// Cache hits during the refresh that built this snapshot.
-    hits: usize,
-    /// Partitions with ≥1 execution during the refresh.
-    partitions_executed: usize,
-    /// Which build path produced this snapshot.
+    /// The twelve unfiltered responses: `/figures/1..=6`, then
+    /// `/data/1..=6`.
+    unfiltered: Vec<Arc<Response>>,
+    /// Which row source filled this snapshot.
     mode: SnapshotMode,
     /// Memoized filtered responses, keyed by `path?query` (LRU-bounded).
     memo: Mutex<Memo>,
 }
 
+/// What a row source reports besides the rows it pushed into the store.
+struct RowFill {
+    /// Full §II cascade accounting (shard builds: the owned slice).
+    report: FilterReport,
+    /// Per-partition cascade summary.
+    partitions: Vec<PartitionSummary>,
+    /// Stage executions during the fill (0 for a stream fill).
+    executed: usize,
+    /// Cache hits during the fill (0 for a stream fill).
+    hits: usize,
+    /// Partitions with ≥1 stage execution during the fill.
+    partitions_executed: usize,
+}
+
 impl Snapshot {
+    /// Build a snapshot: fill the row store from the configured row
+    /// source, then render the twelve unfiltered responses from one
+    /// full-row query with the same renderers filtered responses use —
+    /// which is what makes them the bytes `spec-trends figures`/`export`
+    /// write for the same corpus.
     fn build(config: &ServeConfig, generation: u64) -> spec_diag::Result<Snapshot> {
-        match config.mode {
-            SnapshotMode::Graph => Snapshot::build_graph(config, generation),
-            SnapshotMode::Stream => Snapshot::build_stream(config, generation),
-        }
+        let mut sp = obs::span("serve.refresh");
+        let mut store = Snapshot::row_store(config, generation)?;
+        let fill = match config.mode {
+            SnapshotMode::Graph => Snapshot::fill_from_graph(config, &mut store)?,
+            SnapshotMode::Stream => Snapshot::fill_from_stream(config, &mut store)?,
+        };
+        store.seal().map_err(frame_err)?;
+        let mut query_sp = obs::span("serve.refresh.full_query");
+        let tagged = store.query(|_| true, |_| true).map_err(frame_err)?;
+        let (valid, comparable) = split_tagged(&tagged);
+        drop(tagged);
+        query_sp.observe_into("serve.refresh_full_query_us");
+        // The six SVGs then the six CSVs, each one pool task with its own
+        // span (on whichever thread renders it).
+        let renders: Vec<(Kind, u8)> = [Kind::Figures, Kind::Data]
+            .into_iter()
+            .flat_map(|kind| (1..=6).map(move |n| (kind, n)))
+            .collect();
+        let unfiltered = tinypool::map_tasks(&renders, |&(kind, n)| {
+            let (span, field) = match kind {
+                Kind::Figures => ("serve.refresh.render_figure", "figure"),
+                Kind::Data => ("serve.refresh.render_data", "data"),
+            };
+            let mut render_sp = obs::span(span);
+            render_sp.record(field, u64::from(n));
+            render_sp.observe_into("serve.refresh_render_us");
+            Arc::new(render_response(kind, n, AggLevel::None, &valid, &comparable))
+        });
+        sp.record("generation", generation);
+        sp.record("rows", store.n_rows());
+        sp.record("executed", fill.executed);
+        sp.observe_into("serve.refresh_us");
+        Ok(Snapshot {
+            generation,
+            fill,
+            rows: Mutex::new(store),
+            unfiltered,
+            mode: config.mode,
+            memo: Mutex::new(Memo::new(config.memo_cap)),
+        })
     }
 
     /// The per-generation row store, spilling once `--max-resident-mb`
@@ -410,17 +464,16 @@ impl Snapshot {
         .map_err(frame_err)
     }
 
-    /// Build a snapshot by driving the partitioned stage graph. Runs
-    /// entirely in the calling thread (the driver is single-threaded
-    /// state; partition work inside still fans out over `tinypool`).
-    fn build_graph(config: &ServeConfig, generation: u64) -> spec_diag::Result<Snapshot> {
-        let mut sp = obs::span("serve.refresh");
-        let mut driver = PartitionedDriver::new(
-            config.source.clone(),
-            config.settings.clone(),
-            config.seed,
-        )
-        .with_vfs(Arc::clone(&config.vfs));
+    /// Fill the store from the partitioned stage graph's cached,
+    /// incremental per-partition rows. Runs in the calling thread (the
+    /// driver is single-threaded state; partition work inside still fans
+    /// out over `tinypool`).
+    fn fill_from_graph(
+        config: &ServeConfig,
+        store: &mut rows::RowStore,
+    ) -> spec_diag::Result<RowFill> {
+        let mut driver =
+            PartitionedDriver::new(config.source.clone()).with_vfs(Arc::clone(&config.vfs));
         if let Some(cache) = &config.cache {
             driver = driver.with_cache(cache.clone());
         }
@@ -428,109 +481,61 @@ impl Snapshot {
             driver = driver.with_shard(shard);
         }
         let report = driver.filter_report()?;
-        let figure_files = driver.figure_files()?;
-        let data_files = driver.data_files()?;
         let partitions = driver.partition_summary()?;
-        let mut store = Snapshot::row_store(config, generation)?;
         for part in driver.partition_rows()? {
-            store.push_part(&part).map_err(frame_err)?;
+            for ((&gidx, &comp), &row) in part.gidx.iter().zip(&part.comparable).zip(&part.rows) {
+                store.push(part.key, gidx, comp, row).map_err(frame_err)?;
+            }
         }
-        store.seal().map_err(frame_err)?;
-        sp.record("generation", generation);
-        sp.record("executed", driver.executed_total());
-        sp.observe_into("serve.refresh_us");
-        Ok(Snapshot {
-            generation,
+        Ok(RowFill {
             report,
-            rows: Mutex::new(store),
-            figure_files,
-            data_files,
             partitions,
             executed: driver.executed_total(),
             hits: driver.hits_total(),
             partitions_executed: driver.partitions_executed(),
-            mode: SnapshotMode::Graph,
-            memo: Mutex::new(Memo::new(config.memo_cap)),
         })
     }
 
-    /// Build a snapshot by streaming the corpus in bounded batches
-    /// straight into the row store — fixed RSS, no stage-graph
-    /// artifacts. The exports are then rendered from one full-row
-    /// query; by the stream/merge-order invariant those bytes equal the
-    /// stage graph's cached exports for the same corpus.
-    fn build_stream(config: &ServeConfig, generation: u64) -> spec_diag::Result<Snapshot> {
-        let mut sp = obs::span("serve.refresh");
+    /// Fill the store by streaming the corpus in bounded batches — fixed
+    /// RSS, no stage-graph artifacts.
+    fn fill_from_stream(
+        config: &ServeConfig,
+        store: &mut rows::RowStore,
+    ) -> spec_diag::Result<RowFill> {
         let shard = config.shard;
         let owns = |key: &PartKey| shard.is_none_or(|s| s.owns(key));
         let mut stream = StreamRows::new();
-        let mut store = Snapshot::row_store(config, generation)?;
-        {
-            let mut sink = |key: PartKey, gidx: u32, comparable: bool, row: RunRow| {
-                if owns(&key) {
-                    store.push(key, gidx, comparable, row)
-                } else {
-                    Ok(())
+        let mut sink = |key: PartKey, gidx: u32, comparable: bool, row: RunRow| {
+            if owns(&key) {
+                store.push(key, gidx, comparable, row)
+            } else {
+                Ok(())
+            }
+        };
+        match &config.source {
+            CorpusSource::Synthetic(synth) => {
+                let base = spec_synth::generate_dataset(synth);
+                spec_synth::for_each_scaled_batch(
+                    &base,
+                    config.scale.max(1),
+                    STREAM_BATCH,
+                    |texts| stream.push_batch(texts, &mut sink),
+                )
+                .map_err(frame_err)?;
+            }
+            CorpusSource::Dir(dir) => {
+                let files = crate::pipeline::list_report_files(&*config.vfs, dir)?;
+                for chunk in files.chunks(STREAM_BATCH) {
+                    let items = crate::pipeline::read_inputs_shared(&*config.vfs, chunk);
+                    stream.push_batch(&items, &mut sink).map_err(frame_err)?;
                 }
-            };
-            match &config.source {
-                CorpusSource::Synthetic(synth) => {
-                    let base = spec_synth::generate_dataset(synth);
-                    spec_synth::for_each_scaled_batch(
-                        &base,
-                        config.scale.max(1),
-                        STREAM_BATCH,
-                        |texts| stream.push_batch(texts, &mut sink),
-                    )
-                    .map_err(frame_err)?;
-                }
-                CorpusSource::Dir(dir) => {
-                    let files = crate::pipeline::list_report_files(&*config.vfs, dir)?;
-                    for chunk in files.chunks(STREAM_BATCH) {
-                        let items = crate::pipeline::read_inputs_shared(&*config.vfs, chunk);
-                        stream.push_batch(&items, &mut sink).map_err(frame_err)?;
-                    }
-                }
-                CorpusSource::Memory(items) => {
-                    for chunk in items.chunks(STREAM_BATCH) {
-                        stream.push_batch(chunk, &mut sink).map_err(frame_err)?;
-                    }
+            }
+            CorpusSource::Memory(items) => {
+                for chunk in items.chunks(STREAM_BATCH) {
+                    stream.push_batch(chunk, &mut sink).map_err(frame_err)?;
                 }
             }
         }
-        store.seal().map_err(frame_err)?;
-        let mut query_sp = obs::span("serve.refresh.full_query");
-        let tagged = store.query(|_| true, |_| true).map_err(frame_err)?;
-        let (valid, comparable) = split_tagged(&tagged);
-        drop(tagged);
-        query_sp.observe_into("serve.refresh_full_query_us");
-        // The six SVGs then the six CSVs, each one pool task with its own
-        // span (on whichever thread renders it).
-        let renders: Vec<(Kind, u8)> = [Kind::Figures, Kind::Data]
-            .into_iter()
-            .flat_map(|kind| (1..=6).map(move |n| (kind, n)))
-            .collect();
-        let mut files = tinypool::map_tasks(&renders, |&(kind, n)| {
-            let (span, field) = match kind {
-                Kind::Figures => ("serve.refresh.render_figure", "figure"),
-                Kind::Data => ("serve.refresh.render_data", "data"),
-            };
-            let mut render_sp = obs::span(span);
-            render_sp.record(field, u64::from(n));
-            render_sp.observe_into("serve.refresh_render_us");
-            match kind {
-                Kind::Figures => (
-                    figure_file_name(n).to_string(),
-                    render_figure(n, &valid, &comparable),
-                ),
-                Kind::Data => (
-                    data_file_name(n).to_string(),
-                    render_data(n, &valid, &comparable),
-                ),
-            }
-        });
-        let data_files = files.split_off(6);
-        let figure_files = files;
         let partitions: Vec<PartitionSummary> = stream
             .partition_counts()
             .iter()
@@ -555,34 +560,13 @@ impl Snapshot {
         } else {
             stream.report().clone()
         };
-        sp.record("generation", generation);
-        sp.record("rows", store.n_rows());
-        sp.observe_into("serve.refresh_us");
-        Ok(Snapshot {
-            generation,
+        Ok(RowFill {
             report,
-            rows: Mutex::new(store),
-            figure_files,
-            data_files,
             partitions,
             executed: 0,
             hits: 0,
             partitions_executed: 0,
-            mode: SnapshotMode::Stream,
-            memo: Mutex::new(Memo::new(config.memo_cap)),
         })
-    }
-
-    fn file(&self, files: &[(String, String)], name: &str) -> Option<Arc<Response>> {
-        let content_type = if name.ends_with(".svg") {
-            "image/svg+xml"
-        } else {
-            "text/csv; charset=utf-8"
-        };
-        files
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, body)| Arc::new(Response::ok(content_type, body.as_bytes())))
     }
 }
 
@@ -698,58 +682,29 @@ fn parse_filter(query: &str) -> Result<RowFilter, TrendsError> {
     Ok(filter)
 }
 
-/// Canonical export file name for figure `n` (the stage graph's bytes).
-fn figure_file_name(n: u8) -> &'static str {
-    match n {
-        1 => "fig1_shares.svg",
-        2 => "fig2_power.svg",
-        3 => "fig3_efficiency.svg",
-        4 => "fig4_grid.svg",
-        5 => "fig5_idle.svg",
-        _ => "fig6_extrapolated.svg",
-    }
-}
-
-/// Canonical export file name for figure `n`'s data CSV.
-fn data_file_name(n: u8) -> &'static str {
-    match n {
-        1 => "fig1_shares.csv",
-        2 => "fig2_per_socket_power.csv",
-        3 => "fig3_overall_efficiency.csv",
-        4 => "fig4_relative_efficiency.csv",
-        5 => "fig5_idle_fraction.csv",
-        _ => "fig6_extrapolated_quotient.csv",
-    }
-}
-
-/// Render figure `n` over (possibly filtered) rows with the same
-/// `compute_rows` reduce and chart geometry the export stages use.
+/// Render figure `n` over (possibly filtered) rows: the pipeline's
+/// `compute_rows` reduce, then the export's served-SVG renderer.
 fn render_figure(n: u8, valid: &[RunRow], comparable: &[RunRow]) -> String {
     match n {
-        1 => fig1::compute_rows(valid).share_chart().to_svg(860, 520),
-        2 => fig2::compute_rows(comparable).chart().to_svg(860, 520),
-        3 => fig3::compute_rows(comparable).chart().to_svg(860, 520),
-        4 => {
-            let fig = fig4::compute_rows(comparable);
-            let panels: Vec<tinyplot::Chart> =
-                fig4::LOADS.iter().map(|&load| fig.chart(load)).collect();
-            tinyplot::render_grid(&panels, 2, 640, 430)
-        }
-        5 => fig5::compute_rows(comparable).chart().to_svg(860, 520),
-        _ => fig6::compute_rows(comparable).chart().to_svg(860, 520),
+        1 => export::fig1_svg(&fig1::compute_rows(valid)),
+        2 => export::fig2_svg(&fig2::compute_rows(comparable)),
+        3 => export::fig3_svg(&fig3::compute_rows(comparable)),
+        4 => export::fig4_svg(&fig4::compute_rows(comparable)),
+        5 => export::fig5_svg(&fig5::compute_rows(comparable)),
+        _ => export::fig6_svg(&fig6::compute_rows(comparable)),
     }
 }
 
-/// Render figure `n`'s CSV over (possibly filtered) rows with the same
-/// frame builders `Study::data_files` uses.
+/// Render figure `n`'s CSV over (possibly filtered) rows: the pipeline's
+/// `compute_rows` reduce, then the export's served-CSV renderer.
 fn render_data(n: u8, valid: &[RunRow], comparable: &[RunRow]) -> String {
     match n {
-        1 => fig1_frame(&fig1::compute_rows(valid)).to_csv(),
-        2 => series_frame(&fig2::compute_rows(comparable).scatter, "w_per_socket").to_csv(),
-        3 => series_frame(&fig3::compute_rows(comparable).scatter, "overall_eff").to_csv(),
-        4 => fig4_frame(&fig4::compute_rows(comparable)).to_csv(),
-        5 => series_frame(&fig5::compute_rows(comparable).scatter, "idle_fraction").to_csv(),
-        _ => series_frame(&fig6::compute_rows(comparable).scatter, "extrap_quotient").to_csv(),
+        1 => export::fig1_csv(&fig1::compute_rows(valid)),
+        2 => export::fig2_csv(&fig2::compute_rows(comparable)),
+        3 => export::fig3_csv(&fig3::compute_rows(comparable)),
+        4 => export::fig4_csv(&fig4::compute_rows(comparable)),
+        5 => export::fig5_csv(&fig5::compute_rows(comparable)),
+        _ => export::fig6_csv(&fig6::compute_rows(comparable)),
     }
 }
 
@@ -863,19 +818,29 @@ fn parse_target(path: &str, query: &str) -> Result<(Kind, u8, RowFilter), Respon
     Ok((kind, n, filter))
 }
 
+/// Render one figure/data response over (possibly filtered) rows.
+fn render_response(
+    kind: Kind,
+    n: u8,
+    agg: AggLevel,
+    valid: &[RunRow],
+    comparable: &[RunRow],
+) -> Response {
+    match (kind, agg) {
+        (Kind::Figures, _) => Response::ok("image/svg+xml", render_figure(n, valid, comparable)),
+        (Kind::Data, AggLevel::None) => {
+            Response::ok("text/csv; charset=utf-8", render_data(n, valid, comparable))
+        }
+        (Kind::Data, AggLevel::Year) => {
+            Response::ok("text/csv; charset=utf-8", render_agg_year(n, comparable))
+        }
+    }
+}
+
 /// Render one filtered (or aggregated) response from gathered rows.
 fn render_filtered(kind: Kind, n: u8, filter: RowFilter, tagged: &[rows::TaggedRow]) -> Response {
     let (valid, comparable) = split_tagged(tagged);
-    match (kind, filter.agg) {
-        (Kind::Figures, _) => Response::ok("image/svg+xml", render_figure(n, &valid, &comparable)),
-        (Kind::Data, AggLevel::None) => Response::ok(
-            "text/csv; charset=utf-8",
-            render_data(n, &valid, &comparable),
-        ),
-        (Kind::Data, AggLevel::Year) => {
-            Response::ok("text/csv; charset=utf-8", render_agg_year(n, &comparable))
-        }
-    }
+    render_response(kind, n, filter.agg, &valid, &comparable)
 }
 
 /// Terminal fate of one admitted connection (exactly one per connection).
@@ -1715,15 +1680,12 @@ fn figure_or_data(
 
     let snapshot = shared.current();
     if filter.is_empty() {
-        // Unfiltered: the build's pre-rendered export bytes, verbatim.
-        let (files, name) = match kind {
-            Kind::Figures => (&snapshot.figure_files, figure_file_name(n)),
-            Kind::Data => (&snapshot.data_files, data_file_name(n)),
+        // Unfiltered: the response the build rendered.
+        let first = match kind {
+            Kind::Figures => 0,
+            Kind::Data => 6,
         };
-        return match snapshot.file(files, name) {
-            Some(response) => response,
-            None => Arc::new(Response::error(500, "export artifact missing")),
-        };
+        return Arc::clone(&snapshot.unfiltered[first + usize::from(n - 1)]);
     }
 
     let memo_key = format!("{path}?{query}");
@@ -1769,15 +1731,15 @@ fn shard_meta_response(shared: &Shared) -> Arc<Response> {
         return Arc::new(Response::error(404, "front-end daemons hold no shard rows"));
     }
     let snapshot = shared.current();
-    let labels: Vec<String> = snapshot.partitions.iter().map(|p| p.key.label()).collect();
+    let labels: Vec<String> = snapshot.fill.partitions.iter().map(|p| p.key.label()).collect();
     Arc::new(Response::ok(
         "text/plain; charset=utf-8",
         format!(
             "generation {}\nraw {}\nvalid {}\ncomparable {}\npartitions {}\n",
             snapshot.generation,
-            snapshot.report.raw,
-            snapshot.report.valid,
-            snapshot.report.comparable,
+            snapshot.fill.report.raw,
+            snapshot.fill.report.valid,
+            snapshot.fill.report.comparable,
             labels.join(","),
         ),
     ))
@@ -1977,14 +1939,14 @@ fn local_stats_response(shared: &Shared) -> Response {
     out.push_str(&format!(
         "generation {}\nraw {}\nvalid {}\ncomparable {}\nrefresh_errors {}\n",
         snapshot.generation,
-        snapshot.report.raw,
-        snapshot.report.valid,
-        snapshot.report.comparable,
+        snapshot.fill.report.raw,
+        snapshot.fill.report.valid,
+        snapshot.fill.report.comparable,
         shared.refresh_errors.load(Ordering::SeqCst),
     ));
     out.push_str(&format!(
         "last_refresh: executed {} hits {} partitions_executed {}\n",
-        snapshot.executed, snapshot.hits, snapshot.partitions_executed
+        snapshot.fill.executed, snapshot.fill.hits, snapshot.fill.partitions_executed
     ));
     let (memo_entries, memo_evictions) = {
         let memo = snapshot.memo.lock().expect("memo lock");
@@ -2014,7 +1976,7 @@ fn local_stats_response(shared: &Shared) -> Response {
     ));
     push_lifecycle_stats(shared, &mut out);
     out.push_str("partition       reports  valid  comparable  executed  hits\n");
-    for p in &snapshot.partitions {
+    for p in &snapshot.fill.partitions {
         out.push_str(&format!(
             "{:<14} {:>8} {:>6} {:>11} {:>9} {:>5}\n",
             p.key.label(),
@@ -2114,7 +2076,6 @@ mod tests {
         let mut config = ServeConfig::new(CorpusSource::Memory(corpus_texts(n)));
         config.addr = "127.0.0.1:0".to_string();
         config.threads = 2;
-        config.settings = Settings::fast();
         config
     }
 
@@ -2372,19 +2333,50 @@ mod tests {
 
     #[test]
     fn unfiltered_bytes_match_the_stage_graph_export() {
-        let server = test_server(12);
-        let addr = server.addr();
-        let mut driver = PartitionedDriver::new(
+        // The bytes `spec-trends figures`/`export` write for this corpus.
+        let mut cli = crate::stage::PipelineDriver::new(
             CorpusSource::Memory(corpus_texts(12)),
             Settings::fast(),
             42,
         );
-        let figures = driver.figure_files().expect("figures");
-        let expected = &figures.iter().find(|(n, _)| n == "fig2_power.svg").expect("fig2").1;
-        let (status, body) = get(addr, "/figures/2");
-        assert_eq!(status, 200);
-        assert_eq!(&body, expected);
-        server.shutdown();
+        let figures = cli.export_figures().expect("figures");
+        let data = cli.export_data().expect("data");
+        let file = |files: &[(String, String)], name: &str| -> Vec<u8> {
+            let (_, body) = files.iter().find(|(n, _)| n == name).expect(name);
+            body.clone().into_bytes()
+        };
+        let figure_names = [
+            "fig1_shares.svg",
+            "fig2_power.svg",
+            "fig3_efficiency.svg",
+            "fig4_grid.svg",
+            "fig5_idle.svg",
+            "fig6_extrapolated.svg",
+        ];
+        let data_names = [
+            "fig1_shares.csv",
+            "fig2_per_socket_power.csv",
+            "fig3_overall_efficiency.csv",
+            "fig4_relative_efficiency.csv",
+            "fig5_idle_fraction.csv",
+            "fig6_extrapolated_quotient.csv",
+        ];
+        let mut stream = test_config(12);
+        stream.mode = SnapshotMode::Stream;
+        stream.max_resident_mb = Some(1);
+        for config in [test_config(12), stream] {
+            let mode = config.mode;
+            let server = Server::start(config).expect("server starts");
+            for (n, (figure, csv)) in (1..).zip(figure_names.into_iter().zip(data_names)) {
+                let (status, body) = get_bytes(server.addr(), &format!("/figures/{n}"));
+                assert_eq!(status, 200);
+                assert!(body == file(&figures.files, figure), "{mode:?} /figures/{n} != {figure}");
+                let (status, body) = get_bytes(server.addr(), &format!("/data/{n}"));
+                assert_eq!(status, 200);
+                assert!(body == file(&data.files, csv), "{mode:?} /data/{n} != {csv}");
+            }
+            server.shutdown();
+        }
     }
 
     #[test]

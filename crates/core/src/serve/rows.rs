@@ -286,14 +286,6 @@ impl RowStore {
         Ok(())
     }
 
-    /// Append a whole [`crate::stage::PartRows`] (the graph-mode build).
-    pub fn push_part(&mut self, part: &crate::stage::PartRows) -> tinyframe::Result<()> {
-        for ((&gidx, &comp), &row) in part.gidx.iter().zip(&part.comparable).zip(&part.rows) {
-            self.push(part.key, gidx, comp, row)?;
-        }
-        Ok(())
-    }
-
     /// Flush buffered rows into their segment frames. Queries do this
     /// implicitly; builds call it once at the end so `resident_bytes`
     /// reflects the sealed store.

@@ -36,7 +36,7 @@ pub use cache::{
 pub use codec::{decode_from_slice, encode_to_vec, Codec, CodecError, Reader, Writer};
 pub use driver::{CorpusSource, PipelineDriver, StageStats};
 pub use partition::{
-    part_key_of_input, part_key_of_text, shard_of, MergedAnalysis, PartKey, PartRows,
+    part_key_of_input, part_key_of_text, shard_of, PartKey, PartRows,
     PartStageKind, PartValidateArtifact, PartitionSummary, PartitionedDriver, ShardSpec,
 };
 pub use graph::{

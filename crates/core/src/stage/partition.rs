@@ -1,5 +1,5 @@
-//! Partitioned incremental stage graph: per-(year, vendor) artifacts plus
-//! a cheap merge/reduce, so one changed report re-executes one partition.
+//! Partitioned incremental stage graph: per-(year, vendor) artifacts, so
+//! one changed report re-executes one partition.
 //!
 //! The monolithic [`super::driver::PipelineDriver`] keys every artifact over
 //! the *whole* corpus hash — a single new SPEC Power submission invalidates
@@ -8,8 +8,8 @@
 //! runs the §II cascade per partition:
 //!
 //! ```text
-//! Split ─▶ part(validate) ─▶ part(comparable) ─▶ Merge ─▶ Study/exports
-//!              └──────────▶ part(rows) ─────────────┘
+//! Split ─▶ part(validate) ─▶ part(comparable) ─▶ filter report
+//!              └──────────▶ part(rows) ─────────▶ per-partition rows
 //! ```
 //!
 //! * **Split** (always runs, cheap): materialize the corpus, assign each
@@ -20,20 +20,22 @@
 //! * **Per-partition stages** (cached): `validate` (parse + stage 1, plus
 //!   the valid→input index map), `comparable` (stage-2 indices), `rows`
 //!   (the per-run [`RunRow`] metric extracts every figure reduces over).
-//! * **Merge** (always runs, cheap): interleave partition outputs back
-//!   into global corpus order. Because the global order of the survivors
-//!   of an unchanged partition is unaffected by insertions elsewhere, the
-//!   merged valid/comparable sets, filter report, figures and exports are
-//!   **byte-identical** to a cold monolithic run — pinned by tests here
-//!   and the `partition_incremental` property test.
+//! * **Outputs** (always computed, cheap): the [`FilterReport`], summed
+//!   over partitions with parse failures mapped back to global indices,
+//!   and each partition's rows tagged with their global corpus index and
+//!   comparable flag ([`PartRows`]). Sorting the union of the tagged rows
+//!   by global index restores the monolithic valid/comparable row order,
+//!   so every figure reduced over them is **byte-identical** to a cold
+//!   monolithic run — pinned by tests here and the
+//!   `partition_incremental` property test. The serve daemon's row store
+//!   is the one consumer.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use spec_model::{CpuVendor, RunResult};
+use spec_model::CpuVendor;
 use spec_obs as obs;
-use spec_ssj::Settings;
 use spec_vfs::Vfs;
 
 use super::artifact::{corpus_fingerprint, ComparableArtifact, ValidateArtifact};
@@ -42,13 +44,10 @@ use super::codec::{encode_to_vec, Codec, CodecError, Reader, Writer};
 use super::driver::{CorpusSource, StageStats};
 use super::CODE_VERSION;
 use crate::figures::common::{extract_rows, RunRow};
-use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
 use crate::pipeline::{
-    stage1_validate_inputs_indexed, stage2_split, AnalysisSet, CascadeInput, FilterReport,
-    ParseFailureRecord, RawInput,
+    stage1_validate_inputs_indexed, stage2_split, CascadeInput, FilterReport, ParseFailureRecord,
+    RawInput,
 };
-use crate::report::Study;
-use crate::table1::Table1;
 
 /// A partition of the corpus: hardware-availability year × CPU vendor.
 ///
@@ -304,7 +303,7 @@ pub struct PartitionSummary {
 /// restores exact global corpus order, which is what makes scatter-gather
 /// responses byte-identical to a single-process daemon (float reduces are
 /// order-sensitive; the merge preserves the monolithic order).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PartRows {
     /// The partition.
     pub key: PartKey,
@@ -314,21 +313,6 @@ pub struct PartRows {
     pub comparable: Vec<bool>,
     /// [`RunRow`] extract per valid run.
     pub rows: Vec<RunRow>,
-}
-
-/// The merged (global-order) view the reduce stages consume.
-#[derive(Clone, Debug)]
-pub struct MergedAnalysis {
-    /// Merged valid runs + full stage-1 accounting, identical to the
-    /// monolithic Validate artifact.
-    pub validate: ValidateArtifact,
-    /// Merged stage-2 indices/accounting, identical to the monolithic
-    /// Comparable artifact.
-    pub comparable: ComparableArtifact,
-    /// [`RunRow`] extracts of the merged valid runs (Figure 1 input).
-    pub valid_rows: Vec<RunRow>,
-    /// [`RunRow`] extracts of the merged comparable runs (Figures 2–6).
-    pub comparable_rows: Vec<RunRow>,
 }
 
 fn part_stage_key(kind: PartStageKind, label: &str, dep: Hash128) -> Hash128 {
@@ -418,50 +402,37 @@ fn resolve_partition(
     }
 }
 
-/// Drives the partitioned stage graph for one configuration.
+/// Drives the partitioned stage graph for one corpus.
 ///
-/// Same contract as [`super::driver::PipelineDriver`] — `study()`,
-/// `export_figures()`, `export_data()` and `filter_report()` return
-/// byte-identical results — but cached work is per (year, vendor)
-/// partition, so a warm run after one new report re-executes only that
-/// partition's stages plus the always-run Split/Merge reduce.
+/// Its [`Self::filter_report`] equals [`super::driver::PipelineDriver`]'s,
+/// and its [`Self::partition_rows`], merged by global index, equal the
+/// row extracts of the monolithic valid and comparable sets — but cached
+/// work is per (year, vendor) partition, so a warm run after one new
+/// report re-executes only that partition's stages plus the always-run
+/// Split.
 pub struct PartitionedDriver {
     source: CorpusSource,
-    settings: Settings,
-    seed: u64,
     vfs: Arc<dyn Vfs>,
     cache: Option<ArtifactCache>,
     shard: Option<ShardSpec>,
     stats: BTreeMap<(PartStageKind, PartKey), StageStats>,
     split_runs: usize,
-    merge_runs: usize,
-    table1_stats: StageStats,
     partitions: Option<Rc<Vec<(PartKey, Partition)>>>,
     resolved: Option<Rc<Vec<PartResolved>>>,
-    merged: Option<Rc<MergedAnalysis>>,
-    table1: Option<Rc<Table1>>,
-    study: Option<Rc<Study>>,
 }
 
 impl PartitionedDriver {
     /// A driver with no cache attached (everything computes in memory).
-    pub fn new(source: CorpusSource, settings: Settings, seed: u64) -> PartitionedDriver {
+    pub fn new(source: CorpusSource) -> PartitionedDriver {
         PartitionedDriver {
             source,
-            settings,
-            seed,
             vfs: spec_vfs::default_vfs(),
             cache: None,
             shard: None,
             stats: BTreeMap::new(),
             split_runs: 0,
-            merge_runs: 0,
-            table1_stats: StageStats::default(),
             partitions: None,
             resolved: None,
-            merged: None,
-            table1: None,
-            study: None,
         }
     }
 
@@ -482,7 +453,7 @@ impl PartitionedDriver {
     /// Restrict this driver to the partitions a shard owns (see
     /// [`shard_of`]). Split still reads the whole corpus — global indices
     /// must stay consistent across shards for the scatter-gather merge —
-    /// but only owned partitions are resolved, merged and reported.
+    /// but only owned partitions are resolved and reported.
     #[must_use]
     pub fn with_shard(mut self, shard: ShardSpec) -> PartitionedDriver {
         self.shard = Some(shard);
@@ -518,11 +489,6 @@ impl PartitionedDriver {
             .map(|((_, key), _)| *key)
             .collect();
         keys.len()
-    }
-
-    /// Times the always-run Merge reduce ran.
-    pub fn merge_runs(&self) -> usize {
-        self.merge_runs
     }
 
     /// Times the always-run Split stage ran.
@@ -598,47 +564,24 @@ impl PartitionedDriver {
         Ok(rc)
     }
 
-    /// The always-run Merge reduce: interleave partition outputs back into
-    /// global corpus order.
-    pub fn merged(&mut self) -> spec_diag::Result<Rc<MergedAnalysis>> {
-        if let Some(m) = &self.merged {
-            return Ok(m.clone());
-        }
+    /// The complete filter accounting (both stages) over the resolved
+    /// partitions, identical to the monolithic driver's: counts sum, and
+    /// retained parse-failure records map partition-local input indices
+    /// to global ones and sort, matching the monolithic single-pass
+    /// order.
+    pub fn filter_report(&mut self) -> spec_diag::Result<FilterReport> {
         let parts = self.split()?;
         let resolved = self.resolve_partitions()?;
-        let mut sp = obs::span("part-merge");
-
-        // (global index, partition position, local valid position) per
-        // surviving run; sorting by global index restores corpus order.
-        let mut order: Vec<(u32, usize, usize)> = Vec::new();
-        for (p, res) in resolved.iter().enumerate() {
-            let gidx = &parts[p].1.gidx;
-            for (j, &item) in res.validate.item_index.iter().enumerate() {
-                order.push((gidx[item as usize], p, j));
-            }
-        }
-        order.sort_unstable();
-
-        let mut valid = Vec::with_capacity(order.len());
-        let mut valid_rows = Vec::with_capacity(order.len());
-        for &(_, p, j) in &order {
-            valid.push(resolved[p].validate.validate.valid[j].clone());
-            valid_rows.push(resolved[p].rows[j]);
-        }
-
-        // Merge the stage-1 accounting: counts sum; retained parse-failure
-        // records map partition-local input indices to global ones and
-        // sort, matching the monolithic single-pass order.
         let mut report = FilterReport::default();
-        let mut stage2 = BTreeMap::new();
-        let mut comparable_flags: Vec<Vec<bool>> = Vec::with_capacity(resolved.len());
-        for (p, res) in resolved.iter().enumerate() {
+        for ((_, part), res) in parts.iter().zip(resolved.iter()) {
             let part_report = &res.validate.validate.report;
             report.raw += part_report.raw;
             report.not_reports += part_report.not_reports;
+            report.valid += res.validate.validate.valid.len();
+            report.comparable += res.comparable.indices.len();
             for record in &part_report.parse_failures {
                 report.parse_failures.push(ParseFailureRecord {
-                    index: parts[p].1.gidx[record.index] as usize,
+                    index: part.gidx[record.index] as usize,
                     origin: record.origin.clone(),
                     failure: record.failure.clone(),
                 });
@@ -647,176 +590,19 @@ impl PartitionedDriver {
                 *report.stage1.entry(issue).or_insert(0) += n;
             }
             for (&issue, &n) in &res.comparable.stage2 {
-                *stage2.entry(issue).or_insert(0) += n;
+                *report.stage2.entry(issue).or_insert(0) += n;
             }
-            let mut flags = vec![false; res.validate.validate.valid.len()];
-            for &i in &res.comparable.indices {
-                flags[i as usize] = true;
-            }
-            comparable_flags.push(flags);
         }
         report.parse_failures.sort_by_key(|r| r.index);
-        report.valid = valid.len();
-
-        let mut indices = Vec::new();
-        let mut comparable_rows = Vec::new();
-        for (i, &(_, p, j)) in order.iter().enumerate() {
-            if comparable_flags[p][j] {
-                indices.push(i as u32);
-                comparable_rows.push(resolved[p].rows[j]);
-            }
-        }
-
-        self.merge_runs += 1;
-        if obs::enabled() {
-            sp.record("kind", "stage");
-            sp.record("outcome", "computed");
-            sp.record("valid", valid.len());
-            sp.record("comparable", indices.len());
-            sp.observe_into("stage.execute_us");
-            obs::count("stage.part-merge.executed", 1);
-        } else {
-            sp.cancel();
-        }
-
-        let merged = MergedAnalysis {
-            validate: ValidateArtifact { valid, report },
-            comparable: ComparableArtifact { indices, stage2 },
-            valid_rows,
-            comparable_rows,
-        };
-        let rc = Rc::new(merged);
-        self.merged = Some(rc.clone());
-        Ok(rc)
-    }
-
-    /// Table I depends only on (settings, seed) — cached globally, not per
-    /// partition.
-    fn table1(&mut self) -> spec_diag::Result<Rc<Table1>> {
-        if let Some(t) = &self.table1 {
-            return Ok(t.clone());
-        }
-        let mut h = ContentHasher::new();
-        h.update_field(CODE_VERSION.as_bytes());
-        h.update_field(b"part-table1");
-        h.update_field(&self.seed.to_le_bytes());
-        h.update_field(format!("{:?}", self.settings).as_bytes());
-        let key = h.finish();
-        let mut sp = obs::span("part-table1");
-        let table1 = match self.cache.as_ref().and_then(|c| c.load::<Table1>(&key)) {
-            Some((table1, _)) => {
-                sp.cancel();
-                self.table1_stats.hits += 1;
-                if obs::enabled() {
-                    obs::count("stage.part-table1.cache_hit", 1);
-                }
-                table1
-            }
-            None => {
-                let table1 = crate::table1::compute(&self.settings, self.seed);
-                if let Some(cache) = &self.cache {
-                    cache.store_encoded(&key, &encode_to_vec(&table1));
-                }
-                self.table1_stats.executed += 1;
-                if obs::enabled() {
-                    sp.record("kind", "stage");
-                    sp.record("outcome", "computed");
-                    sp.observe_into("stage.execute_us");
-                    obs::count("stage.part-table1.executed", 1);
-                }
-                table1
-            }
-        };
-        let rc = Rc::new(table1);
-        self.table1 = Some(rc.clone());
-        Ok(rc)
-    }
-
-    /// The complete filter accounting (both stages), identical to the
-    /// monolithic driver's.
-    pub fn filter_report(&mut self) -> spec_diag::Result<FilterReport> {
-        let merged = self.merged()?;
-        let mut report = merged.validate.report.clone();
-        report.stage2 = merged.comparable.stage2.clone();
-        report.comparable = merged.comparable.indices.len();
         Ok(report)
-    }
-
-    /// The full [`Study`], byte-identical to the monolithic driver's: the
-    /// figures reduce over merged rows, everything else over the merged
-    /// runs.
-    pub fn study(&mut self) -> spec_diag::Result<Rc<Study>> {
-        if let Some(s) = &self.study {
-            return Ok(s.clone());
-        }
-        let merged = self.merged()?;
-        let table1 = self.table1()?;
-        let comparable_runs: Vec<RunResult> = merged
-            .comparable
-            .indices
-            .iter()
-            .map(|&i| merged.validate.valid[i as usize].clone())
-            .collect();
-        let mut report = merged.validate.report.clone();
-        report.stage2 = merged.comparable.stage2.clone();
-        report.comparable = comparable_runs.len();
-        let set = AnalysisSet {
-            valid: merged.validate.valid.clone(),
-            comparable: comparable_runs.clone(),
-            report,
-        };
-        let study = Study {
-            set,
-            fig1: fig1::compute_rows(&merged.valid_rows),
-            fig2: fig2::compute_rows(&merged.comparable_rows),
-            fig3: fig3::compute_rows(&merged.comparable_rows),
-            fig4: fig4::compute_rows(&merged.comparable_rows),
-            fig5: fig5::compute_rows(&merged.comparable_rows),
-            fig6: fig6::compute_rows(&merged.comparable_rows),
-            table1: (*table1).clone(),
-            correlation: crate::correlation::explore(&comparable_runs, 2021),
-            proportionality: crate::proportionality::ep_trend(&comparable_runs),
-        };
-        let rc = Rc::new(study);
-        self.study = Some(rc.clone());
-        Ok(rc)
-    }
-
-    /// The rendered figure SVGs, `(name, content)` in write order.
-    pub fn figure_files(&mut self) -> spec_diag::Result<Vec<(String, String)>> {
-        Ok(self.study()?.figure_files())
-    }
-
-    /// The rendered CSV exports, `(name, content)` in write order.
-    pub fn data_files(&mut self) -> spec_diag::Result<Vec<(String, String)>> {
-        Ok(self.study()?.data_files())
-    }
-
-    /// Write all figure SVGs into `dir`; returns the written paths.
-    pub fn write_figures(
-        &mut self,
-        dir: &std::path::Path,
-    ) -> spec_diag::Result<Vec<std::path::PathBuf>> {
-        let files = self.figure_files()?;
-        super::write_files_vfs(&*self.vfs, dir, &files)
-            .map_err(|e| spec_diag::TrendsError::io("export-figures", &e))
-    }
-
-    /// Write all CSV exports into `dir`; returns the written paths.
-    pub fn write_data(
-        &mut self,
-        dir: &std::path::Path,
-    ) -> spec_diag::Result<Vec<std::path::PathBuf>> {
-        let files = self.data_files()?;
-        super::write_files_vfs(&*self.vfs, dir, &files)
-            .map_err(|e| spec_diag::TrendsError::io("export-data", &e))
     }
 
     /// Per-partition row extracts with global indices and comparable
     /// flags (the serve snapshot's out-of-core row source). The union of
     /// all partitions' `(gidx, row)` pairs, sorted by `gidx`, is exactly
-    /// [`Self::merged`]'s `valid_rows`/`comparable_rows` — pinned by the
-    /// `partition_rows_reassemble_the_merged_rows` test below.
+    /// the row extracts of the monolithic valid set (and, keeping the
+    /// comparable flags, of the comparable set) — pinned by the
+    /// `partition_rows_reassemble_the_monolithic_rows` test below.
     pub fn partition_rows(&mut self) -> spec_diag::Result<Vec<PartRows>> {
         let parts = self.split()?;
         let resolved = self.resolve_partitions()?;
@@ -884,6 +670,7 @@ mod tests {
     use crate::stage::driver::PipelineDriver;
     use spec_format::write_run;
     use spec_model::linear_test_run;
+    use spec_ssj::Settings;
 
     /// A corpus spanning several (year, vendor) partitions, plus junk.
     fn corpus(n: u32) -> Vec<(Option<String>, String)> {
@@ -929,30 +716,42 @@ mod tests {
         assert_eq!(PartKey::UNKNOWN.label(), "unknown-other");
     }
 
+    /// The monolithic oracle: the pipeline driver's filter report and the
+    /// row extracts of its valid and comparable sets.
+    fn monolithic(items: &[(Option<String>, String)]) -> (FilterReport, Vec<RunRow>, Vec<RunRow>) {
+        let mut mono =
+            PipelineDriver::new(CorpusSource::Memory(items.to_vec()), Settings::fast(), 7);
+        let set = mono.analysis_set().unwrap();
+        let report = mono.filter_report().unwrap();
+        (report, extract_rows(&set.valid), extract_rows(&set.comparable))
+    }
+
+    /// Every partition's rows in global corpus order: (valid, comparable).
+    fn merged_rows(parts: &[PartRows]) -> (Vec<RunRow>, Vec<RunRow>) {
+        let mut tagged: Vec<(u32, bool, RunRow)> = Vec::new();
+        for part in parts {
+            assert_eq!(part.gidx.len(), part.rows.len());
+            assert_eq!(part.comparable.len(), part.rows.len());
+            for ((&g, &c), &row) in part.gidx.iter().zip(&part.comparable).zip(&part.rows) {
+                tagged.push((g, c, row));
+            }
+        }
+        tagged.sort_unstable_by_key(|t| t.0);
+        let valid = tagged.iter().map(|t| t.2).collect();
+        let comparable = tagged.iter().filter(|t| t.1).map(|t| t.2).collect();
+        (valid, comparable)
+    }
+
     #[test]
-    fn partitioned_study_matches_monolithic() {
+    fn partitioned_rows_and_report_match_monolithic() {
         let items = corpus(24);
-        let mut mono = PipelineDriver::new(
-            CorpusSource::Memory(items.clone()),
-            Settings::fast(),
-            7,
-        );
-        let mono_study = mono.study().unwrap();
-
-        let mut part =
-            PartitionedDriver::new(CorpusSource::Memory(items), Settings::fast(), 7);
-        let part_study = part.study().unwrap();
-
-        assert_eq!(part_study.set.report, mono_study.set.report);
-        assert_eq!(part_study.set.valid, mono_study.set.valid);
-        assert_eq!(part_study.set.comparable, mono_study.set.comparable);
-        assert_eq!(part_study.to_markdown(), mono_study.to_markdown());
-        assert_eq!(
-            part_study.figure_files(),
-            mono_study.figure_files(),
-            "figure SVGs must match the monolithic path byte for byte"
-        );
-        assert_eq!(part_study.data_files(), mono_study.data_files());
+        let (report, valid, comparable) = monolithic(&items);
+        let mut part = PartitionedDriver::new(CorpusSource::Memory(items));
+        assert_eq!(part.filter_report().unwrap(), report);
+        assert!(!report.parse_failures.is_empty(), "the junk input is accounted");
+        let (part_valid, part_comparable) = merged_rows(&part.partition_rows().unwrap());
+        assert_eq!(part_valid, valid);
+        assert_eq!(part_comparable, comparable);
     }
 
     #[test]
@@ -960,23 +759,17 @@ mod tests {
         let cache = tmp_cache("warm");
         let items = corpus(24);
 
-        let mut cold = PartitionedDriver::new(
-            CorpusSource::Memory(items.clone()),
-            Settings::fast(),
-            7,
-        )
-        .with_cache(cache.clone());
-        let cold_files = cold.figure_files().unwrap();
+        let mut cold =
+            PartitionedDriver::new(CorpusSource::Memory(items.clone())).with_cache(cache.clone());
+        let cold_rows = cold.partition_rows().unwrap();
         assert!(cold.executed_total() > 0);
 
-        let mut warm =
-            PartitionedDriver::new(CorpusSource::Memory(items), Settings::fast(), 7)
-                .with_cache(cache.clone());
-        let warm_files = warm.figure_files().unwrap();
+        let mut warm = PartitionedDriver::new(CorpusSource::Memory(items)).with_cache(cache.clone());
+        let warm_rows = warm.partition_rows().unwrap();
         assert_eq!(warm.executed_total(), 0, "warm run executes no partition stage");
         assert!(warm.hits_total() > 0);
-        assert_eq!(warm_files, cold_files);
-        assert_eq!(warm.merge_runs(), 1, "merge always runs");
+        assert_eq!(warm_rows, cold_rows);
+        assert_eq!(warm.filter_report().unwrap(), cold.filter_report().unwrap());
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
@@ -985,13 +778,9 @@ mod tests {
         let cache = tmp_cache("incremental");
         let mut items = corpus(24);
 
-        let mut cold = PartitionedDriver::new(
-            CorpusSource::Memory(items.clone()),
-            Settings::fast(),
-            7,
-        )
-        .with_cache(cache.clone());
-        let _ = cold.figure_files().unwrap();
+        let mut cold =
+            PartitionedDriver::new(CorpusSource::Memory(items.clone())).with_cache(cache.clone());
+        let _ = cold.partition_rows().unwrap();
 
         // Add one 2012/Intel report; only that partition may re-execute.
         let mut extra = linear_test_run(500, 1.3e6, 55.0, 280.0);
@@ -1003,9 +792,8 @@ mod tests {
         };
 
         let mut warm =
-            PartitionedDriver::new(CorpusSource::Memory(items.clone()), Settings::fast(), 7)
-                .with_cache(cache.clone());
-        let warm_files = warm.figure_files().unwrap();
+            PartitionedDriver::new(CorpusSource::Memory(items.clone())).with_cache(cache.clone());
+        let warm_rows = warm.partition_rows().unwrap();
         for ((kind, key), stat) in warm.stats() {
             if *key == touched {
                 assert_eq!(stat.executed, 1, "{}/{} executes", kind.name(), key.label());
@@ -1015,10 +803,10 @@ mod tests {
         }
         assert_eq!(warm.partitions_executed(), 1);
 
-        // Byte-identical to a cold full recompute of the grown corpus.
-        let mut fresh =
-            PartitionedDriver::new(CorpusSource::Memory(items), Settings::fast(), 7);
-        assert_eq!(warm_files, fresh.figure_files().unwrap());
+        // Identical to a cold full recompute of the grown corpus.
+        let mut fresh = PartitionedDriver::new(CorpusSource::Memory(items));
+        assert_eq!(warm_rows, fresh.partition_rows().unwrap());
+        assert_eq!(warm.filter_report().unwrap(), fresh.filter_report().unwrap());
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
@@ -1026,7 +814,7 @@ mod tests {
     fn partition_summary_accounts_for_every_input() {
         let items = corpus(24);
         let total = items.len();
-        let mut d = PartitionedDriver::new(CorpusSource::Memory(items), Settings::fast(), 7);
+        let mut d = PartitionedDriver::new(CorpusSource::Memory(items));
         let summary = d.partition_summary().unwrap();
         assert!(summary.len() > 2, "corpus spans several partitions");
         assert_eq!(summary.iter().map(|s| s.reports).sum::<usize>(), total);
@@ -1142,34 +930,25 @@ mod tests {
     }
 
     #[test]
-    fn partition_rows_reassemble_the_merged_rows() {
+    fn partition_rows_reassemble_the_monolithic_rows() {
         let items = corpus(24);
-        let mut d = PartitionedDriver::new(CorpusSource::Memory(items), Settings::fast(), 7);
-        let merged = d.merged().unwrap();
+        let (_, valid, comparable) = monolithic(&items);
+        let mut d = PartitionedDriver::new(CorpusSource::Memory(items));
         let parts = d.partition_rows().unwrap();
-        let mut tagged: Vec<(u32, bool, RunRow)> = Vec::new();
         for part in &parts {
-            assert_eq!(part.gidx.len(), part.rows.len());
-            assert_eq!(part.comparable.len(), part.rows.len());
-            for ((&g, &c), &row) in part.gidx.iter().zip(&part.comparable).zip(&part.rows) {
+            for row in &part.rows {
                 // The key agrees with the row it owns (valid rows always
                 // carry the header-scanned year/vendor).
                 assert_eq!((part.key.year, part.key.vendor), (row.hw_year, row.vendor));
-                tagged.push((g, c, row));
             }
         }
-        tagged.sort_unstable_by_key(|t| t.0);
-        let valid: Vec<RunRow> = tagged.iter().map(|t| t.2).collect();
-        let comparable: Vec<RunRow> = tagged.iter().filter(|t| t.1).map(|t| t.2).collect();
-        assert_eq!(valid, merged.valid_rows);
-        assert_eq!(comparable, merged.comparable_rows);
+        assert_eq!(merged_rows(&parts), (valid, comparable));
     }
 
     #[test]
     fn sharded_drivers_union_to_the_full_partition_set() {
         let items = corpus(24);
-        let mut full =
-            PartitionedDriver::new(CorpusSource::Memory(items.clone()), Settings::fast(), 7);
+        let mut full = PartitionedDriver::new(CorpusSource::Memory(items.clone()));
         let all: Vec<PartKey> = full
             .partition_summary()
             .unwrap()
@@ -1179,12 +958,8 @@ mod tests {
         let count = 3;
         let mut seen: Vec<PartKey> = Vec::new();
         for index in 0..count {
-            let mut shard = PartitionedDriver::new(
-                CorpusSource::Memory(items.clone()),
-                Settings::fast(),
-                7,
-            )
-            .with_shard(ShardSpec { index, count });
+            let mut shard = PartitionedDriver::new(CorpusSource::Memory(items.clone()))
+                .with_shard(ShardSpec { index, count });
             for summary in shard.partition_summary().unwrap() {
                 assert!(ShardSpec { index, count }.owns(&summary.key));
                 seen.push(summary.key);
@@ -1196,12 +971,11 @@ mod tests {
 
     #[test]
     fn empty_corpus_is_fine() {
-        let mut d = PartitionedDriver::new(CorpusSource::Memory(Vec::new()), Settings::fast(), 7);
+        let mut d = PartitionedDriver::new(CorpusSource::Memory(Vec::new()));
         let report = d.filter_report().unwrap();
         assert_eq!(report.raw, 0);
         assert_eq!(report.valid, 0);
         assert!(d.partition_summary().unwrap().is_empty());
-        let study = d.study().unwrap();
-        assert!(study.set.valid.is_empty());
+        assert!(d.partition_rows().unwrap().is_empty());
     }
 }

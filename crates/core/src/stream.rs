@@ -304,7 +304,7 @@ impl StreamIngest {
 ///
 /// Same correctness contract as [`StreamIngest`]: any batch split at any
 /// thread count yields the identical report, and sorting the emitted
-/// tuples by global index reproduces the partitioned driver's merged row
+/// tuples by global index reproduces the monolithic valid/comparable row
 /// order exactly (pinned by tests below).
 #[derive(Debug, Default)]
 pub struct StreamRows {
@@ -451,11 +451,8 @@ mod tests {
         // over the identical corpus.
         let items: Vec<(Option<String>, String)> =
             texts.iter().map(|t| (None, t.clone())).collect();
-        let mut driver = crate::stage::PartitionedDriver::new(
-            crate::stage::CorpusSource::Memory(items),
-            spec_ssj::Settings::fast(),
-            7,
-        );
+        let mut driver =
+            crate::stage::PartitionedDriver::new(crate::stage::CorpusSource::Memory(items));
         let summary = driver.partition_summary().unwrap();
         let want = reference.unwrap();
         assert_eq!(summary.len(), want.len());
@@ -481,15 +478,19 @@ mod tests {
                 *text = write_run(&run);
             }
         }
+        // The monolithic oracle: the pipeline driver's filter report and
+        // the row extracts of its valid and comparable sets.
         let items: Vec<(Option<String>, String)> =
             texts.iter().map(|t| (None, t.clone())).collect();
-        let mut driver = crate::stage::PartitionedDriver::new(
+        let mut mono = crate::stage::PipelineDriver::new(
             crate::stage::CorpusSource::Memory(items),
             spec_ssj::Settings::fast(),
             7,
         );
-        let merged = driver.merged().unwrap();
-        let report = driver.filter_report().unwrap();
+        let set = mono.analysis_set().unwrap();
+        let report = mono.filter_report().unwrap();
+        let want_valid = extract_rows(&set.valid);
+        let want_comparable = extract_rows(&set.comparable);
 
         for batch in [1usize, 7, 40] {
             let mut stream = StreamRows::new();
@@ -506,13 +507,13 @@ mod tests {
             tagged.sort_unstable_by_key(|t| t.1);
             let valid: Vec<RunRow> = tagged.iter().map(|t| t.3).collect();
             let comparable: Vec<RunRow> = tagged.iter().filter(|t| t.2).map(|t| t.3).collect();
-            assert_eq!(valid, merged.valid_rows, "batch={batch}");
-            assert_eq!(comparable, merged.comparable_rows, "batch={batch}");
+            assert_eq!(valid, want_valid, "batch={batch}");
+            assert_eq!(comparable, want_comparable, "batch={batch}");
             // Routed keys agree with the partitioned split.
             let sums = stream.partition_counts();
             assert_eq!(
                 sums.values().map(|c| c.valid).sum::<usize>(),
-                merged.valid_rows.len()
+                want_valid.len()
             );
         }
     }

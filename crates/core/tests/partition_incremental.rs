@@ -2,8 +2,8 @@
 //! contract: after warming the cache on a random corpus, adding,
 //! modifying or removing ONE report re-executes only the affected
 //! (year, vendor) partition's stages — asserted on the driver's
-//! per-(stage, partition) invocation counters — while the merged
-//! figures and data CSVs stay byte-identical to a cold full recompute.
+//! per-(stage, partition) invocation counters — while the per-partition
+//! rows and the filter report stay identical to a cold full recompute.
 //! Each scenario runs at 1, 2 and 8 worker threads; the order-preserving
 //! partition fan-out makes every assertion thread-count independent.
 
@@ -15,7 +15,6 @@ use spec_analysis::stage::{part_key_of_text, ArtifactCache, PartKey, Partitioned
 use spec_analysis::CorpusSource;
 use spec_format::write_run;
 use spec_model::{linear_test_run, YearMonth};
-use spec_ssj::Settings;
 
 /// Render one synthetic report. Years stay in a narrow band and vendors
 /// alternate so random corpora collide into a handful of partitions —
@@ -104,8 +103,7 @@ fn fresh_cache() -> (std::path::PathBuf, ArtifactCache) {
 }
 
 fn driver(corpus: &Corpus, cache: Option<ArtifactCache>) -> PartitionedDriver {
-    let mut driver =
-        PartitionedDriver::new(CorpusSource::Memory(corpus.clone()), Settings::fast(), 7);
+    let mut driver = PartitionedDriver::new(CorpusSource::Memory(corpus.clone()));
     if let Some(cache) = cache {
         driver = driver.with_cache(cache);
     }
@@ -119,14 +117,13 @@ fn check_incremental(corpus: &Corpus, edited: &Corpus, affected: &[PartKey]) {
 
     // Cold run warms every partition of the original corpus.
     let mut cold = driver(corpus, Some(cache.clone()));
-    cold.figure_files().expect("cold figures");
-    cold.data_files().expect("cold data");
+    cold.partition_rows().expect("cold rows");
 
     // Warm run over the edited corpus: only the affected partitions'
     // stages may execute.
     let mut warm = driver(edited, Some(cache));
-    let warm_figures = warm.figure_files().expect("warm figures");
-    let warm_data = warm.data_files().expect("warm data");
+    let warm_rows = warm.partition_rows().expect("warm rows");
+    let warm_report = warm.filter_report().expect("warm report");
     for ((kind, key), stats) in warm.stats() {
         if stats.executed > 0 {
             prop_assert!(
@@ -144,13 +141,12 @@ fn check_incremental(corpus: &Corpus, edited: &Corpus, affected: &[PartKey]) {
         warm.partitions_executed(),
         affected.len()
     );
-    prop_assert_eq!(warm.merge_runs(), 1, "merge is the always-run reduce");
 
-    // The incrementally-updated outputs are byte-identical to a cold
-    // full recompute of the edited corpus.
+    // The incrementally-updated outputs equal a cold full recompute of
+    // the edited corpus.
     let mut fresh = driver(edited, None);
-    prop_assert_eq!(&warm_figures, &fresh.figure_files().expect("fresh figures"));
-    prop_assert_eq!(&warm_data, &fresh.data_files().expect("fresh data"));
+    prop_assert_eq!(&warm_rows, &fresh.partition_rows().expect("fresh rows"));
+    prop_assert_eq!(&warm_report, &fresh.filter_report().expect("fresh report"));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,7 +23,6 @@ use spec_analysis::stage::CorpusSource;
 use spec_analysis::{ServeConfig, Server};
 use spec_format::write_run;
 use spec_model::{linear_test_run, YearMonth};
-use spec_ssj::Settings;
 
 fn corpus_texts(n: u32) -> Vec<(Option<String>, String)> {
     (0..n)
@@ -44,7 +43,6 @@ fn chaos_server(threads: usize) -> Server {
     let mut config = ServeConfig::new(CorpusSource::Memory(corpus_texts(12)));
     config.addr = "127.0.0.1:0".to_string();
     config.threads = threads;
-    config.settings = Settings::fast();
     config.limits = net::Limits {
         max_inflight: threads.max(2),
         queue_depth: 3,
@@ -233,7 +231,6 @@ fn stepping_clock_sheds_recomputes_across_worker_counts() {
         let mut config = ServeConfig::new(CorpusSource::Memory(corpus_texts(12)));
         config.addr = "127.0.0.1:0".to_string();
         config.threads = threads;
-        config.settings = Settings::fast();
         config.limits.request_deadline_ms = 100;
         config.clock = Arc::clone(&clock) as Arc<dyn net::Clock>;
         let server = Server::start(config).expect("server starts");

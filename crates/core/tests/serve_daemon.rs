@@ -15,7 +15,6 @@ use spec_analysis::stage::ArtifactCache;
 use spec_analysis::CorpusSource;
 use spec_format::write_run;
 use spec_model::{linear_test_run, YearMonth};
-use spec_ssj::Settings;
 use spec_vfs::{FaultVfs, RealVfs};
 
 fn run_text(i: u32, year: i32, amd: bool) -> String {
@@ -76,7 +75,6 @@ fn watched_dir_refreshes_only_the_touched_partition() {
 
     let mut config = ServeConfig::new(CorpusSource::Dir(corpus.clone()));
     config.addr = "127.0.0.1:0".to_string();
-    config.settings = Settings::fast();
     config.threads = 2;
     config.cache = Some(ArtifactCache::open(cache_dir.clone()).expect("cache"));
     config.watch = Some(corpus.clone());
@@ -133,7 +131,6 @@ fn chaos_on_the_read_path_never_tears_a_response() {
     let fault: Arc<dyn spec_vfs::Vfs> = Arc::new(FaultVfs::seeded(Arc::new(RealVfs), 1337, 120));
     let mut config = ServeConfig::new(CorpusSource::Dir(corpus.clone()));
     config.addr = "127.0.0.1:0".to_string();
-    config.settings = Settings::fast();
     config.threads = 2;
     config.vfs = Arc::clone(&fault);
     // Setup can hit injected transients too (the seeded plan advances per

@@ -21,7 +21,6 @@ use spec_analysis::serve::{ServeConfig, Server};
 use spec_analysis::{CorpusSource, ShardSpec, SnapshotMode};
 use spec_format::write_run;
 use spec_model::{linear_test_run, YearMonth};
-use spec_ssj::Settings;
 
 fn run_text(i: u32, year: i32, vendor: u32) -> String {
     let mut run = linear_test_run(i, 1e6 + f64::from(i) * 7e3, 55.0 + f64::from(i % 9), 300.0);
@@ -88,7 +87,6 @@ fn memory_source(texts: &[String]) -> CorpusSource {
 fn base_config(source: CorpusSource, threads: usize) -> ServeConfig {
     let mut config = ServeConfig::new(source);
     config.addr = "127.0.0.1:0".to_string();
-    config.settings = Settings::fast();
     config.threads = threads;
     config
 }

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Serve smoke: start the `spec-trends serve` daemon on the 1017-report
 # synthetic corpus written to a watched directory, curl every endpoint,
+# byte-compare the twelve unfiltered figure/data bodies against the
+# files `spec-trends figures`/`export` write for the same corpus,
 # drop one new report into the directory, and assert the watcher
 # refreshes the snapshot re-executing exactly ONE (year, vendor)
 # partition. Then exercise the hostile-traffic hardening with raw
@@ -19,7 +21,8 @@ PORT="${1:-17878}"
 BASE="http://127.0.0.1:${PORT}"
 CORPUS=.ci-serve-corpus
 CACHE=.ci-serve-cache
-rm -rf "$CORPUS" "$CACHE"
+EXPORTS=.ci-serve-exports
+rm -rf "$CORPUS" "$CACHE" "$EXPORTS"
 
 # One-shot GET: `Connection: close` frees the single worker immediately
 # instead of leaving it parked in the keep-alive idle wait until curl
@@ -63,6 +66,25 @@ echo "$stats" | grep -q 'raw 1017' || {
   echo "serve_smoke: expected raw 1017 in /stats" >&2; echo "$stats" >&2; exit 1
 }
 qget "$BASE/data/1" > .ci-serve-data1-before.csv
+
+# Serve == CLI exports: every unfiltered body is byte-identical to the
+# file the batch CLI writes for the same corpus.
+./target/release/spec-trends figures --out "$EXPORTS/figures" --data "$CORPUS" > /dev/null
+./target/release/spec-trends export --out "$EXPORTS/data" --data "$CORPUS" > /dev/null
+FIGURE_FILES=(fig1_shares.svg fig2_power.svg fig3_efficiency.svg fig4_grid.svg
+  fig5_idle.svg fig6_extrapolated.svg)
+DATA_FILES=(fig1_shares.csv fig2_per_socket_power.csv fig3_overall_efficiency.csv
+  fig4_relative_efficiency.csv fig5_idle_fraction.csv fig6_extrapolated_quotient.csv)
+for n in 1 2 3 4 5 6; do
+  for pair in "figures:$EXPORTS/figures/${FIGURE_FILES[n-1]}" "data:$EXPORTS/data/${DATA_FILES[n-1]}"; do
+    kind="${pair%%:*}"
+    file="${pair#*:}"
+    qget "$BASE/$kind/$n" > "$EXPORTS/served"
+    cmp -s "$EXPORTS/served" "$file" || {
+      echo "serve_smoke: /$kind/$n differs from $file" >&2; exit 1
+    }
+  done
+done
 
 # Drop one new report into the watched directory: a copy of an existing
 # report under a new name lands in the same (year, vendor) partition.
@@ -170,5 +192,5 @@ qget "$BASE/shutdown" > /dev/null
 wait "$SERVE_PID"
 trap - EXIT
 
-rm -rf "$CORPUS" "$CACHE" .ci-serve-data1-before.csv .ci-serve-data1-after.csv
+rm -rf "$CORPUS" "$CACHE" "$EXPORTS" .ci-serve-data1-before.csv .ci-serve-data1-after.csv
 echo "serve_smoke: OK (1017+1 reports, one partition re-executed, 431/503/slow-loris hardened)"
