@@ -206,7 +206,7 @@ impl ArtifactCache {
         }
     }
 
-    fn entry_path(&self, key: &Hash128) -> PathBuf {
+    pub(super) fn entry_path(&self, key: &Hash128) -> PathBuf {
         self.root.join(format!("{}.art", key.hex()))
     }
 

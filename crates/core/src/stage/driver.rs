@@ -203,12 +203,13 @@ impl PipelineDriver {
     }
 
     /// Run a stage's compute function, encode its output once, and
-    /// store/hash the encoded payload. This is the single point every
-    /// stage execution flows through: `sp` is the stage span opened by the
-    /// `resolve_*` caller (before upstream resolution, so dependency spans
-    /// already nest inside it); on exit it carries the stage name,
-    /// input/output artifact sizes and the computed outcome, and the
-    /// per-stage `executed` counter lands in the metrics registry.
+    /// store/hash the encoded payload. Every stage execution but the leaf
+    /// batch (see [`Self::resolve_leaves`]) flows through here: `sp` is the
+    /// stage span opened by the `resolve_*` caller (before upstream
+    /// resolution, so dependency spans already nest inside it); on exit it
+    /// carries the stage name, input/output artifact sizes and the computed
+    /// outcome, and the per-stage `executed` counter lands in the metrics
+    /// registry.
     fn compute_stage<T: Codec>(
         &mut self,
         id: StageId,
@@ -218,27 +219,35 @@ impl PipelineDriver {
     ) -> spec_diag::Result<(T, Hash128)> {
         let value = compute(self)?;
         let payload = encode_to_vec(&value);
+        let h = self.store_stage(id, &key, &payload);
+        if obs::enabled() {
+            record_stage_span(&mut sp, self.in_bytes(id), payload.len());
+        }
+        Ok((value, h))
+    }
+
+    /// Store an executed stage's encoded output under `key` (or only hash
+    /// it when no cache is attached) and count the execution.
+    fn store_stage(&mut self, id: StageId, key: &Hash128, payload: &[u8]) -> Hash128 {
         let h = match &self.cache {
-            Some(cache) => cache.store_encoded(&key, &payload),
-            None => content_hash(&payload),
+            Some(cache) => cache.store_encoded(key, payload),
+            None => content_hash(payload),
         };
         self.stat_mut(id).executed += 1;
         if obs::enabled() {
             self.sizes.insert(id, payload.len());
-            let in_bytes: u64 = id
-                .deps()
-                .iter()
-                .filter_map(|d| self.sizes.get(d))
-                .map(|&n| n as u64)
-                .sum();
-            sp.record("kind", "stage");
-            sp.record("outcome", "computed");
-            sp.record("in_bytes", in_bytes);
-            sp.record("out_bytes", payload.len());
-            sp.observe_into("stage.execute_us");
             obs::count(&format!("stage.{}.executed", id.name()), 1);
         }
-        Ok((value, h))
+        h
+    }
+
+    /// Encoded size of `id`'s executed dependencies (tracing only).
+    fn in_bytes(&self, id: StageId) -> u64 {
+        id.deps()
+            .iter()
+            .filter_map(|d| self.sizes.get(d))
+            .map(|&n| n as u64)
+            .sum()
     }
 
     fn stage_key(&self, id: StageId, deps: &[Hash128], salt: &[u8]) -> Hash128 {
@@ -496,110 +505,267 @@ impl PipelineDriver {
         Ok(report)
     }
 
-    // ---------------------------------------------------- figure stages ---
+    // ------------------------------------------------------ leaf stages ---
 
-    fn figure_key(&mut self, id: StageId) -> spec_diag::Result<Hash128> {
+    fn leaf_key(&mut self, id: StageId) -> spec_diag::Result<Hash128> {
         let vh = self.validate_hash()?;
         if id == StageId::Fig1 {
             // Figure 1 is computed over the *valid* set only.
             return Ok(self.stage_key(id, &[vh], &[]));
         }
         let ch = self.comparable_hash()?;
-        Ok(self.stage_key(id, &[vh, ch], &[]))
+        let mut salt = Vec::new();
+        if id == StageId::Derive {
+            salt.extend_from_slice(&self.seed.to_le_bytes());
+            salt.extend_from_slice(format!("{:?}", self.settings).as_bytes());
+        }
+        Ok(self.stage_key(id, &[vh, ch], &salt))
+    }
+
+    /// The leaf resolver: resolve the leaf stages `ids` (given in stage
+    /// order) in three steps.
+    ///
+    /// 1. On the driver thread, in stage order, derive each unresolved
+    ///    leaf's key and probe the cache as `probe` says.
+    /// 2. Compute and encode the misses as one [`tinypool::map_tasks`]
+    ///    batch. Each task opens its leaf's stage span, which the pool
+    ///    parents under the caller's current span on any thread.
+    /// 3. On the driver thread, in stage order, store each result, count
+    ///    the execution and memoize the artifact and its hash.
+    ///
+    /// Cache I/O never leaves the driver thread, so its operation sequence
+    /// is the same at any thread count. One leaf resolves inline on the
+    /// calling thread, and a 1-thread pool runs the whole batch inline.
+    fn resolve_leaves(&mut self, ids: &[StageId], probe: Probe) -> spec_diag::Result<()> {
+        let mut misses: Vec<(StageId, Hash128)> = Vec::new();
+        for &id in ids {
+            let memoized = match probe {
+                Probe::Hash => self.hashes.contains_key(&id),
+                Probe::Load => self.leaf_loaded(id),
+            };
+            if memoized {
+                continue;
+            }
+            let key = self.leaf_key(id)?;
+            let hit = match (&self.cache, probe) {
+                (None, _) => None,
+                (Some(cache), Probe::Hash) => cache.verified_hash(&key).map(|h| (None, h)),
+                (Some(cache), Probe::Load) => {
+                    LeafValue::load(cache, id, &key).map(|(value, h)| (Some(value), h))
+                }
+            };
+            match hit {
+                Some((value, h)) => {
+                    if !self.hashes.contains_key(&id) {
+                        self.note_cache_hit(id);
+                    }
+                    self.hashes.insert(id, h);
+                    if let Some(value) = value {
+                        self.memoize_leaf(value);
+                    }
+                }
+                None => misses.push((id, key)),
+            }
+        }
+        if misses.is_empty() {
+            return Ok(());
+        }
+
+        // Resolve only the inputs some miss reads, as a serial run would.
+        let validate = if misses.iter().any(|&(id, _)| id == StageId::Fig1) {
+            Some(self.validate()?)
+        } else {
+            None
+        };
+        let comparable = if misses.iter().any(|&(id, _)| id != StageId::Fig1) {
+            Some(self.comparable_runs()?)
+        } else {
+            None
+        };
+        let inputs = LeafInputs {
+            valid: validate.as_deref().map(|v| v.valid.as_slice()),
+            comparable: comparable.as_deref().map(Vec::as_slice),
+            settings: &self.settings,
+            seed: self.seed,
+        };
+        let in_bytes: Vec<u64> = misses.iter().map(|&(id, _)| self.in_bytes(id)).collect();
+        // Fig6 and Derive are the two longest leaves: queue them first.
+        let mut order: Vec<usize> = (0..misses.len()).collect();
+        order.sort_by_key(|&i| !matches!(misses[i].0, StageId::Fig6 | StageId::Derive));
+        let computed = tinypool::map_tasks(&order, |&i| -> spec_diag::Result<_> {
+            let id = misses[i].0;
+            let mut sp = obs::span(id.name());
+            let value = LeafValue::compute(id, &inputs)?;
+            let payload = value.encode();
+            if obs::enabled() {
+                record_stage_span(&mut sp, in_bytes[i], payload.len());
+            }
+            Ok((value, payload))
+        });
+        let mut computed: Vec<_> = order.into_iter().zip(computed).collect();
+        computed.sort_by_key(|&(i, _)| i);
+
+        for ((id, key), (_, result)) in misses.into_iter().zip(computed) {
+            let (value, payload) = result?;
+            let h = self.store_stage(id, &key, &payload);
+            self.hashes.insert(id, h);
+            self.memoize_leaf(value);
+        }
+        Ok(())
     }
 }
 
-macro_rules! figure_accessors {
-    ($value_fn:ident, $hash_fn:ident, $slot:ident, $stage:ty, $out:ty, $compute:expr) => {
-        impl PipelineDriver {
-            /// The figure artifact.
-            pub fn $value_fn(&mut self) -> spec_diag::Result<Rc<$out>> {
-                if let Some(v) = &self.$slot {
-                    return Ok(v.clone());
+/// Fill an executed stage's span: its kind, outcome and the encoded sizes
+/// of its inputs and output; its duration feeds `stage.execute_us`.
+fn record_stage_span(sp: &mut obs::Span, in_bytes: u64, out_bytes: usize) {
+    sp.record("kind", "stage");
+    sp.record("outcome", "computed");
+    sp.record("in_bytes", in_bytes);
+    sp.record("out_bytes", out_bytes);
+    sp.observe_into("stage.execute_us");
+}
+
+/// The leaf stages in stage order. Figures 1–6 and Derive read only the
+/// Validate and Comparable artifacts, and only the export stages and
+/// [`PipelineDriver::study`] read them, so their misses compute as one
+/// batch of pool tasks.
+const LEAVES: [StageId; 7] = [
+    StageId::Fig1,
+    StageId::Fig2,
+    StageId::Fig3,
+    StageId::Fig4,
+    StageId::Fig5,
+    StageId::Fig6,
+    StageId::Derive,
+];
+
+/// How [`PipelineDriver::resolve_leaves`] probes the cache for a leaf that
+/// is not memoized yet.
+#[derive(Clone, Copy)]
+enum Probe {
+    /// [`ArtifactCache::verified_hash`]: the caller needs only the leaf's
+    /// content hash (an export key), and a memoized hash resolves it.
+    Hash,
+    /// [`ArtifactCache::load`]: the caller needs the artifact itself, and
+    /// only a memoized artifact resolves it.
+    Load,
+}
+
+/// What the leaf stages read, borrowed from the driver's memo slots. Only
+/// the inputs some missing leaf reads are resolved.
+struct LeafInputs<'a> {
+    valid: Option<&'a [RunResult]>,
+    comparable: Option<&'a [RunResult]>,
+    settings: &'a Settings,
+    seed: u64,
+}
+
+impl LeafInputs<'_> {
+    fn valid(&self) -> &[RunResult] {
+        self.valid.expect("the valid runs are resolved for a Fig1 miss")
+    }
+
+    fn comparable(&self) -> &[RunResult] {
+        self.comparable
+            .expect("the comparable runs are resolved for a Fig2–Fig6 or Derive miss")
+    }
+}
+
+macro_rules! leaves {
+    ($($(#[$doc:meta])* $variant:ident: $slot:ident, $out:ty, |$inputs:ident| $run:expr;)*) => {
+        /// A leaf artifact on its way from the cache or its pool task to
+        /// its memo slot. At most seven live at once and each moves
+        /// straight into its `Rc`, so the Derive variant stays unboxed.
+        #[allow(clippy::large_enum_variant)]
+        enum LeafValue {
+            $($variant($out),)*
+        }
+
+        impl LeafValue {
+            /// Run leaf `id`'s stage over `inputs`.
+            fn compute(id: StageId, inputs: &LeafInputs<'_>) -> spec_diag::Result<LeafValue> {
+                match id {
+                    $(StageId::$variant => {
+                        let $inputs = inputs;
+                        $run.map(LeafValue::$variant)
+                    })*
+                    other => unreachable!("{} is not a leaf stage", other.name()),
                 }
-                self.resolve_value(
-                    <$stage>::ID,
-                    |me| me.figure_key(<$stage>::ID),
-                    |me| &mut me.$slot,
-                    $compute,
-                )
             }
 
-            fn $hash_fn(&mut self) -> spec_diag::Result<Hash128> {
-                if let Some(&h) = self.hashes.get(&<$stage>::ID) {
-                    return Ok(h);
+            fn encode(&self) -> Vec<u8> {
+                match self {
+                    $(LeafValue::$variant(value) => encode_to_vec(value),)*
                 }
-                self.resolve_hash(
-                    <$stage>::ID,
-                    |me| me.figure_key(<$stage>::ID),
-                    |me| &mut me.$slot,
-                    $compute,
-                )
+            }
+
+            /// Load and decode leaf `id`'s cache entry under `key`.
+            fn load(cache: &ArtifactCache, id: StageId, key: &Hash128) -> Option<(LeafValue, Hash128)> {
+                match id {
+                    $(StageId::$variant => cache
+                        .load(key)
+                        .map(|(value, h)| (LeafValue::$variant(value), h)),)*
+                    other => unreachable!("{} is not a leaf stage", other.name()),
+                }
+            }
+        }
+
+        impl PipelineDriver {
+            $(
+                $(#[$doc])*
+                ///
+                /// Resolved alone, on the calling thread: memo → cache
+                /// decode → compute (and store).
+                pub fn $slot(&mut self) -> spec_diag::Result<Rc<$out>> {
+                    self.resolve_leaves(&[StageId::$variant], Probe::Load)?;
+                    Ok(self.$slot.clone().expect("a loaded leaf is memoized"))
+                }
+            )*
+
+            fn leaf_loaded(&self, id: StageId) -> bool {
+                match id {
+                    $(StageId::$variant => self.$slot.is_some(),)*
+                    _ => false,
+                }
+            }
+
+            fn memoize_leaf(&mut self, value: LeafValue) {
+                match value {
+                    $(LeafValue::$variant(value) => self.$slot = Some(Rc::new(value)),)*
+                }
             }
         }
     };
 }
 
-// Figure 1 reads the Validate artifact's runs in place; Figures 2–6 read
-// the comparable runs materialized once per driver.
-figure_accessors!(fig1, fig1_hash, fig1, Fig1Stage, fig1::Fig1Features, |me| {
-    Fig1Stage::run(&me.validate()?.valid)
-});
-figure_accessors!(fig2, fig2_hash, fig2, Fig2Stage, fig2::Fig2Power, |me| {
-    Fig2Stage::run(&me.comparable_runs()?)
-});
-figure_accessors!(fig3, fig3_hash, fig3, Fig3Stage, fig3::Fig3Efficiency, |me| {
-    Fig3Stage::run(&me.comparable_runs()?)
-});
-figure_accessors!(fig4, fig4_hash, fig4, Fig4Stage, fig4::Fig4Proportionality, |me| {
-    Fig4Stage::run(&me.comparable_runs()?)
-});
-figure_accessors!(fig5, fig5_hash, fig5, Fig5Stage, fig5::Fig5Idle, |me| {
-    Fig5Stage::run(&me.comparable_runs()?)
-});
-figure_accessors!(fig6, fig6_hash, fig6, Fig6Stage, fig6::Fig6Extrapolated, |me| {
-    Fig6Stage::run(&me.comparable_runs()?)
-});
+// Figure 1 reads the Validate artifact's runs in place; Figures 2–6 and
+// Derive read the comparable runs materialized once per driver.
+leaves! {
+    /// The Figure 1 artifact.
+    Fig1: fig1, fig1::Fig1Features, |inputs| Fig1Stage::run(inputs.valid());
+    /// The Figure 2 artifact.
+    Fig2: fig2, fig2::Fig2Power, |inputs| Fig2Stage::run(inputs.comparable());
+    /// The Figure 3 artifact.
+    Fig3: fig3, fig3::Fig3Efficiency, |inputs| Fig3Stage::run(inputs.comparable());
+    /// The Figure 4 artifact.
+    Fig4: fig4, fig4::Fig4Proportionality, |inputs| Fig4Stage::run(inputs.comparable());
+    /// The Figure 5 artifact.
+    Fig5: fig5, fig5::Fig5Idle, |inputs| Fig5Stage::run(inputs.comparable());
+    /// The Figure 6 artifact.
+    Fig6: fig6, fig6::Fig6Extrapolated, |inputs| Fig6Stage::run(inputs.comparable());
+    /// The Derive artifact (Table I, correlation, proportionality).
+    Derive: derive, DeriveArtifact, |inputs| {
+        DeriveStage::run((inputs.comparable(), inputs.settings, inputs.seed))
+    };
+}
 
 impl PipelineDriver {
-    fn derive_key(&mut self) -> spec_diag::Result<Hash128> {
-        let vh = self.validate_hash()?;
-        let ch = self.comparable_hash()?;
-        let mut salt = Vec::new();
-        salt.extend_from_slice(&self.seed.to_le_bytes());
-        salt.extend_from_slice(format!("{:?}", self.settings).as_bytes());
-        Ok(self.stage_key(StageId::Derive, &[vh, ch], &salt))
-    }
-
-    /// The Derive artifact (Table I, correlation, proportionality).
-    pub fn derive(&mut self) -> spec_diag::Result<Rc<DeriveArtifact>> {
-        if let Some(d) = &self.derive {
-            return Ok(d.clone());
-        }
-        let settings = self.settings.clone();
-        let seed = self.seed;
-        self.resolve_value(StageId::Derive, Self::derive_key, |me| &mut me.derive, move |me| {
-            let runs = me.comparable_runs()?;
-            DeriveStage::run((&runs, &settings, seed))
-        })
-    }
-
-    fn derive_hash(&mut self) -> spec_diag::Result<Hash128> {
-        if let Some(&h) = self.hashes.get(&StageId::Derive) {
-            return Ok(h);
-        }
-        let settings = self.settings.clone();
-        let seed = self.seed;
-        self.resolve_hash(StageId::Derive, Self::derive_key, |me| &mut me.derive, move |me| {
-            let runs = me.comparable_runs()?;
-            DeriveStage::run((&runs, &settings, seed))
-        })
-    }
-
     /// The full [`Study`], assembled from stage artifacts. Identical to
-    /// `run_study(load_from_texts(...), ...)` by construction.
+    /// `run_study(load_from_texts(...), ...)` by construction. The leaf
+    /// artifacts it still lacks load or compute as one batch.
     pub fn study(&mut self) -> spec_diag::Result<Study> {
         let set = self.analysis_set()?;
+        self.resolve_leaves(&LEAVES, Probe::Load)?;
         let fig1 = self.fig1()?;
         let fig2 = self.fig2()?;
         let fig3 = self.fig3()?;
@@ -621,18 +787,13 @@ impl PipelineDriver {
         })
     }
 
+    /// An export stage's key: the Validate, Comparable and leaf hashes.
+    /// The leaves it still lacks probe as one batch and compute as pool
+    /// tasks.
     fn export_key(&mut self, id: StageId) -> spec_diag::Result<Hash128> {
-        let deps = [
-            self.validate_hash()?,
-            self.comparable_hash()?,
-            self.fig1_hash()?,
-            self.fig2_hash()?,
-            self.fig3_hash()?,
-            self.fig4_hash()?,
-            self.fig5_hash()?,
-            self.fig6_hash()?,
-            self.derive_hash()?,
-        ];
+        let mut deps = vec![self.validate_hash()?, self.comparable_hash()?];
+        self.resolve_leaves(&LEAVES, Probe::Hash)?;
+        deps.extend(LEAVES.iter().map(|leaf| self.hashes[leaf]));
         Ok(self.stage_key(id, &deps, &[]))
     }
 
@@ -793,6 +954,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
+    /// `(executed, hits)` per stage, for exact comparisons.
+    fn counts(d: &PipelineDriver) -> Vec<(StageId, usize, usize)> {
+        d.stats()
+            .iter()
+            .map(|(&id, s)| (id, s.executed, s.hits))
+            .collect()
+    }
+
+    /// `(id, executed, hits)` for Validate, Comparable and every leaf:
+    /// `executed_leaf` ran, everything else was one cache hit.
+    fn one_leaf_executed(executed_leaf: StageId) -> Vec<(StageId, usize, usize)> {
+        [StageId::Validate, StageId::Comparable]
+            .into_iter()
+            .chain(LEAVES)
+            .map(|id| if id == executed_leaf { (id, 1, 0) } else { (id, 0, 1) })
+            .collect()
+    }
+
     #[test]
     fn seed_only_affects_derive() {
         let cache = tmp_cache("seed");
@@ -802,9 +981,39 @@ mod tests {
         let mut b = PipelineDriver::new(memory_source(20), Settings::fast(), 8)
             .with_cache(cache.clone());
         let _ = b.study().unwrap();
-        assert_eq!(b.stats()[&StageId::Validate].executed, 0);
-        assert_eq!(b.stats()[&StageId::Fig2].executed, 0);
         assert_eq!(b.stats()[&StageId::Derive].executed, 1, "new seed recomputes derive");
+        assert_eq!(counts(&b), one_leaf_executed(StageId::Derive));
+        let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn deleting_one_figure_entry_re_executes_that_leaf_only() {
+        let cache = tmp_cache("one_leaf");
+        let mut cold = driver(Some(cache.clone()));
+        let cold_files = cold.export_figures().unwrap();
+        let fig3_key = cold.leaf_key(StageId::Fig3).unwrap();
+        std::fs::remove_file(cache.entry_path(&fig3_key)).unwrap();
+
+        let mut warm = driver(Some(cache.clone()));
+        let warm_files = warm.export_figures().unwrap();
+        let mut expected = one_leaf_executed(StageId::Fig3);
+        expected.push((StageId::ExportFigures, 0, 1));
+        assert_eq!(counts(&warm), expected);
+        assert_eq!(warm_files.files, cold_files.files);
+        assert!(cache.entry_path(&fig3_key).exists(), "the re-executed leaf is stored");
+        let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn study_after_export_figures_executes_nothing_more() {
+        let cache = tmp_cache("study_after_export");
+        for mut d in [driver(None), driver(Some(cache.clone())), driver(Some(cache.clone()))] {
+            d.export_figures().unwrap();
+            let before = counts(&d);
+            let study = d.study().unwrap();
+            assert_eq!(counts(&d), before, "study() re-executed or re-counted a stage");
+            assert_eq!(study.set.comparable.len(), 20);
+        }
         let _ = std::fs::remove_dir_all(cache.root());
     }
 

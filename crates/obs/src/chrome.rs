@@ -49,9 +49,11 @@ fn field_value_into(out: &mut String, v: &FieldValue) {
 }
 
 /// Render spans as a Chrome trace-event JSON document: one complete
-/// (`"ph":"X"`) event per span, with span fields under `args`. Loadable
-/// in `about://tracing` and Perfetto; nesting is reconstructed by the
-/// viewer from per-tid timestamp containment.
+/// (`"ph":"X"`) event per span. Under `args` every event carries its span
+/// `id`, its `parent` span's id (omitted for a top-level span) and then
+/// the span's fields. Loadable in `about://tracing` and Perfetto, which
+/// nest events by per-tid timestamp containment; `parent` also links a
+/// span opened in a pool task to the span that submitted the task.
 pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
     let mut out = String::with_capacity(128 + spans.len() * 96);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -66,20 +68,17 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
             "\",\"cat\":\"spec-trends\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}",
             s.tid, s.start_us, s.dur_us
         );
-        if !s.fields.is_empty() {
-            out.push_str(",\"args\":{");
-            for (j, (k, v)) in s.fields.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape_into(&mut out, k);
-                out.push_str("\":");
-                field_value_into(&mut out, v);
-            }
-            out.push('}');
+        let _ = write!(out, ",\"args\":{{\"id\":{}", s.id);
+        if let Some(parent) = s.parent {
+            let _ = write!(out, ",\"parent\":{parent}");
         }
-        out.push('}');
+        for (k, v) in &s.fields {
+            out.push_str(",\"");
+            escape_into(&mut out, k);
+            out.push_str("\":");
+            field_value_into(&mut out, v);
+        }
+        out.push_str("}}");
     }
     out.push_str("]}\n");
     out
@@ -270,6 +269,8 @@ mod tests {
     fn rec(name: &'static str, fields: Vec<(&'static str, FieldValue)>) -> SpanRecord {
         SpanRecord {
             name,
+            id: 1,
+            parent: None,
             tid: 0,
             depth: 0,
             start_us: 10,
@@ -306,6 +307,23 @@ mod tests {
         assert!(json.contains("\"outcome\":\"computed\""));
         assert!(json.contains("\"delta\":-3"));
         assert!(json.contains("\"ph\":\"X\""));
+    }
+
+    #[test]
+    fn ids_and_parents_render_under_args() {
+        let root = rec("export-figures", vec![]);
+        let child = SpanRecord {
+            id: 2,
+            parent: Some(1),
+            ..rec("fig6", vec![("out_bytes", FieldValue::U64(9))])
+        };
+        let json = chrome_trace_json(&[root, child]);
+        assert!(is_wellformed_json(&json), "{json}");
+        assert!(json.contains("\"args\":{\"id\":1}"), "{json}");
+        assert!(
+            json.contains("\"args\":{\"id\":2,\"parent\":1,\"out_bytes\":9}"),
+            "{json}"
+        );
     }
 
     #[test]

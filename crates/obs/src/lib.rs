@@ -41,7 +41,10 @@ pub use chrome::{chrome_trace_json, is_wellformed_json};
 pub use metrics::{
     count, observe_us, peak_rss_kb, set_gauge, snapshot, HistogramSnapshot, MetricsSnapshot,
 };
-pub use trace::{dropped_spans, span, take_spans, FieldValue, Span, SpanRecord};
+pub use trace::{
+    current_span, dropped_spans, enter_parent, span, take_spans, FieldValue, ParentGuard, Span,
+    SpanRecord,
+};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -1,6 +1,14 @@
 //! Structured-span tracer: enter/exit spans with key=value fields,
 //! monotonic microsecond timestamps, per-thread ids and nesting depth,
 //! collected into 16 mutex-sharded ring buffers.
+//!
+//! Every span also gets a process-unique `id` and the `parent` id of the
+//! span that was current on its thread when it opened. The current span
+//! is a thread-local that [`span`] sets and drop/[`Span::cancel`] restore.
+//! A thread pool carries nesting across threads by reading
+//! [`current_span`] when work is submitted and calling [`enter_parent`]
+//! on the thread that runs it, so a span opened in a pool task is a child
+//! of the submitter's span whichever thread ran it.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,9 +84,16 @@ impl From<String> for FieldValue {
 pub struct SpanRecord {
     /// Static span name ("validate", "vfs:read", "ingest-shard", ...).
     pub name: &'static str,
+    /// Process-unique span id (never 0).
+    pub id: u64,
+    /// Id of the span this one nests under: the innermost open span on
+    /// the recording thread, or the parent a pool installed for the task
+    /// that opened it. `None` for a top-level span.
+    pub parent: Option<u64>,
     /// Sequential id of the recording thread (not the OS tid).
     pub tid: u64,
-    /// Nesting depth on that thread at entry (0 = top level).
+    /// Nesting depth on that thread at entry (0 = top level). Depth counts
+    /// only spans open on the same thread; `parent` crosses threads.
     pub depth: u32,
     /// Microseconds from the process-wide trace epoch to span entry.
     pub start_us: u64,
@@ -123,10 +138,13 @@ fn now_us() -> u64 {
 }
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
+static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
     static DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// Id of the thread's current span (0 = none).
+    static CURRENT: Cell<u64> = const { Cell::new(0) };
 }
 
 fn push(record: SpanRecord) {
@@ -150,6 +168,9 @@ fn push(record: SpanRecord) {
 
 struct SpanInner {
     name: &'static str,
+    id: u64,
+    /// The thread's current span at entry (0 = none), restored at exit.
+    parent: u64,
     tid: u64,
     depth: u32,
     start_us: u64,
@@ -175,8 +196,12 @@ pub fn span(name: &'static str) -> Span {
         d.set(v + 1);
         v
     });
+    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    let parent = CURRENT.with(|c| c.replace(id));
     Span(Some(SpanInner {
         name,
+        id,
+        parent,
         tid,
         depth,
         start_us: now_us(),
@@ -202,32 +227,68 @@ impl Span {
     }
 
     /// Discard the span: nothing is recorded at drop, and the thread's
-    /// nesting depth unwinds immediately. Used when a span turns out to
-    /// cover no work — e.g. a pipeline stage satisfied from the artifact
-    /// cache instead of executed. No-op on an inert guard.
+    /// nesting depth and current span unwind immediately. Used when a span
+    /// turns out to cover no work — e.g. a pipeline stage satisfied from
+    /// the artifact cache instead of executed. No-op on an inert guard.
     pub fn cancel(&mut self) {
-        if self.0.take().is_some() {
-            DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+        if let Some(inner) = self.0.take() {
+            unwind(&inner);
         }
     }
+}
+
+/// Leave `inner`: pop the thread's depth and make its parent current.
+fn unwind(inner: &SpanInner) {
+    DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+    CURRENT.with(|c| c.set(inner.parent));
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(inner) = self.0.take() else { return };
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+        unwind(&inner);
         let dur_us = now_us().saturating_sub(inner.start_us);
         if let Some(hist) = inner.observe {
             crate::metrics::observe_us(hist, dur_us);
         }
         push(SpanRecord {
             name: inner.name,
+            id: inner.id,
+            parent: (inner.parent != 0).then_some(inner.parent),
             tid: inner.tid,
             depth: inner.depth,
             start_us: inner.start_us,
             dur_us,
             fields: inner.fields,
         });
+    }
+}
+
+/// Id of the calling thread's current span: the innermost open span, or
+/// the parent installed by [`enter_parent`]. `None` when there is none.
+/// Spans opened while tracing is off are inert and never become current.
+pub fn current_span() -> Option<u64> {
+    let id = CURRENT.with(Cell::get);
+    (id != 0).then_some(id)
+}
+
+/// Make span `parent` (opened on another thread) the calling thread's
+/// current span until the guard drops, so spans opened meanwhile nest
+/// under it. The guard restores whatever was current before.
+pub fn enter_parent(parent: u64) -> ParentGuard {
+    ParentGuard {
+        prev: CURRENT.with(|c| c.replace(parent)),
+    }
+}
+
+/// Guard returned by [`enter_parent`].
+pub struct ParentGuard {
+    prev: u64,
+}
+
+impl Drop for ParentGuard {
+    fn drop(&mut self) {
+        CURRENT.with(|c| c.set(self.prev));
     }
 }
 
@@ -310,6 +371,9 @@ mod tests {
         assert_eq!(outer.depth, 0);
         assert_eq!(inner.depth, 1);
         assert_eq!(outer.tid, inner.tid);
+        assert_eq!(outer.parent, None);
+        assert_eq!(inner.parent, Some(outer.id));
+        assert_ne!(inner.id, outer.id);
         assert_eq!(outer.fields, vec![("n", FieldValue::U64(3))]);
         assert_eq!(
             inner.fields,
@@ -361,8 +425,73 @@ mod tests {
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "sibling");
         assert_eq!(spans[0].depth, 0);
+        assert_eq!(spans[0].parent, None, "cancel restored the current span");
         // A cancelled span feeds no histogram either.
         assert!(crate::snapshot().histograms.is_empty());
+    }
+
+    #[test]
+    fn cancel_and_drop_restore_the_current_span() {
+        let _gate = lock();
+        crate::set_enabled(false);
+        crate::reset();
+        crate::set_enabled(true);
+        assert_eq!(current_span(), None);
+        {
+            let _root = span("root");
+            let root_id = current_span().expect("root is current");
+            {
+                let _child = span("child");
+                assert_ne!(current_span(), Some(root_id));
+            }
+            assert_eq!(current_span(), Some(root_id), "drop restores the parent");
+            let mut skipped = span("skipped");
+            assert_ne!(current_span(), Some(root_id));
+            skipped.cancel();
+            assert_eq!(current_span(), Some(root_id), "cancel restores the parent");
+            let _sibling = span("sibling");
+        }
+        assert_eq!(current_span(), None);
+        crate::set_enabled(false);
+        let spans = take_spans();
+        let root = spans.iter().find(|s| s.name == "root").expect("root");
+        for name in ["child", "sibling"] {
+            let s = spans.iter().find(|s| s.name == name).expect(name);
+            assert_eq!(s.parent, Some(root.id), "{name}");
+        }
+        assert_eq!(root.parent, None);
+    }
+
+    #[test]
+    fn entered_parent_adopts_spans_and_restores_on_drop() {
+        let _gate = lock();
+        crate::set_enabled(false);
+        crate::reset();
+        crate::set_enabled(true);
+        let outer = span("outer");
+        let outer_id = current_span().expect("outer is current");
+        let adopted = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    {
+                        let _parent = enter_parent(outer_id);
+                        let _task = span("task");
+                    }
+                    drop(span("after"));
+                    current_span()
+                })
+                .join()
+                .expect("thread")
+        });
+        assert_eq!(adopted, None, "the guard restored the thread's current span");
+        drop(outer);
+        crate::set_enabled(false);
+        let spans = take_spans();
+        let task = spans.iter().find(|s| s.name == "task").expect("task");
+        let after = spans.iter().find(|s| s.name == "after").expect("after");
+        assert_eq!(task.parent, Some(outer_id));
+        assert_eq!(task.depth, 0, "depth stays per-thread");
+        assert_eq!(after.parent, None, "no stale parent after the guard");
     }
 
     #[test]

@@ -29,6 +29,12 @@
 //! and no inline cutoff, for a handful of items that each cost
 //! milliseconds (rendering the export files).
 //!
+//! **Span parenting** — while tracing is on, a job records the
+//! submitter's current `spec-obs` span, and each worker makes it the
+//! current span while it runs the job's chunks. A span opened inside a
+//! task is therefore a child of the span that submitted it, on whichever
+//! thread the task ran.
+//!
 //! Ambient-pool override for tests: [`Pool::install`] runs a closure with a
 //! specific pool as the calling thread's ambient pool, so the free functions
 //! ([`parallel_map`] etc.) route to it instead of the global instance.
@@ -84,6 +90,9 @@ struct Job {
     cursor: AtomicUsize,
     /// Chunks not yet finished executing.
     remaining: AtomicUsize,
+    /// The submitter's current span (only captured while tracing), made
+    /// current on each worker while it runs this job's chunks.
+    parent: Option<u64>,
     /// First panic payload observed in any chunk.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Submitter parks here until `remaining` hits zero.
@@ -98,6 +107,10 @@ impl Job {
     /// per job so the registry sees one update per (job, thread), not one
     /// per chunk.
     fn help(&self, worker: Option<usize>) {
+        // A worker adopts the submitter's span for this job only; the
+        // guard restores the worker's own (the submitter's is already
+        // current on its thread).
+        let _parent = self.parent.map(spec_obs::enter_parent);
         let mut chunks_run: u64 = 0;
         loop {
             let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
@@ -277,6 +290,11 @@ impl Pool {
             chunk,
             cursor: AtomicUsize::new(0),
             remaining: AtomicUsize::new(chunks),
+            parent: if spec_obs::enabled() {
+                spec_obs::current_span()
+            } else {
+                None
+            },
             panic: Mutex::new(None),
             done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
@@ -824,6 +842,73 @@ mod tests {
             end.1.recv_timeout(Duration::from_secs(10)).is_ok()
         });
         assert_eq!(met, vec![true, true]);
+    }
+
+    /// Tracing is process-global: the span tests serialise on this gate
+    /// and leave tracing off and the collector empty.
+    fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<spec_obs::SpanRecord>) {
+        static GATE: Mutex<()> = Mutex::new(());
+        let _gate = GATE.lock().unwrap_or_else(|p| p.into_inner());
+        spec_obs::set_enabled(false);
+        spec_obs::reset();
+        spec_obs::set_enabled(true);
+        let out = f();
+        spec_obs::set_enabled(false);
+        let spans = spec_obs::take_spans();
+        spec_obs::reset();
+        (out, spans)
+    }
+
+    /// Two tasks that can only finish while both run at once, so one runs
+    /// on the worker of a 2-thread pool; each opens a span named `name`.
+    fn rendezvous(pool: &Pool, name: &'static str) {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (tx0, rx0) = mpsc::channel::<()>();
+        let (tx1, rx1) = mpsc::channel::<()>();
+        let ends = [Mutex::new((tx0, rx1)), Mutex::new((tx1, rx0))];
+        let met = pool.map_tasks(&ends, |end| {
+            let _span = spec_obs::span(name);
+            let end = end.lock().unwrap();
+            end.0.send(()).unwrap();
+            end.1.recv_timeout(Duration::from_secs(10)).is_ok()
+        });
+        assert_eq!(met, vec![true, true]);
+    }
+
+    #[test]
+    fn task_spans_nest_under_the_submitting_span_on_any_thread() {
+        let pool = Pool::new(2);
+        let items: Vec<u64> = (0..1_000).collect();
+        let ((), spans) = traced(|| {
+            {
+                let _outer = spec_obs::span("outer");
+                rendezvous(&pool, "task");
+                pool.parallel_map(&items, |&x| {
+                    let _span = spec_obs::span("item");
+                    x
+                });
+            }
+            // A later job submitted with no open span: whichever thread
+            // runs its tasks, nothing inherits the earlier parent.
+            rendezvous(&pool, "top");
+        });
+        let outer = spans.iter().find(|s| s.name == "outer").expect("outer");
+        let of = |name: &str| -> Vec<&spec_obs::SpanRecord> {
+            spans.iter().filter(|s| s.name == name).collect()
+        };
+        let tasks = of("task");
+        assert_eq!(tasks.len(), 2);
+        assert_ne!(tasks[0].tid, tasks[1].tid, "the tasks ran on two threads");
+        let items_spans = of("item");
+        assert_eq!(items_spans.len(), items.len());
+        for span in tasks.iter().chain(&items_spans) {
+            assert_eq!(span.parent, Some(outer.id), "{} on tid {}", span.name, span.tid);
+        }
+        let tops = of("top");
+        assert_eq!(tops.len(), 2);
+        assert_ne!(tops[0].tid, tops[1].tid);
+        assert!(tops.iter().all(|s| s.parent.is_none()), "stale parent on a worker");
     }
 
     #[test]

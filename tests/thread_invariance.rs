@@ -130,24 +130,40 @@ fn validate_artifact_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn export_artifacts_and_cache_entries_are_byte_identical_across_thread_counts() {
-    use spec_power_trends::analysis::stage::{content_hash, encode_to_vec, Hash128};
+    use std::collections::BTreeMap;
+    use std::path::PathBuf;
+    use std::sync::Arc;
+
+    use spec_power_trends::analysis::stage::{
+        content_hash, encode_to_vec, Hash128, StageId, StageStats,
+    };
     use spec_power_trends::analysis::{ArtifactCache, CorpusSource, PipelineDriver};
+    use spec_power_trends::vfs::{FaultVfs, OpKind, RealVfs};
 
     let items: Vec<(Option<String>, String)> = generate_dataset(&cfg())
         .texts()
         .map(|t| (None, t.to_owned()))
         .collect();
-    // Per thread count: both export payloads, their content hashes, and
-    // every cache entry (named by key, holding the header hash) the cold
-    // run wrote.
-    type Run = (Vec<u8>, Vec<u8>, [Hash128; 2], Vec<(String, Vec<u8>)>);
+    /// Per thread count: both export payloads, their content hashes,
+    /// every cache entry (named by key, holding the header hash) the cold
+    /// run wrote, the per-stage counters, and the cache's file-system
+    /// operations in order (paths relative to the cache directory).
+    struct Run {
+        figures: Vec<u8>,
+        data: Vec<u8>,
+        hashes: [Hash128; 2],
+        entries: Vec<(String, Vec<u8>)>,
+        stats: BTreeMap<StageId, StageStats>,
+        ops: Vec<(OpKind, PathBuf)>,
+    }
     let run = |threads: usize| -> Run {
         let dir = std::env::temp_dir().join(format!(
             "spec_thread_invariance_export_{}_{threads}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = ArtifactCache::open(&dir).expect("open cache");
+        let fault = Arc::new(FaultVfs::new(Arc::new(RealVfs)));
+        let cache = ArtifactCache::open_with(&dir, fault.clone()).expect("open cache");
         let mut driver =
             PipelineDriver::new(CorpusSource::Memory(items.clone()), cfg().settings, 7)
                 .with_cache(cache);
@@ -172,23 +188,50 @@ fn export_artifacts_and_cache_entries_are_byte_identical_across_thread_counts() 
             })
             .collect();
         entries.sort();
+        let ops = fault
+            .trace()
+            .into_iter()
+            .map(|entry| {
+                let path = entry.path.strip_prefix(&dir).unwrap_or(&entry.path);
+                (entry.op, path.to_path_buf())
+            })
+            .collect();
+        let stats = driver.stats().clone();
         std::fs::remove_dir_all(&dir).expect("remove cache");
-        (figures, data, hashes, entries)
+        Run {
+            figures,
+            data,
+            hashes,
+            entries,
+            stats,
+            ops,
+        }
     };
 
     let baseline = run(1);
-    assert!(baseline.3.len() >= 11, "every executed stage was cached");
+    assert!(baseline.entries.len() >= 11, "every executed stage was cached");
+    assert!(
+        baseline.stats.values().all(|s| s.executed == 1 && s.hits == 0),
+        "a cold run executes each stage once: {:?}",
+        baseline.stats
+    );
+    assert!(
+        baseline.ops.iter().any(|(op, _)| *op == OpKind::Rename),
+        "the cold run stored entries through the traced file system"
+    );
     for threads in [2, 8] {
         let got = run(threads);
         assert!(
-            got.0 == baseline.0,
+            got.figures == baseline.figures,
             "{threads}-thread export-figures payload differs"
         );
         assert!(
-            got.1 == baseline.1,
+            got.data == baseline.data,
             "{threads}-thread export-data payload differs"
         );
-        assert_eq!(got.2, baseline.2, "{threads}-thread export hashes differ");
-        assert!(got.3 == baseline.3, "{threads}-thread cache entries differ");
+        assert_eq!(got.hashes, baseline.hashes, "{threads}-thread export hashes differ");
+        assert!(got.entries == baseline.entries, "{threads}-thread cache entries differ");
+        assert_eq!(got.stats, baseline.stats, "{threads}-thread stage counters differ");
+        assert_eq!(got.ops, baseline.ops, "{threads}-thread cache operation sequence differs");
     }
 }
