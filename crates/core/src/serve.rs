@@ -39,13 +39,18 @@
 //! ## Snapshots, shards and fan-out (see DESIGN.md §17)
 //!
 //! One builder, `Snapshot::build`, makes every snapshot. Its only choice
-//! is the row source that fills the row store: [`SnapshotMode::Graph`]
-//! takes the partitioned stage graph's cached, incremental
-//! per-partition rows; [`SnapshotMode::Stream`] streams the corpus
-//! (optionally `scale`× replicated) through
-//! [`crate::stream::StreamRows`] straight into the store, so a ×100
-//! corpus serves in fixed RSS. Everything after the fill is shared, so
-//! both modes produce byte-identical responses.
+//! is the row source that fills the row store, and both sources run the
+//! same row kernel, [`crate::stream::StreamRows`]:
+//! [`SnapshotMode::Graph`] takes the partitioned stage graph's rows, one
+//! cached, incremental `StreamRows` pass per (year, vendor) partition;
+//! [`SnapshotMode::Stream`] streams the corpus (optionally `scale`×
+//! replicated) through one `StreamRows` straight into the store, so a
+//! ×100 corpus serves in fixed RSS. Each fill returns its partition
+//! table, which the `/stats` and `/shard/meta` cascade headers sum.
+//! Everything after the fill is shared, so both modes produce
+//! byte-identical responses. A setting the chosen source never reads —
+//! `scale > 1` in Graph mode, an artifact cache in Stream mode — is a
+//! config error at [`Server::start`].
 //!
 //! `ServeConfig::shard = Some(i/N)` keeps only the partitions a
 //! deterministic hash of the partition key assigns to shard *i*;
@@ -84,7 +89,7 @@
 //! A watcher thread polls the corpus directory's fingerprint and builds a
 //! new snapshot on change — in Graph mode through a fresh
 //! [`PartitionedDriver`] over the shared artifact cache, so only the
-//! touched (year, vendor) partition's stages re-execute, which `/stats`
+//! touched (year, vendor) partition's stage re-executes, which `/stats`
 //! reports per refresh.
 //!
 //! Request handling is panic-proof: each connection runs under
@@ -120,7 +125,6 @@ use tinyframe::{Column, Frame};
 use crate::export;
 use crate::figures::common::RunRow;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
-use crate::pipeline::FilterReport;
 use crate::stage::{
     decode_from_slice, encode_to_vec, ArtifactCache, CorpusSource, PartKey, PartitionSummary,
     PartitionedDriver, ShardSpec,
@@ -160,7 +164,8 @@ pub struct ServeConfig {
     pub settings: Settings,
     /// Has no effect: no served response depends on the Table I seed.
     pub seed: u64,
-    /// Artifact cache shared with `analyze` (warm partitions).
+    /// Artifact cache shared with `analyze` (warm partitions; Graph mode
+    /// only — [`Server::start`] rejects it in Stream mode).
     pub cache: Option<ArtifactCache>,
     /// Worker threads serving admitted connections.
     pub threads: usize,
@@ -176,7 +181,8 @@ pub struct ServeConfig {
     pub clock: Arc<dyn net::Clock>,
     /// Snapshot build path: stage graph (cached) or streaming (bounded RSS).
     pub mode: SnapshotMode,
-    /// Synthetic corpus replication factor (streaming builds only).
+    /// Synthetic corpus replication factor (Stream mode only —
+    /// [`Server::start`] rejects `scale > 1` in Graph mode).
     pub scale: u32,
     /// Resident row-store budget in MiB; rows past it spill to checksummed
     /// segment files. `None` keeps every row resident.
@@ -363,8 +369,9 @@ impl Memo {
 struct Snapshot {
     /// Monotonic refresh counter (0 = the startup build).
     generation: u64,
-    /// The row fill's cascade accounting, partition table and counters.
-    fill: RowFill,
+    /// The row fill's per-partition counts and stage counters, which the
+    /// `/stats` and `/shard/meta` headers sum.
+    partitions: Vec<PartitionSummary>,
     /// Out-of-core `(gidx, comparable, row)` store, per partition — the
     /// filtered-query and scatter-gather row source.
     rows: Mutex<rows::RowStore>,
@@ -377,20 +384,6 @@ struct Snapshot {
     memo: Mutex<Memo>,
 }
 
-/// What a row source reports besides the rows it pushed into the store.
-struct RowFill {
-    /// Full §II cascade accounting (shard builds: the owned slice).
-    report: FilterReport,
-    /// Per-partition cascade summary.
-    partitions: Vec<PartitionSummary>,
-    /// Stage executions during the fill (0 for a stream fill).
-    executed: usize,
-    /// Cache hits during the fill (0 for a stream fill).
-    hits: usize,
-    /// Partitions with ≥1 stage execution during the fill.
-    partitions_executed: usize,
-}
-
 impl Snapshot {
     /// Build a snapshot: fill the row store from the configured row
     /// source, then render the twelve unfiltered responses from one
@@ -400,7 +393,7 @@ impl Snapshot {
     fn build(config: &ServeConfig, generation: u64) -> spec_diag::Result<Snapshot> {
         let mut sp = obs::span("serve.refresh");
         let mut store = Snapshot::row_store(config, generation)?;
-        let fill = match config.mode {
+        let partitions = match config.mode {
             SnapshotMode::Graph => Snapshot::fill_from_graph(config, &mut store)?,
             SnapshotMode::Stream => Snapshot::fill_from_stream(config, &mut store)?,
         };
@@ -428,11 +421,14 @@ impl Snapshot {
         });
         sp.record("generation", generation);
         sp.record("rows", store.n_rows());
-        sp.record("executed", fill.executed);
+        sp.record(
+            "executed",
+            partitions.iter().map(|p| p.executed).sum::<usize>(),
+        );
         sp.observe_into("serve.refresh_us");
         Ok(Snapshot {
             generation,
-            fill,
+            partitions,
             rows: Mutex::new(store),
             unfiltered,
             mode: config.mode,
@@ -471,7 +467,7 @@ impl Snapshot {
     fn fill_from_graph(
         config: &ServeConfig,
         store: &mut rows::RowStore,
-    ) -> spec_diag::Result<RowFill> {
+    ) -> spec_diag::Result<Vec<PartitionSummary>> {
         let mut driver =
             PartitionedDriver::new(config.source.clone()).with_vfs(Arc::clone(&config.vfs));
         if let Some(cache) = &config.cache {
@@ -480,20 +476,12 @@ impl Snapshot {
         if let Some(shard) = config.shard {
             driver = driver.with_shard(shard);
         }
-        let report = driver.filter_report()?;
-        let partitions = driver.partition_summary()?;
-        for part in driver.partition_rows()? {
-            for ((&gidx, &comp), &row) in part.gidx.iter().zip(&part.comparable).zip(&part.rows) {
-                store.push(part.key, gidx, comp, row).map_err(frame_err)?;
+        for (key, rows) in driver.partition_rows()? {
+            for (gidx, comparable, row) in rows {
+                store.push(key, gidx, comparable, row).map_err(frame_err)?;
             }
         }
-        Ok(RowFill {
-            report,
-            partitions,
-            executed: driver.executed_total(),
-            hits: driver.hits_total(),
-            partitions_executed: driver.partitions_executed(),
-        })
+        driver.partition_summary()
     }
 
     /// Fill the store by streaming the corpus in bounded batches — fixed
@@ -501,7 +489,7 @@ impl Snapshot {
     fn fill_from_stream(
         config: &ServeConfig,
         store: &mut rows::RowStore,
-    ) -> spec_diag::Result<RowFill> {
+    ) -> spec_diag::Result<Vec<PartitionSummary>> {
         let shard = config.shard;
         let owns = |key: &PartKey| shard.is_none_or(|s| s.owns(key));
         let mut stream = StreamRows::new();
@@ -536,7 +524,7 @@ impl Snapshot {
                 }
             }
         }
-        let partitions: Vec<PartitionSummary> = stream
+        Ok(stream
             .partition_counts()
             .iter()
             .filter(|(key, _)| owns(key))
@@ -548,25 +536,18 @@ impl Snapshot {
                 executed: 0,
                 hits: 0,
             })
-            .collect();
-        let report = if shard.is_some() {
-            // A shard's cascade header counts the partitions it owns.
-            FilterReport {
-                raw: partitions.iter().map(|p| p.reports).sum(),
-                valid: partitions.iter().map(|p| p.valid).sum(),
-                comparable: partitions.iter().map(|p| p.comparable).sum(),
-                ..FilterReport::default()
-            }
-        } else {
-            stream.report().clone()
-        };
-        Ok(RowFill {
-            report,
-            partitions,
-            executed: 0,
-            hits: 0,
-            partitions_executed: 0,
-        })
+            .collect())
+    }
+
+    /// The cascade header `/stats` and `/shard/meta` print — raw, valid
+    /// and comparable — summed over the snapshot's partitions (a shard's
+    /// header counts the partitions it owns).
+    fn cascade_counts(&self) -> (usize, usize, usize) {
+        self.partitions
+            .iter()
+            .fold((0, 0, 0), |(raw, valid, comp), p| {
+                (raw + p.reports, valid + p.valid, comp + p.comparable)
+            })
     }
 }
 
@@ -1095,11 +1076,32 @@ impl Server {
                 "--shard and --fan-out are mutually exclusive",
             ));
         }
+        // Settings the chosen row source never reads fail loudly instead
+        // of silently serving something else.
+        if config.mode == SnapshotMode::Graph && config.scale > 1 {
+            return Err(TrendsError::config(
+                "serve",
+                "scale > 1 replicates stream snapshots only; a graph snapshot would serve ×1",
+            ));
+        }
+        if config.mode == SnapshotMode::Stream && config.cache.is_some() {
+            return Err(TrendsError::config(
+                "serve",
+                "--cache-dir has no effect on stream snapshots (--scale > 1 or --max-resident-mb)",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| TrendsError::io("serve", &e).with_origin(config.addr.clone()))?;
         let addr = listener
             .local_addr()
             .map_err(|e| TrendsError::io("serve", &e))?;
+        // The watcher's baseline is the directory as the startup build
+        // reads it: a report that lands during the build, or before the
+        // watcher thread first runs, still differs from it and refreshes.
+        let watched = config.watch.clone().map(|dir| {
+            let baseline = dir_fingerprint(&dir);
+            (dir, baseline)
+        });
         let backend = if config.fan_out.is_empty() {
             Backend::Local {
                 snapshot: RwLock::new(Arc::new(Snapshot::build(&config, 0)?)),
@@ -1151,13 +1153,12 @@ impl Server {
             .collect();
 
         let watcher = match &shared.backend {
-            Backend::Local { .. } => config.watch.as_ref().map(|dir| {
+            Backend::Local { .. } => watched.map(|(dir, baseline)| {
                 let shared = Arc::clone(&shared);
                 let config = config.clone();
-                let dir = dir.clone();
                 std::thread::Builder::new()
                     .name("serve-watcher".to_string())
-                    .spawn(move || watcher_loop(&shared, &config, &dir))
+                    .spawn(move || watcher_loop(&shared, &config, &dir, baseline))
                     .expect("spawn watcher")
             }),
             Backend::FanOut(_) => {
@@ -1278,8 +1279,12 @@ fn dir_fingerprint(dir: &std::path::Path) -> Vec<(String, u64, u128)> {
     entries
 }
 
-fn watcher_loop(shared: &Shared, config: &ServeConfig, dir: &std::path::Path) {
-    let mut last = dir_fingerprint(dir);
+fn watcher_loop(
+    shared: &Shared,
+    config: &ServeConfig,
+    dir: &std::path::Path,
+    mut last: Vec<(String, u64, u128)>,
+) {
     let step = Duration::from_millis(config.poll_ms.clamp(10, 1000));
     while !shared.draining() {
         std::thread::sleep(step);
@@ -1731,15 +1736,13 @@ fn shard_meta_response(shared: &Shared) -> Arc<Response> {
         return Arc::new(Response::error(404, "front-end daemons hold no shard rows"));
     }
     let snapshot = shared.current();
-    let labels: Vec<String> = snapshot.fill.partitions.iter().map(|p| p.key.label()).collect();
+    let labels: Vec<String> = snapshot.partitions.iter().map(|p| p.key.label()).collect();
+    let (raw, valid, comparable) = snapshot.cascade_counts();
     Arc::new(Response::ok(
         "text/plain; charset=utf-8",
         format!(
-            "generation {}\nraw {}\nvalid {}\ncomparable {}\npartitions {}\n",
+            "generation {}\nraw {raw}\nvalid {valid}\ncomparable {comparable}\npartitions {}\n",
             snapshot.generation,
-            snapshot.fill.report.raw,
-            snapshot.fill.report.valid,
-            snapshot.fill.report.comparable,
             labels.join(","),
         ),
     ))
@@ -1935,18 +1938,19 @@ fn stats_response(shared: &Shared) -> Response {
 
 fn local_stats_response(shared: &Shared) -> Response {
     let snapshot = shared.current();
+    let (raw, valid, comparable) = snapshot.cascade_counts();
     let mut out = String::new();
     out.push_str(&format!(
-        "generation {}\nraw {}\nvalid {}\ncomparable {}\nrefresh_errors {}\n",
+        "generation {}\nraw {raw}\nvalid {valid}\ncomparable {comparable}\nrefresh_errors {}\n",
         snapshot.generation,
-        snapshot.fill.report.raw,
-        snapshot.fill.report.valid,
-        snapshot.fill.report.comparable,
         shared.refresh_errors.load(Ordering::SeqCst),
     ));
+    let parts = &snapshot.partitions;
     out.push_str(&format!(
         "last_refresh: executed {} hits {} partitions_executed {}\n",
-        snapshot.fill.executed, snapshot.fill.hits, snapshot.fill.partitions_executed
+        parts.iter().map(|p| p.executed).sum::<usize>(),
+        parts.iter().map(|p| p.hits).sum::<usize>(),
+        parts.iter().filter(|p| p.executed > 0).count(),
     ));
     let (memo_entries, memo_evictions) = {
         let memo = snapshot.memo.lock().expect("memo lock");
@@ -1976,7 +1980,7 @@ fn local_stats_response(shared: &Shared) -> Response {
     ));
     push_lifecycle_stats(shared, &mut out);
     out.push_str("partition       reports  valid  comparable  executed  hits\n");
-    for p in &snapshot.fill.partitions {
+    for p in &snapshot.partitions {
         out.push_str(&format!(
             "{:<14} {:>8} {:>6} {:>11} {:>9} {:>5}\n",
             p.key.label(),
@@ -2215,6 +2219,39 @@ mod tests {
         assert!(stats.contains("snapshot_mode stream"), "{stats}");
         graph.shutdown();
         stream.shutdown();
+    }
+
+    /// The config error `Server::start` answers for `config`.
+    fn start_error(config: ServeConfig) -> TrendsError {
+        match Server::start(config) {
+            Ok(server) => {
+                server.shutdown();
+                panic!("server started despite a setting it never reads");
+            }
+            Err(err) => err,
+        }
+    }
+
+    #[test]
+    fn graph_mode_rejects_a_scale_it_never_reads() {
+        let mut config = test_config(6);
+        config.scale = 2;
+        let err = start_error(config);
+        assert_eq!(err.kind.category(), "config", "{err}");
+        assert!(err.to_string().contains("scale"), "{err}");
+    }
+
+    #[test]
+    fn stream_mode_rejects_a_cache_it_never_reads() {
+        let dir =
+            std::env::temp_dir().join(format!("spec_serve_stream_cache_{}", std::process::id()));
+        let mut config = test_config(6);
+        config.mode = SnapshotMode::Stream;
+        config.cache = Some(ArtifactCache::open(dir.clone()).expect("cache opens"));
+        let err = start_error(config);
+        assert_eq!(err.kind.category(), "config", "{err}");
+        assert!(err.to_string().contains("cache"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -26,10 +26,7 @@ use tinyframe::{Column, Frame, SegFrame, VfsSegmentStore};
 
 use crate::figures::common::RunRow;
 use crate::stage::PartKey;
-
-/// A row tagged with its global corpus index and stage-2 flag — the unit
-/// the scatter-gather plane ships between shards.
-pub(crate) type TaggedRow = (u32, bool, RunRow);
+pub(crate) use crate::stage::TaggedRow;
 
 /// How a [`RowStore`] is laid out.
 #[derive(Clone, Debug)]
@@ -53,11 +50,13 @@ impl Default for RowStoreConfig {
     }
 }
 
-/// The per-partition budget divisor: the 16-year SPEC Power corpus spans
-/// roughly `years × vendors ≈ 48` partitions, and each partition's
-/// `SegFrame` enforces its slice of the `--max-resident-mb` budget
-/// independently (segment budgets cannot be rebalanced after spill ids
-/// are handed out). A floor keeps tiny budgets from rounding to zero.
+/// The per-partition budget divisor. The seed corpus spans 44 (year,
+/// vendor) partitions, at ×1 and at ×10 alike (replication adds reports,
+/// not partitions), so 48 slices leave a little headroom. Each
+/// partition's `SegFrame` enforces its slice of the `--max-resident-mb`
+/// budget independently (segment budgets cannot be rebalanced after
+/// spill ids are handed out). A floor keeps tiny budgets from rounding
+/// to zero.
 const BUDGET_PARTS: usize = 48;
 const MIN_PART_BUDGET: usize = 4 * 1024;
 

@@ -36,8 +36,8 @@ pub use cache::{
 pub use codec::{decode_from_slice, encode_to_vec, Codec, CodecError, Reader, Writer};
 pub use driver::{CorpusSource, PipelineDriver, StageStats};
 pub use partition::{
-    part_key_of_input, part_key_of_text, shard_of, PartKey, PartRows,
-    PartStageKind, PartValidateArtifact, PartitionSummary, PartitionedDriver, ShardSpec,
+    part_key_of_input, part_key_of_text, shard_of, PartKey, PartitionSummary, PartitionedDriver,
+    ShardSpec, TaggedRow,
 };
 pub use graph::{
     ComparableStage, DeriveStage, ExportDataStage, ExportFiguresStage, Fig1Stage, Fig2Stage,

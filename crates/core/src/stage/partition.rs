@@ -8,8 +8,7 @@
 //! runs the §II cascade per partition:
 //!
 //! ```text
-//! Split ─▶ part(validate) ─▶ part(comparable) ─▶ filter report
-//!              └──────────▶ part(rows) ─────────▶ per-partition rows
+//! Split ─▶ part-rows (one cached stage per partition) ─▶ report, rows, summary
 //! ```
 //!
 //! * **Split** (always runs, cheap): materialize the corpus, assign each
@@ -17,20 +16,24 @@
 //!   content hash per partition. Keys are *partition-local* — they never
 //!   include global indices, so adding a report to partition A cannot
 //!   invalidate partition B through index shifts.
-//! * **Per-partition stages** (cached): `validate` (parse + stage 1, plus
-//!   the valid→input index map), `comparable` (stage-2 indices), `rows`
-//!   (the per-run [`RunRow`] metric extracts every figure reduces over).
+//! * **`part-rows`** (cached, keyed on the partition's content hash): the
+//!   partition's inputs run through [`StreamRows`] — the sharded cascade
+//!   kernel the streaming serve fill uses — and the artifact keeps the
+//!   partition-local [`FilterReport`] plus each stage-1 survivor's
+//!   `(local input index, comparable flag, RunRow)`. No parsed run is
+//!   cached: the rows are all any consumer reads.
 //! * **Outputs** (always computed, cheap): the [`FilterReport`], summed
-//!   over partitions with parse failures mapped back to global indices,
-//!   and each partition's rows tagged with their global corpus index and
-//!   comparable flag ([`PartRows`]). Sorting the union of the tagged rows
-//!   by global index restores the monolithic valid/comparable row order,
-//!   so every figure reduced over them is **byte-identical** to a cold
-//!   monolithic run — pinned by tests here and the
-//!   `partition_incremental` property test. The serve daemon's row store
-//!   is the one consumer.
+//!   over partitions with parse failures mapped back to global indices;
+//!   each partition's rows as [`TaggedRow`]s carrying their global corpus
+//!   index; and the per-partition counts ([`PartitionSummary`]). Sorting
+//!   the union of the tagged rows by global index restores the monolithic
+//!   valid/comparable row order, so every figure reduced over them is
+//!   **byte-identical** to a cold monolithic run — pinned by tests here
+//!   and the `partition_incremental` property test. The serve daemon's
+//!   row store is the one consumer.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -38,16 +41,14 @@ use spec_model::CpuVendor;
 use spec_obs as obs;
 use spec_vfs::Vfs;
 
-use super::artifact::{corpus_fingerprint, ComparableArtifact, ValidateArtifact};
-use super::cache::{content_hash, ArtifactCache, ContentHasher, Hash128};
-use super::codec::{encode_to_vec, Codec, CodecError, Reader, Writer};
+use super::artifact::corpus_fingerprint;
+use super::cache::{ArtifactCache, ContentHasher, Hash128};
+use super::codec::encode_to_vec;
 use super::driver::{CorpusSource, StageStats};
 use super::CODE_VERSION;
-use crate::figures::common::{extract_rows, RunRow};
-use crate::pipeline::{
-    stage1_validate_inputs_indexed, stage2_split, CascadeInput, FilterReport, ParseFailureRecord,
-    RawInput,
-};
+use crate::figures::common::RunRow;
+use crate::pipeline::{FilterReport, ParseFailureRecord, RawInput};
+use crate::stream::StreamRows;
 
 /// A partition of the corpus: hardware-availability year × CPU vendor.
 ///
@@ -211,52 +212,18 @@ impl ShardSpec {
     }
 }
 
-/// The kinds of cached per-partition stages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum PartStageKind {
-    /// Parse + §II stage-1 validity checks for one partition.
-    Validate,
-    /// §II stage-2 comparability split for one partition.
-    Comparable,
-    /// Per-run figure metric extraction ([`RunRow`]) for one partition.
-    Rows,
-}
+/// Name of the one cached per-partition stage, used in its cache key,
+/// span and `stage.part-rows.*` counters.
+const PART_STAGE: &str = "part-rows";
 
-impl PartStageKind {
-    /// Stable name, used in cache keys and stats output.
-    pub fn name(self) -> &'static str {
-        match self {
-            PartStageKind::Validate => "part-validate",
-            PartStageKind::Comparable => "part-comparable",
-            PartStageKind::Rows => "part-rows",
-        }
-    }
-}
+/// A row tagged with its global corpus index and stage-2 flag — the shape
+/// the serve row store holds and `/shard/rows` ships between shards.
+pub type TaggedRow = (u32, bool, RunRow);
 
-/// Output of a partition's Validate stage: the partition-local
-/// [`ValidateArtifact`] plus, for each valid run, the index of the
-/// partition input it came from — the merge needs it to place survivors
-/// back into global corpus order.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PartValidateArtifact {
-    /// The partition-local valid runs and stage-1 accounting.
-    pub validate: ValidateArtifact,
-    /// For each valid run, the zero-based partition-input index.
-    pub item_index: Vec<u32>,
-}
-
-impl Codec for PartValidateArtifact {
-    fn encode(&self, w: &mut Writer) {
-        self.validate.encode(w);
-        self.item_index.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(PartValidateArtifact {
-            validate: Codec::decode(r)?,
-            item_index: Codec::decode(r)?,
-        })
-    }
-}
+/// One partition's cached `part-rows` artifact: the partition-local
+/// [`FilterReport`], and every stage-1 survivor as a
+/// `(partition-local input index, comparable, row)` tuple in input order.
+type PartArtifact = (FilterReport, Vec<TaggedRow>);
 
 /// One partition as produced by the Split stage.
 #[derive(Clone, Debug)]
@@ -269,15 +236,6 @@ struct Partition {
     /// key root. Global indices are deliberately excluded so insertions
     /// elsewhere in the corpus cannot invalidate this partition.
     hash: Hash128,
-}
-
-/// Resolved artifacts for one partition plus hit/executed flags per stage.
-struct PartResolved {
-    validate: PartValidateArtifact,
-    comparable: ComparableArtifact,
-    rows: Vec<RunRow>,
-    /// `(kind, was_cache_hit)` per stage, in execution order.
-    flags: [(PartStageKind, bool); 3],
 }
 
 /// Per-partition cascade summary for stats output and the serve API.
@@ -297,109 +255,59 @@ pub struct PartitionSummary {
     pub hits: usize,
 }
 
-/// One partition's per-run row extracts with global corpus indices and
-/// comparable flags — the serve snapshot's out-of-core row source.
-/// Sorting the union of all partitions' `(gidx, row)` pairs by `gidx`
-/// restores exact global corpus order, which is what makes scatter-gather
-/// responses byte-identical to a single-process daemon (float reduces are
-/// order-sensitive; the merge preserves the monolithic order).
-#[derive(Clone, Debug, PartialEq)]
-pub struct PartRows {
-    /// The partition.
-    pub key: PartKey,
-    /// Global corpus index of each valid run, aligned with `rows`.
-    pub gidx: Vec<u32>,
-    /// Stage-2 survivorship flag per valid run, aligned with `rows`.
-    pub comparable: Vec<bool>,
-    /// [`RunRow`] extract per valid run.
-    pub rows: Vec<RunRow>,
-}
-
-fn part_stage_key(kind: PartStageKind, label: &str, dep: Hash128) -> Hash128 {
+fn part_rows_key(label: &str, hash: Hash128) -> Hash128 {
     let mut h = ContentHasher::new();
     h.update_field(CODE_VERSION.as_bytes());
-    h.update_field(kind.name().as_bytes());
+    h.update_field(PART_STAGE.as_bytes());
     h.update_field(label.as_bytes());
-    h.update_field(&dep.to_bytes());
+    h.update_field(&hash.to_bytes());
     h.finish()
 }
 
-/// Load-or-compute one partition stage: cache decode on hit, compute +
-/// encode + store on miss. Returns the artifact, its content hash and
-/// whether the cache satisfied it.
-fn resolve_part_stage<T: Codec>(
+/// Load-or-compute one partition's artifact: cache decode on hit; on miss
+/// the partition's inputs run through [`StreamRows`] — the sharded
+/// cascade kernel the streaming fill uses — and the result is encoded and
+/// stored. Returns the artifact and whether the cache satisfied it. Pure
+/// per partition, so the driver fans partitions out over `tinypool`; the
+/// order-preserving `parallel_map` keeps results deterministic at any
+/// thread count.
+fn resolve_partition(
     cache: &Option<ArtifactCache>,
-    kind: PartStageKind,
-    label: &str,
-    key: Hash128,
-    compute: impl FnOnce() -> T,
-) -> (T, Hash128, bool) {
-    let mut sp = obs::span(kind.name());
+    key: &PartKey,
+    part: &Partition,
+) -> (PartArtifact, bool) {
+    let label = key.label();
+    let cache_key = part_rows_key(&label, part.hash);
+    let mut sp = obs::span(PART_STAGE);
     if let Some(cache) = cache {
-        if let Some((value, h)) = cache.load::<T>(&key) {
+        if let Some((artifact, _)) = cache.load::<PartArtifact>(&cache_key) {
             sp.cancel();
             if obs::enabled() {
-                obs::count(&format!("stage.{}.cache_hit", kind.name()), 1);
+                obs::count("stage.part-rows.cache_hit", 1);
             }
-            return (value, h, true);
+            return (artifact, true);
         }
     }
-    let value = compute();
-    let payload = encode_to_vec(&value);
-    let h = match cache {
-        Some(cache) => cache.store_encoded(&key, &payload),
-        None => content_hash(&payload),
-    };
+    let mut stream = StreamRows::new();
+    let mut rows = Vec::new();
+    let Ok(()) = stream.push_batch::<_, Infallible>(&part.items, |_, local, comparable, row| {
+        rows.push((local, comparable, row));
+        Ok(())
+    });
+    let artifact = (stream.report().clone(), rows);
+    let payload = encode_to_vec(&artifact);
+    if let Some(cache) = cache {
+        cache.store_encoded(&cache_key, &payload);
+    }
     if obs::enabled() {
         sp.record("kind", "stage");
         sp.record("partition", label);
         sp.record("outcome", "computed");
         sp.record("out_bytes", payload.len());
         sp.observe_into("stage.execute_us");
-        obs::count(&format!("stage.{}.executed", kind.name()), 1);
+        obs::count("stage.part-rows.executed", 1);
     }
-    (value, h, false)
-}
-
-/// Run (or fetch) the full per-partition cascade. Pure per partition, so
-/// the driver fans partitions out over `tinypool` — the order-preserving
-/// `parallel_map` keeps results deterministic at any thread count.
-fn resolve_partition(
-    cache: &Option<ArtifactCache>,
-    key: &PartKey,
-    part: &Partition,
-) -> PartResolved {
-    let label = key.label();
-    let vkey = part_stage_key(PartStageKind::Validate, &label, part.hash);
-    let (validate, vh, vhit) =
-        resolve_part_stage(cache, PartStageKind::Validate, &label, vkey, || {
-            let (valid, report, item_index) =
-                stage1_validate_inputs_indexed(part.items.iter().map(CascadeInput::input));
-            PartValidateArtifact {
-                validate: ValidateArtifact { valid, report },
-                item_index,
-            }
-        });
-    let ckey = part_stage_key(PartStageKind::Comparable, &label, vh);
-    let (comparable, _, chit) =
-        resolve_part_stage(cache, PartStageKind::Comparable, &label, ckey, || {
-            let (indices, stage2) = stage2_split(&validate.validate.valid);
-            ComparableArtifact { indices, stage2 }
-        });
-    let rkey = part_stage_key(PartStageKind::Rows, &label, vh);
-    let (rows, _, rhit) = resolve_part_stage(cache, PartStageKind::Rows, &label, rkey, || {
-        extract_rows(&validate.validate.valid)
-    });
-    PartResolved {
-        validate,
-        comparable,
-        rows,
-        flags: [
-            (PartStageKind::Validate, vhit),
-            (PartStageKind::Comparable, chit),
-            (PartStageKind::Rows, rhit),
-        ],
-    }
+    (artifact, false)
 }
 
 /// Drives the partitioned stage graph for one corpus.
@@ -408,17 +316,16 @@ fn resolve_partition(
 /// and its [`Self::partition_rows`], merged by global index, equal the
 /// row extracts of the monolithic valid and comparable sets — but cached
 /// work is per (year, vendor) partition, so a warm run after one new
-/// report re-executes only that partition's stages plus the always-run
+/// report re-executes only that partition's stage plus the always-run
 /// Split.
 pub struct PartitionedDriver {
     source: CorpusSource,
     vfs: Arc<dyn Vfs>,
     cache: Option<ArtifactCache>,
     shard: Option<ShardSpec>,
-    stats: BTreeMap<(PartStageKind, PartKey), StageStats>,
-    split_runs: usize,
+    stats: BTreeMap<PartKey, StageStats>,
     partitions: Option<Rc<Vec<(PartKey, Partition)>>>,
-    resolved: Option<Rc<Vec<PartResolved>>>,
+    resolved: Option<Rc<Vec<PartArtifact>>>,
 }
 
 impl PartitionedDriver {
@@ -430,7 +337,6 @@ impl PartitionedDriver {
             cache: None,
             shard: None,
             stats: BTreeMap::new(),
-            split_runs: 0,
             partitions: None,
             resolved: None,
         }
@@ -460,13 +366,8 @@ impl PartitionedDriver {
         self
     }
 
-    /// The attached cache, if any.
-    pub fn cache(&self) -> Option<&ArtifactCache> {
-        self.cache.as_ref()
-    }
-
-    /// Per-(stage, partition) invocation counters.
-    pub fn stats(&self) -> &BTreeMap<(PartStageKind, PartKey), StageStats> {
+    /// Per-partition `part-rows` invocation counters.
+    pub fn stats(&self) -> &BTreeMap<PartKey, StageStats> {
         &self.stats
     }
 
@@ -480,20 +381,9 @@ impl PartitionedDriver {
         self.stats.values().map(|s| s.hits).sum()
     }
 
-    /// How many partitions had at least one stage execution.
+    /// How many partitions executed their stage.
     pub fn partitions_executed(&self) -> usize {
-        let keys: std::collections::BTreeSet<PartKey> = self
-            .stats
-            .iter()
-            .filter(|(_, s)| s.executed > 0)
-            .map(|((_, key), _)| *key)
-            .collect();
-        keys.len()
-    }
-
-    /// Times the always-run Split stage ran.
-    pub fn split_runs(&self) -> usize {
-        self.split_runs
+        self.stats.values().filter(|s| s.executed > 0).count()
     }
 
     /// Split the corpus into partitions (always runs; cheap — no parsing).
@@ -523,7 +413,6 @@ impl PartitionedDriver {
         for part in map.values_mut() {
             part.hash = corpus_fingerprint(&part.items);
         }
-        self.split_runs += 1;
         let parts: Vec<(PartKey, Partition)> = map.into_iter().collect();
         if obs::enabled() {
             sp.record("kind", "stage");
@@ -540,26 +429,26 @@ impl PartitionedDriver {
         Ok(rc)
     }
 
-    /// Resolve every partition's cascade, fanning out over `tinypool`.
-    fn resolve_partitions(&mut self) -> spec_diag::Result<Rc<Vec<PartResolved>>> {
+    /// Resolve every partition's artifact, fanning out over `tinypool`.
+    fn resolve_partitions(&mut self) -> spec_diag::Result<Rc<Vec<PartArtifact>>> {
         if let Some(r) = &self.resolved {
             return Ok(r.clone());
         }
         let parts = self.split()?;
         let cache = self.cache.clone();
-        let results: Vec<PartResolved> =
+        let results: Vec<(PartArtifact, bool)> =
             tinypool::parallel_map(&parts, |(key, part)| resolve_partition(&cache, key, part));
-        for ((key, _), res) in parts.iter().zip(&results) {
-            for (kind, hit) in res.flags {
-                let stat = self.stats.entry((kind, *key)).or_default();
-                if hit {
-                    stat.hits += 1;
-                } else {
-                    stat.executed += 1;
-                }
+        let mut artifacts = Vec::with_capacity(results.len());
+        for ((key, _), (artifact, hit)) in parts.iter().zip(results) {
+            let stat = self.stats.entry(*key).or_default();
+            if hit {
+                stat.hits += 1;
+            } else {
+                stat.executed += 1;
             }
+            artifacts.push(artifact);
         }
-        let rc = Rc::new(results);
+        let rc = Rc::new(artifacts);
         self.resolved = Some(rc.clone());
         Ok(rc)
     }
@@ -573,12 +462,11 @@ impl PartitionedDriver {
         let parts = self.split()?;
         let resolved = self.resolve_partitions()?;
         let mut report = FilterReport::default();
-        for ((_, part), res) in parts.iter().zip(resolved.iter()) {
-            let part_report = &res.validate.validate.report;
+        for ((_, part), (part_report, _)) in parts.iter().zip(resolved.iter()) {
             report.raw += part_report.raw;
             report.not_reports += part_report.not_reports;
-            report.valid += res.validate.validate.valid.len();
-            report.comparable += res.comparable.indices.len();
+            report.valid += part_report.valid;
+            report.comparable += part_report.comparable;
             for record in &part_report.parse_failures {
                 report.parse_failures.push(ParseFailureRecord {
                     index: part.gidx[record.index] as usize,
@@ -589,7 +477,7 @@ impl PartitionedDriver {
             for (&issue, &n) in &part_report.stage1 {
                 *report.stage1.entry(issue).or_insert(0) += n;
             }
-            for (&issue, &n) in &res.comparable.stage2 {
+            for (&issue, &n) in &part_report.stage2 {
                 *report.stage2.entry(issue).or_insert(0) += n;
             }
         }
@@ -597,35 +485,24 @@ impl PartitionedDriver {
         Ok(report)
     }
 
-    /// Per-partition row extracts with global indices and comparable
-    /// flags (the serve snapshot's out-of-core row source). The union of
-    /// all partitions' `(gidx, row)` pairs, sorted by `gidx`, is exactly
-    /// the row extracts of the monolithic valid set (and, keeping the
-    /// comparable flags, of the comparable set) — pinned by the
+    /// Each partition's rows tagged with their global corpus index and
+    /// comparable flag (the serve snapshot's row source). The union of
+    /// all partitions' tuples, sorted by global index, is exactly the row
+    /// extracts of the monolithic valid set (and, keeping the comparable
+    /// flags, of the comparable set) — pinned by the
     /// `partition_rows_reassemble_the_monolithic_rows` test below.
-    pub fn partition_rows(&mut self) -> spec_diag::Result<Vec<PartRows>> {
+    pub fn partition_rows(&mut self) -> spec_diag::Result<Vec<(PartKey, Vec<TaggedRow>)>> {
         let parts = self.split()?;
         let resolved = self.resolve_partitions()?;
         Ok(parts
             .iter()
             .zip(resolved.iter())
-            .map(|((key, part), res)| {
-                let gidx: Vec<u32> = res
-                    .validate
-                    .item_index
+            .map(|((key, part), (_, rows))| {
+                let tagged = rows
                     .iter()
-                    .map(|&item| part.gidx[item as usize])
+                    .map(|&(local, comparable, row)| (part.gidx[local as usize], comparable, row))
                     .collect();
-                let mut comparable = vec![false; res.rows.len()];
-                for &i in &res.comparable.indices {
-                    comparable[i as usize] = true;
-                }
-                PartRows {
-                    key: *key,
-                    gidx,
-                    comparable,
-                    rows: res.rows.clone(),
-                }
+                (*key, tagged)
             })
             .collect())
     }
@@ -638,26 +515,15 @@ impl PartitionedDriver {
         Ok(parts
             .iter()
             .zip(resolved.iter())
-            .map(|((key, part), res)| {
-                let executed = self
-                    .stats
-                    .iter()
-                    .filter(|((_, k), _)| k == key)
-                    .map(|(_, s)| s.executed)
-                    .sum();
-                let hits = self
-                    .stats
-                    .iter()
-                    .filter(|((_, k), _)| k == key)
-                    .map(|(_, s)| s.hits)
-                    .sum();
+            .map(|((key, _), (report, _))| {
+                let stat = self.stats.get(key).copied().unwrap_or_default();
                 PartitionSummary {
                     key: *key,
-                    reports: part.items.len(),
-                    valid: res.validate.validate.valid.len(),
-                    comparable: res.comparable.indices.len(),
-                    executed,
-                    hits,
+                    reports: report.raw,
+                    valid: report.valid,
+                    comparable: report.comparable,
+                    executed: stat.executed,
+                    hits: stat.hits,
                 }
             })
             .collect())
@@ -667,6 +533,7 @@ impl PartitionedDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::common::extract_rows;
     use crate::stage::driver::PipelineDriver;
     use spec_format::write_run;
     use spec_model::linear_test_run;
@@ -727,15 +594,8 @@ mod tests {
     }
 
     /// Every partition's rows in global corpus order: (valid, comparable).
-    fn merged_rows(parts: &[PartRows]) -> (Vec<RunRow>, Vec<RunRow>) {
-        let mut tagged: Vec<(u32, bool, RunRow)> = Vec::new();
-        for part in parts {
-            assert_eq!(part.gidx.len(), part.rows.len());
-            assert_eq!(part.comparable.len(), part.rows.len());
-            for ((&g, &c), &row) in part.gidx.iter().zip(&part.comparable).zip(&part.rows) {
-                tagged.push((g, c, row));
-            }
-        }
+    fn merged_rows(parts: &[(PartKey, Vec<TaggedRow>)]) -> (Vec<RunRow>, Vec<RunRow>) {
+        let mut tagged: Vec<TaggedRow> = parts.iter().flat_map(|(_, rows)| rows.clone()).collect();
         tagged.sort_unstable_by_key(|t| t.0);
         let valid = tagged.iter().map(|t| t.2).collect();
         let comparable = tagged.iter().filter(|t| t.1).map(|t| t.2).collect();
@@ -774,6 +634,18 @@ mod tests {
     }
 
     #[test]
+    fn cold_cached_run_stores_one_entry_per_partition() {
+        let cache = tmp_cache("one_entry");
+        let mut cold =
+            PartitionedDriver::new(CorpusSource::Memory(corpus(24))).with_cache(cache.clone());
+        let partitions = cold.partition_summary().unwrap().len();
+        assert!(partitions > 2, "corpus spans several partitions");
+        assert_eq!(cold.executed_total(), partitions);
+        assert_eq!(cache.len().unwrap(), partitions, "one cache entry per partition");
+        let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
     fn one_new_report_re_executes_one_partition() {
         let cache = tmp_cache("incremental");
         let mut items = corpus(24);
@@ -794,13 +666,11 @@ mod tests {
         let mut warm =
             PartitionedDriver::new(CorpusSource::Memory(items.clone())).with_cache(cache.clone());
         let warm_rows = warm.partition_rows().unwrap();
-        for ((kind, key), stat) in warm.stats() {
-            if *key == touched {
-                assert_eq!(stat.executed, 1, "{}/{} executes", kind.name(), key.label());
-            } else {
-                assert_eq!(stat.executed, 0, "{}/{} stays warm", kind.name(), key.label());
-            }
+        for (key, stat) in warm.stats() {
+            let executed = usize::from(*key == touched);
+            assert_eq!(stat.executed, executed, "{}", key.label());
         }
+        assert_eq!(warm.executed_total(), 1, "one stage execution in total");
         assert_eq!(warm.partitions_executed(), 1);
 
         // Identical to a cold full recompute of the grown corpus.
@@ -935,11 +805,11 @@ mod tests {
         let (_, valid, comparable) = monolithic(&items);
         let mut d = PartitionedDriver::new(CorpusSource::Memory(items));
         let parts = d.partition_rows().unwrap();
-        for part in &parts {
-            for row in &part.rows {
+        for (key, rows) in &parts {
+            for (_, _, row) in rows {
                 // The key agrees with the row it owns (valid rows always
                 // carry the header-scanned year/vendor).
-                assert_eq!((part.key.year, part.key.vendor), (row.hw_year, row.vendor));
+                assert_eq!((key.year, key.vendor), (row.hw_year, row.vendor));
             }
         }
         assert_eq!(merged_rows(&parts), (valid, comparable));

@@ -1,8 +1,8 @@
 //! Property tests for the partitioned stage graph's incrementality
 //! contract: after warming the cache on a random corpus, adding,
 //! modifying or removing ONE report re-executes only the affected
-//! (year, vendor) partition's stages — asserted on the driver's
-//! per-(stage, partition) invocation counters — while the per-partition
+//! (year, vendor) partition's `part-rows` stage — asserted on the
+//! driver's per-partition invocation counters — while the per-partition
 //! rows and the filter report stay identical to a cold full recompute.
 //! Each scenario runs at 1, 2 and 8 worker threads; the order-preserving
 //! partition fan-out makes every assertion thread-count independent.
@@ -119,17 +119,16 @@ fn check_incremental(corpus: &Corpus, edited: &Corpus, affected: &[PartKey]) {
     let mut cold = driver(corpus, Some(cache.clone()));
     cold.partition_rows().expect("cold rows");
 
-    // Warm run over the edited corpus: only the affected partitions'
-    // stages may execute.
+    // Warm run over the edited corpus: only the affected partitions may
+    // execute.
     let mut warm = driver(edited, Some(cache));
     let warm_rows = warm.partition_rows().expect("warm rows");
     let warm_report = warm.filter_report().expect("warm report");
-    for ((kind, key), stats) in warm.stats() {
+    for (key, stats) in warm.stats() {
         if stats.executed > 0 {
             prop_assert!(
                 affected.contains(key),
-                "stage {} of unaffected partition {} re-executed ({} times)",
-                kind.name(),
+                "unaffected partition {} re-executed ({} times)",
                 key.label(),
                 stats.executed
             );

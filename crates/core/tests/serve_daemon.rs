@@ -102,10 +102,14 @@ fn watched_dir_refreshes_only_the_touched_partition() {
         std::thread::sleep(Duration::from_millis(25));
     };
     assert!(stats.contains("generation 1"), "{stats}");
-    // Exactly the touched (year, vendor) partition re-executed; every
-    // other partition was served warm from the cache.
+    // Exactly the touched (year, vendor) partition re-executed its one
+    // stage; every other partition was served warm from the cache.
     assert!(
-        stats.contains("partitions_executed 1"),
+        stats.contains("last_refresh: executed 1 hits "),
+        "one stage execution, got: {stats}"
+    );
+    assert!(
+        stats.contains("partitions_executed 1\n"),
         "one partition re-executes, got: {stats}"
     );
     // The data responses reflect the refreshed snapshot.

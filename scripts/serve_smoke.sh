@@ -58,8 +58,12 @@ for target in / /stats \
   body="$(qget "$BASE$target")"
   test -n "$body" || { echo "serve_smoke: empty body for $target" >&2; exit 1; }
 done
-qget "$BASE/figures/2" | grep -q '</svg>'
-qget "$BASE/data/2" | head -1 | grep -q 'year'
+# Capture whole bodies before matching: with pipefail, a `grep -q` that
+# exits at its first match fails the pipeline when curl is still writing.
+svg="$(qget "$BASE/figures/2")"
+grep -q '</svg>' <<< "$svg"
+csv="$(qget "$BASE/data/2")"
+grep -q 'year' <<< "${csv%%$'\n'*}"
 
 stats="$(qget "$BASE/stats")"
 echo "$stats" | grep -q 'raw 1017' || {
@@ -100,9 +104,13 @@ echo "$stats" | grep -q 'raw 1018' || {
   echo "serve_smoke: watcher never picked up the new report" >&2
   echo "$stats" >&2; exit 1
 }
-# Exactly the touched partition re-executed; the other ~60 partitions
-# were served warm from the artifact cache.
-echo "$stats" | grep -q 'partitions_executed 1' || {
+# Exactly the touched partition re-executed its one `part-rows` stage;
+# the other 43 partitions were served warm from the artifact cache.
+echo "$stats" | grep -q '^last_refresh: executed 1 hits ' || {
+  echo "serve_smoke: expected exactly one stage execution" >&2
+  echo "$stats" >&2; exit 1
+}
+echo "$stats" | grep -q 'partitions_executed 1$' || {
   echo "serve_smoke: expected exactly one partition to re-execute" >&2
   echo "$stats" >&2; exit 1
 }
