@@ -11,9 +11,13 @@
 //! spec-trends figures --out DIR [--data DIR]     render all figure SVGs
 //! spec-trends table1                             reproduce Table I
 //! spec-trends report --out FILE [--data DIR]     write the full markdown report
-//! spec-trends doctor --cache-dir DIR             fsck an artifact cache: verify
+//! spec-trends doctor --cache-dir DIR [--data D]  fsck an artifact cache: verify
 //!                                                every entry, quarantine corrupt
-//!                                                ones, sweep orphaned temp files
+//!                                                ones, sweep orphaned temp files;
+//!                                                with --data, re-hash the files
+//!                                                D's stat manifest trusts and drop
+//!                                                entries whose content changed
+//!                                                under an unchanged stat
 //! spec-trends stats [--data DIR] [--cache-dir D] run the full pipeline with
 //!                                                instrumentation on and print the
 //!                                                per-stage execution/cache table
@@ -60,7 +64,9 @@
 //! `--cache-dir DIR` attaches a content-addressed artifact cache: every
 //! pipeline stage's output is persisted under a key derived from the code
 //! version and its inputs, so `figures` after `analyze` re-parses nothing
-//! and writes byte-identical output from the cached artifacts.
+//! and writes byte-identical output from the cached artifacts. With
+//! `--data`, the cache also holds a stat manifest of the report
+//! directory, so a warm run stats the reports instead of reading them.
 //!
 //! `--threads N` pins the worker-pool size. Precedence: the flag overrides
 //! the `SPEC_TRENDS_THREADS` environment variable, which overrides the
@@ -109,7 +115,8 @@ fn usage() -> ExitCode {
          \x20               stage whose inputs are unchanged (figures after analyze\n\
          \x20               re-parses nothing and is byte-identical). Corrupt or\n\
          \x20               torn entries are quarantined and recomputed; `doctor`\n\
-         \x20               audits a cache directory offline.\n\
+         \x20               audits a cache directory offline (with --data it\n\
+         \x20               also re-hashes that directory's stat manifest).\n\
          --threads N   worker threads for generation and the filter cascade.\n\
          \x20             Precedence: --threads > SPEC_TRENDS_THREADS env var >\n\
          \x20             available CPU parallelism. Output is identical for any\n\
@@ -619,6 +626,15 @@ fn run_command(args: &Args) -> spec_diag::Result<()> {
             let report = ArtifactCache::fsck(&dir)?;
             println!("cache {}", dir.display());
             print!("{}", report.to_text());
+            if let Some(data) = &args.data {
+                let cache = ArtifactCache::open(dir.clone())?;
+                let audit = spec_analysis::stage::audit_manifest(
+                    &cache,
+                    spec_vfs::default_vfs().as_ref(),
+                    data,
+                )?;
+                print!("{}", audit.to_text(data));
+            }
             // Scratch dirs from crashed ingest/serve runs live in the
             // system temp dir, not the cache — sweep those too.
             let swept = sweep_orphan_scratch(&std::env::temp_dir());
@@ -747,6 +763,9 @@ fn run_serve(args: &Args) -> spec_diag::Result<()> {
     if let Some(addr) = &args.addr {
         config.addr = addr.clone();
     }
+    // Check before the cache directory is created: a rejected config
+    // leaves nothing on disk.
+    config.check(args.cache_dir.is_some())?;
     if let Some(dir) = &args.cache_dir {
         config.cache = Some(ArtifactCache::open(dir.clone())?);
     }
@@ -1044,6 +1063,31 @@ mod tests {
         .unwrap();
         let err = run_serve(&args).unwrap_err();
         assert!(err.to_string().contains("mutually exclusive"), "{err}");
+    }
+
+    #[test]
+    fn rejected_serve_config_leaves_no_cache_dir() {
+        let cache = std::env::temp_dir().join(format!("spec_serve_reject_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache);
+        let cache_arg = cache.to_string_lossy().into_owned();
+        let args = parse(&[
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--scale",
+            "10",
+            "--cache-dir",
+            &cache_arg,
+        ])
+        .unwrap();
+        let err = run_serve(&args).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("--cache-dir"), "{err}");
+        assert!(
+            !cache.exists(),
+            "a rejected serve created {}",
+            cache.display()
+        );
     }
 
     #[test]

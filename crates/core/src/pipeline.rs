@@ -25,7 +25,7 @@ use spec_format::{
 };
 use spec_model::RunResult;
 use spec_obs as obs;
-use spec_vfs::Vfs;
+use spec_vfs::{FileStat, Vfs};
 
 use crate::stage::{part_key_of_text, PartKey};
 
@@ -512,6 +512,16 @@ pub fn list_report_files(vfs: &dyn Vfs, dir: &Path) -> spec_diag::Result<Vec<Pat
 /// [`RawInput::IoError`] record in that file's slot instead of
 /// propagating.
 pub fn read_inputs_shared(vfs: &dyn Vfs, paths: &[PathBuf]) -> Vec<(Option<String>, RawInput)> {
+    read_inputs_stat(vfs, paths)
+        .into_iter()
+        .map(|(origin, input, _)| (origin, input))
+        .collect()
+}
+
+/// [`read_inputs_shared`], keeping the [`FileStat`] each read's length
+/// check used (`None` for a file that could not be read). The stat costs
+/// no extra system call: [`Vfs::read_verified_stat`] makes it anyway.
+pub(crate) fn read_inputs_stat(vfs: &dyn Vfs, paths: &[PathBuf]) -> Vec<ReadInput> {
     let ranges = tinypool::run_chunks(paths.len(), |_| {});
     let chunks = tinypool::parallel_map(&ranges, |range| read_chunk(vfs, &paths[range.clone()]));
     let mut items = Vec::with_capacity(paths.len());
@@ -521,34 +531,42 @@ pub fn read_inputs_shared(vfs: &dyn Vfs, paths: &[PathBuf]) -> Vec<(Option<Strin
     items
 }
 
-/// Serial body of [`read_inputs_shared`]: one arena for a chunk of paths.
-fn read_chunk(vfs: &dyn Vfs, paths: &[PathBuf]) -> Vec<(Option<String>, RawInput)> {
+/// One file as [`read_inputs_stat`] returns it: origin, input and the
+/// stat of a successful read.
+pub(crate) type ReadInput = (Option<String>, RawInput, Option<FileStat>);
+
+/// Serial body of [`read_inputs_stat`]: one arena for a chunk of paths.
+fn read_chunk(vfs: &dyn Vfs, paths: &[PathBuf]) -> Vec<ReadInput> {
     let mut arena = spec_vfs::SlabArena::new();
     // First pass reads (filling the arena), second pass zips the sealed
     // texts back to their origins; errors hold their slot so the zip
     // stays aligned.
-    let slots: Vec<(Option<String>, Option<String>)> = paths
+    let slots: Vec<(Option<String>, Result<FileStat, String>)> = paths
         .iter()
         .map(|path| {
             let origin = path.file_name().map(|n| n.to_string_lossy().into_owned());
-            match vfs.read_to_string(path) {
-                Ok(text) => {
+            match vfs.read_to_string_stat(path) {
+                Ok((text, stat)) => {
                     arena.push_owned(text);
-                    (origin, None)
+                    (origin, Ok(stat))
                 }
-                Err(e) => (origin, Some(format!("could not read file: {e}"))),
+                Err(e) => (origin, Err(format!("could not read file: {e}"))),
             }
         })
         .collect();
     let mut shared = arena.finish().into_iter();
     slots
         .into_iter()
-        .map(|(origin, err)| match err {
-            Some(detail) => (origin, RawInput::IoError(detail)),
-            None => match shared.next() {
-                Some(text) => (origin, RawInput::Shared(text)),
+        .map(|(origin, read)| match read {
+            Err(detail) => (origin, RawInput::IoError(detail), None),
+            Ok(stat) => match shared.next() {
+                Some(text) => (origin, RawInput::Shared(text), Some(stat)),
                 // Unreachable: the arena yields one text per pushed file.
-                None => (origin, RawInput::IoError("slab arena underflow".into())),
+                None => (
+                    origin,
+                    RawInput::IoError("slab arena underflow".into()),
+                    None,
+                ),
             },
         })
         .collect()

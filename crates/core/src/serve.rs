@@ -50,7 +50,8 @@
 //! Everything after the fill is shared, so both modes produce
 //! byte-identical responses. A setting the chosen source never reads —
 //! `scale > 1` in Graph mode, an artifact cache in Stream mode — is a
-//! config error at [`Server::start`].
+//! config error ([`ServeConfig::check`], which [`Server::start`] runs
+//! before it touches the disk or the network).
 //!
 //! `ServeConfig::shard = Some(i/N)` keeps only the partitions a
 //! deterministic hash of the partition key assigns to shard *i*;
@@ -86,8 +87,9 @@
 //! `tests/serve_chaos.rs` suite pins that balance under seeded
 //! adversarial clients from [`faultnet`].
 //!
-//! A watcher thread polls the corpus directory's fingerprint and builds a
-//! new snapshot on change — in Graph mode through a fresh
+//! A watcher thread polls the corpus directory's report-file stats
+//! (name, size, mtime and inode, so a same-size replace by rename is
+//! seen) and builds a new snapshot on change — in Graph mode through a fresh
 //! [`PartitionedDriver`] over the shared artifact cache, so only the
 //! touched (year, vendor) partition's stage re-executes, which `/stats`
 //! reports per refresh.
@@ -119,7 +121,7 @@ use spec_diag::TrendsError;
 use spec_model::CpuVendor;
 use spec_obs as obs;
 use spec_ssj::Settings;
-use spec_vfs::Vfs;
+use spec_vfs::{FileStat, RealVfs, Vfs};
 use tinyframe::{Column, Frame};
 
 use crate::export;
@@ -221,6 +223,33 @@ impl ServeConfig {
             shard: None,
             fan_out: Vec::new(),
         }
+    }
+
+    /// Reject combinations the daemon would silently ignore: `--shard`
+    /// with `--fan-out`, `scale > 1` in Graph mode, and an artifact cache
+    /// in Stream mode. `with_cache` says whether a cache is (or is about
+    /// to be) attached, so a caller can check before it opens one — a
+    /// rejected config then leaves nothing on disk.
+    pub fn check(&self, with_cache: bool) -> spec_diag::Result<()> {
+        if self.shard.is_some() && !self.fan_out.is_empty() {
+            return Err(TrendsError::config(
+                "serve",
+                "--shard and --fan-out are mutually exclusive",
+            ));
+        }
+        if self.mode == SnapshotMode::Graph && self.scale > 1 {
+            return Err(TrendsError::config(
+                "serve",
+                "scale > 1 replicates stream snapshots only; a graph snapshot would serve ×1",
+            ));
+        }
+        if self.mode == SnapshotMode::Stream && with_cache {
+            return Err(TrendsError::config(
+                "serve",
+                "--cache-dir has no effect on stream snapshots (--scale > 1 or --max-resident-mb)",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -1070,26 +1099,9 @@ impl Server {
     /// builds no local snapshot; it polls its shards' `/shard/meta`
     /// instead.
     pub fn start(config: ServeConfig) -> spec_diag::Result<Server> {
-        if config.shard.is_some() && !config.fan_out.is_empty() {
-            return Err(TrendsError::config(
-                "serve",
-                "--shard and --fan-out are mutually exclusive",
-            ));
-        }
         // Settings the chosen row source never reads fail loudly instead
         // of silently serving something else.
-        if config.mode == SnapshotMode::Graph && config.scale > 1 {
-            return Err(TrendsError::config(
-                "serve",
-                "scale > 1 replicates stream snapshots only; a graph snapshot would serve ×1",
-            ));
-        }
-        if config.mode == SnapshotMode::Stream && config.cache.is_some() {
-            return Err(TrendsError::config(
-                "serve",
-                "--cache-dir has no effect on stream snapshots (--scale > 1 or --max-resident-mb)",
-            ));
-        }
+        config.check(config.cache.is_some())?;
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| TrendsError::io("serve", &e).with_origin(config.addr.clone()))?;
         let addr = listener
@@ -1255,35 +1267,29 @@ fn refresh(shared: &Shared, config: &ServeConfig) -> spec_diag::Result<u64> {
     }
 }
 
-/// `(name, len, mtime)` for every entry in the watched directory; any
-/// change to the triple set means the corpus changed. Uses `std::fs`
-/// directly — the watcher never reads file contents, so chaos injection
-/// on the corpus read path cannot wedge the fingerprint.
-fn dir_fingerprint(dir: &std::path::Path) -> Vec<(String, u64, u128)> {
-    let mut entries = Vec::new();
-    let Ok(read) = std::fs::read_dir(dir) else {
-        return entries;
-    };
-    for entry in read.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Ok(meta) = entry.metadata() else { continue };
-        let mtime = meta
-            .modified()
-            .ok()
-            .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-            .map(|d| d.as_nanos())
-            .unwrap_or(0);
-        entries.push((name, meta.len(), mtime));
-    }
-    entries.sort();
-    entries
+/// The watched directory's report files with their stats; any change
+/// to the set means the corpus changed. The stat includes the inode, so a
+/// same-size replace that keeps the old mtime (a temp file renamed over
+/// the report, as `cp -p` or `rsync -a` do) is seen. Runs on [`RealVfs`],
+/// not the configured `Vfs`: the watcher never reads file contents, and
+/// chaos injected on the corpus read path cannot wedge it. An unlistable
+/// directory reads as empty.
+fn dir_fingerprint(dir: &std::path::Path) -> Vec<(PathBuf, Option<FileStat>)> {
+    crate::pipeline::list_report_files(&RealVfs, dir)
+        .unwrap_or_default()
+        .into_iter()
+        .map(|path| {
+            let stat = RealVfs.stat(&path).ok();
+            (path, stat)
+        })
+        .collect()
 }
 
 fn watcher_loop(
     shared: &Shared,
     config: &ServeConfig,
     dir: &std::path::Path,
-    mut last: Vec<(String, u64, u128)>,
+    mut last: Vec<(PathBuf, Option<FileStat>)>,
 ) {
     let step = Duration::from_millis(config.poll_ms.clamp(10, 1000));
     while !shared.draining() {

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use spec_format::ComparabilityIssue;
 use spec_model::RunResult;
 
-use super::cache::{ContentHasher, Hash128};
+use super::cache::{content_hash, ContentHasher, Hash128};
 use super::codec::{Codec, CodecError, Reader, Writer};
 use crate::pipeline::{AnalysisSet, FilterReport, RawInput, RawInputRef};
 use crate::table1::Table1;
@@ -41,26 +41,56 @@ impl Codec for CorpusArtifact {
 /// Content hash of a raw corpus: the cache-key root of everything
 /// downstream of ingest.
 ///
-/// Streams one [`ContentHasher`] over each input's origin, kind tag and
-/// text (or read-error detail) in corpus order, every variable-length
-/// field length-prefixed, so no two distinct corpora share an input
-/// stream: a changed byte, a renamed file, a reordering, a lost file
-/// (`IoError`) or a moved field boundary all change the fingerprint. The
-/// texts are hashed where they lie — no encoded copy of the corpus is
-/// built — and [`RawInput::Text`] and [`RawInput::Shared`] inputs with
-/// equal content fingerprint identically.
+/// One [`ContentHasher`] over the input count and, per input in corpus
+/// order, its origin (with a presence tag, length-prefixed), its kind tag
+/// (text or read error) and the [`content_hash`] of its text or
+/// read-error detail. A changed byte, a renamed file,
+/// a reordering, a lost file (`IoError`) or a moved boundary between two
+/// texts all change the fingerprint, and [`RawInput::Text`] and
+/// [`RawInput::Shared`] inputs with equal content fingerprint identically.
+///
+/// Each input enters as its own content hash, so a directory corpus can
+/// be fingerprinted from the per-file hashes its stat manifest records
+/// ([`super::manifest`]) without reading the files: one definition for
+/// every source, the partition hashes included.
 pub fn corpus_fingerprint(items: &[(Option<String>, RawInput)]) -> Hash128 {
+    fold_fingerprint(
+        items.len(),
+        items
+            .iter()
+            .map(|(origin, input)| (origin.as_deref(), input_digest(input))),
+    )
+}
+
+/// Kind tag of a text input in [`corpus_fingerprint`].
+pub(crate) const TEXT_TAG: u8 = 0;
+/// Kind tag of a read error in [`corpus_fingerprint`].
+pub(crate) const IO_ERROR_TAG: u8 = 1;
+
+/// What [`corpus_fingerprint`] keeps of one input: its kind tag and the
+/// content hash of its text (or read-error detail).
+pub(crate) fn input_digest(input: &RawInput) -> (u8, Hash128) {
+    match input.as_ref() {
+        RawInputRef::Text(text) => (TEXT_TAG, content_hash(text.as_bytes())),
+        RawInputRef::IoError(detail) => (IO_ERROR_TAG, content_hash(detail.as_bytes())),
+    }
+}
+
+/// Fold `count` inputs' `(origin, (kind tag, content hash))` into the
+/// corpus fingerprint — the body of [`corpus_fingerprint`], which a
+/// manifest scan feeds with recorded hashes.
+pub(crate) fn fold_fingerprint<'a>(
+    count: usize,
+    digests: impl Iterator<Item = (Option<&'a str>, (u8, Hash128))>,
+) -> Hash128 {
     let mut h = ContentHasher::new();
-    h.update(&(items.len() as u64).to_le_bytes());
-    for (origin, input) in items {
+    h.update(&(count as u64).to_le_bytes());
+    for (origin, (tag, hash)) in digests {
         match origin {
             Some(name) => h.update(&[1]).update_field(name.as_bytes()),
             None => h.update(&[0]),
         };
-        match input.as_ref() {
-            RawInputRef::Text(text) => h.update(&[0]).update_field(text.as_bytes()),
-            RawInputRef::IoError(detail) => h.update(&[1]).update_field(detail.as_bytes()),
-        };
+        h.update(&[tag]).update(&hash.to_bytes());
     }
     h.finish()
 }

@@ -139,7 +139,7 @@ macro_rules! int_codec {
     )*};
 }
 
-int_codec!(u8, u16, u32, u64, i32, i64);
+int_codec!(u8, u16, u32, u64, u128, i32, i64);
 
 impl Codec for usize {
     fn encode(&self, w: &mut Writer) {

@@ -10,6 +10,14 @@
 //! rendered SVGs) and re-parses **nothing** — asserted by the
 //! stage-invocation counters in [`StageStats`].
 //!
+//! A directory corpus's hash comes from a stat scan against its manifest
+//! ([`super::manifest`]): a warm run stats every report file, reads only
+//! those whose stat changed, and reads the rest only when Validate must
+//! execute. What it then reads must fingerprint to the hash the run's
+//! keys were derived from; if an edit landed in between, the run fails
+//! with a typed `ingest` error instead of storing an artifact under a key
+//! whose content it did not read, and the next run reads the edit.
+//!
 //! Cache faults never abort a run: a corrupt or unreadable entry reads as
 //! a miss (and is quarantined), a failed store is skipped, and the stage
 //! recomputes — see [`super::cache`]. All driver I/O (corpus reads, cache,
@@ -36,10 +44,11 @@ use super::graph::{
     ComparableStage, DeriveStage, ExportDataStage, ExportFiguresStage, Fig1Stage, Fig2Stage,
     Fig3Stage, Fig4Stage, Fig5Stage, Fig6Stage, Stage, StageId, ValidateStage,
 };
+use super::manifest::{CorpusManifest, DirScan};
 use super::CODE_VERSION;
 use crate::export::ExportInputs;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
-use crate::pipeline::{AnalysisSet, FilterReport, RawInput, RawInputRef};
+use crate::pipeline::{AnalysisSet, FilterReport, RawInput};
 use crate::report::Study;
 
 /// Where the raw corpus comes from.
@@ -48,10 +57,14 @@ pub enum CorpusSource {
     /// The built-in synthetic dataset; the corpus is a pure function of the
     /// config, so its cache key needs no file reads at all.
     Synthetic(SynthConfig),
-    /// A directory of `*.txt` report files (read in sorted order). The
-    /// files are read and content-hashed every run — reading is not
-    /// parsing — so edits to the directory invalidate downstream artifacts
-    /// automatically.
+    /// A directory of `*.txt` report files (read in sorted order). Each
+    /// file's content hash feeds the corpus hash, so edits to the
+    /// directory invalidate downstream artifacts automatically. With a
+    /// cache attached, [`PipelineDriver`] records a stat manifest of the
+    /// directory ([`super::manifest`]); a later run stats each file and
+    /// reads only the ones whose `(len, mtime, inode)` changed or whose
+    /// mtime is too recent to trust, plus all of them when Validate must
+    /// execute.
     Dir(PathBuf),
     /// An in-memory corpus of `(origin, text)` pairs (tests, embedding).
     Memory(Vec<(Option<String>, String)>),
@@ -108,6 +121,9 @@ pub struct PipelineDriver {
     /// `in_bytes`/`out_bytes` fields (only populated while tracing).
     sizes: BTreeMap<StageId, usize>,
     corpus: Option<Rc<CorpusArtifact>>,
+    /// A directory corpus whose hash came (partly) from its manifest,
+    /// until Validate needs the texts.
+    scan: Option<DirScan>,
     validate: Option<Rc<ValidateArtifact>>,
     comparable: Option<Rc<ComparableArtifact>>,
     comparable_runs: Option<Rc<Vec<RunResult>>>,
@@ -135,6 +151,7 @@ impl PipelineDriver {
             hashes: BTreeMap::new(),
             sizes: BTreeMap::new(),
             corpus: None,
+            scan: None,
             validate: None,
             comparable: None,
             comparable_runs: None,
@@ -342,7 +359,9 @@ impl PipelineDriver {
         h.finish()
     }
 
-    /// Content hash of the corpus, computed as cheaply as the source allows.
+    /// Content hash of the corpus, computed as cheaply as the source
+    /// allows: a key for the synthetic corpus, the texts' fingerprint for
+    /// an in-memory one, and a manifest scan for a directory.
     fn corpus_hash(&mut self) -> spec_diag::Result<Hash128> {
         if let Some(&h) = self.hashes.get(&StageId::Ingest) {
             return Ok(h);
@@ -357,38 +376,67 @@ impl PipelineDriver {
                     |me| me.source.materialize(&*me.vfs),
                 )
             }
-            CorpusSource::Dir(_) | CorpusSource::Memory(_) => {
-                // Reading the files *is* the ingest work for a directory
-                // source; the content hash doubles as the cache key input.
-                // An in-memory corpus is already read: no span, nothing
-                // counted as executed.
-                let is_dir = matches!(self.source, CorpusSource::Dir(_));
-                let mut sp = is_dir.then(|| obs::span(StageId::Ingest.name()));
+            CorpusSource::Memory(_) => {
+                // Already read: no span, nothing counted as executed.
                 let artifact = self.source.materialize(&*self.vfs)?;
                 let h = corpus_fingerprint(&artifact.items);
-                if let Some(sp) = &mut sp {
-                    self.stat_mut(StageId::Ingest).executed += 1;
-                    if obs::enabled() {
-                        let text_bytes: usize = artifact
-                            .items
-                            .iter()
-                            .map(|(_, input)| match input.as_ref() {
-                                RawInputRef::Text(t) | RawInputRef::IoError(t) => t.len(),
-                            })
-                            .sum();
-                        self.sizes.insert(StageId::Ingest, text_bytes);
-                        sp.record("kind", "stage");
-                        sp.record("outcome", "computed");
-                        sp.record("files", artifact.items.len());
-                        sp.record("out_bytes", text_bytes);
-                        sp.observe_into("stage.execute_us");
-                        obs::count("stage.ingest.executed", 1);
-                    }
-                }
                 self.hashes.insert(StageId::Ingest, h);
                 self.corpus = Some(Rc::new(artifact));
                 Ok(h)
             }
+            CorpusSource::Dir(dir) => {
+                let mut sp = obs::span(StageId::Ingest.name());
+                let manifest = self
+                    .cache
+                    .as_ref()
+                    .and_then(|cache| cache.load::<CorpusManifest>(&CorpusManifest::key(dir)))
+                    .map(|(manifest, _)| manifest);
+                let scan = DirScan::run(&*self.vfs, dir, manifest.as_ref())?;
+                let h = scan.fingerprint();
+                self.hashes.insert(StageId::Ingest, h);
+                if scan.reads() > 0 {
+                    self.note_ingest(&mut sp, &scan);
+                    self.store_manifest(&scan);
+                } else {
+                    sp.cancel();
+                }
+                if scan.reads() == scan.listed() {
+                    self.corpus = scan.into_corpus().map(Rc::new);
+                } else {
+                    self.scan = Some(scan);
+                }
+                Ok(h)
+            }
+        }
+    }
+
+    /// Count a directory ingest that read files (once per driver) and
+    /// fill its span.
+    fn note_ingest(&mut self, sp: &mut obs::Span, scan: &DirScan) {
+        let stat = self.stat_mut(StageId::Ingest);
+        if stat.executed == 0 {
+            stat.executed = 1;
+            if obs::enabled() {
+                obs::count("stage.ingest.executed", 1);
+            }
+        }
+        if obs::enabled() {
+            let bytes = scan.bytes_read();
+            self.sizes.insert(StageId::Ingest, bytes);
+            sp.record("kind", "stage");
+            sp.record("outcome", "computed");
+            sp.record("files", scan.listed());
+            sp.record("read", scan.reads());
+            sp.record("out_bytes", bytes);
+            sp.observe_into("stage.execute_us");
+        }
+    }
+
+    /// Record `scan` as its directory's manifest (on the driver thread,
+    /// like every other store).
+    fn store_manifest(&self, scan: &DirScan) {
+        if let Some(cache) = &self.cache {
+            cache.store(&CorpusManifest::key(scan.dir()), &scan.manifest());
         }
     }
 
@@ -406,14 +454,53 @@ impl PipelineDriver {
                     |me| me.source.materialize(&*me.vfs),
                 )
             }
-            CorpusSource::Dir(_) | CorpusSource::Memory(_) => {
-                self.corpus_hash()?;
-                Ok(self
-                    .corpus
-                    .clone()
-                    .expect("corpus_hash materializes dir/memory corpora"))
+            CorpusSource::Memory(_) | CorpusSource::Dir(_) => {
+                let h = self.corpus_hash()?;
+                match &self.corpus {
+                    Some(c) => Ok(c.clone()),
+                    None => self.read_scanned(h),
+                }
             }
         }
+    }
+
+    /// Read the files a directory scan trusted from the manifest, which
+    /// Validate needs as texts, and check that the corpus still
+    /// fingerprints to `h`, the hash the run's keys were derived from.
+    fn read_scanned(&mut self, h: Hash128) -> spec_diag::Result<Rc<CorpusArtifact>> {
+        let mut scan = self
+            .scan
+            .take()
+            .expect("corpus_hash reads or scans a dir corpus");
+        let mut sp = obs::span(StageId::Ingest.name());
+        let scan_read = scan.reads() > 0;
+        let changed = scan.read_trusted(&*self.vfs);
+        self.note_ingest(&mut sp, &scan);
+        if scan.fingerprint() != h {
+            // Keys already derived from the old hash must not receive
+            // artifacts of the new content. Record what was read, so the
+            // next run starts from it.
+            self.store_manifest(&scan);
+            let origin = scan.dir().display().to_string();
+            self.scan = Some(scan);
+            return Err(spec_diag::TrendsError::new(
+                "ingest",
+                spec_diag::ErrorKind::Io {
+                    detail: format!(
+                        "the corpus changed while this run read it ({}); run again",
+                        changed.join(", ")
+                    ),
+                },
+            )
+            .with_origin(origin));
+        }
+        if !scan_read {
+            // The scan stored nothing: record this read instead.
+            self.store_manifest(&scan);
+        }
+        let corpus = Rc::new(scan.into_corpus().expect("every file is read"));
+        self.corpus = Some(corpus.clone());
+        Ok(corpus)
     }
 
     // -------------------------------------------------- cascade stages ----

@@ -14,6 +14,10 @@
 //! re-parses nothing, and its output is byte-identical to a cold run
 //! because export stages cache the fully rendered file contents.
 //!
+//! A directory corpus is fingerprinted from a stat manifest in the same
+//! cache ([`manifest`]): a warm run stats each report file and reads only
+//! the ones whose stat changed.
+//!
 //! The cache is self-healing (see [`cache`]): corrupt or torn entries are
 //! quarantined and transparently recomputed, failed cache I/O degrades to
 //! recomputation, and all disk access flows through an injectable
@@ -24,6 +28,7 @@ pub mod cache;
 pub mod codec;
 pub mod driver;
 pub mod graph;
+pub mod manifest;
 pub mod partition;
 
 pub use artifact::{
@@ -35,6 +40,7 @@ pub use cache::{
 };
 pub use codec::{decode_from_slice, encode_to_vec, Codec, CodecError, Reader, Writer};
 pub use driver::{CorpusSource, PipelineDriver, StageStats};
+pub use manifest::{audit_manifest, CorpusManifest, ManifestAudit, ManifestEntry, TRUST_MARGIN_NS};
 pub use partition::{
     part_key_of_input, part_key_of_text, shard_of, PartKey, PartitionSummary, PartitionedDriver,
     ShardSpec, TaggedRow,
@@ -52,8 +58,11 @@ pub use graph::{
 /// `/5`: artifacts are partitioned by (year, vendor) with merge stages.
 /// `/7`: keys and checksums moved from FNV-1a-128 to
 /// [`spec_vfs::checksum::ContentHasher`], and the corpus hash became
-/// [`corpus_fingerprint`].)
-pub const CODE_VERSION: &str = "spec-trends/stage-graph/7";
+/// [`corpus_fingerprint`].
+/// `/8`: [`corpus_fingerprint`] folds each input's content hash instead
+/// of its text, so a directory corpus's stat manifest
+/// ([`manifest::CorpusManifest`]) can stand in for reading it.)
+pub const CODE_VERSION: &str = "spec-trends/stage-graph/8";
 
 /// Write rendered `(name, content)` files into `dir` (created if needed)
 /// through `vfs`, returning the written paths in order. Each file lands

@@ -184,3 +184,53 @@ fn chaos_on_the_read_path_never_tears_a_response() {
     let _ = std::fs::remove_dir_all(&corpus);
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
+
+#[test]
+fn watcher_sees_a_same_size_replace_that_keeps_the_mtime() {
+    let corpus = tmp("replace_corpus");
+    write_corpus(&corpus, 12);
+
+    let mut config = ServeConfig::new(CorpusSource::Dir(corpus.clone()));
+    config.addr = "127.0.0.1:0".to_string();
+    config.threads = 2;
+    config.watch = Some(corpus.clone());
+    config.poll_ms = 25;
+    let server = Server::start(config).expect("server starts");
+    let addr = server.addr();
+    let (_, stats) = get(addr, "/stats");
+    assert!(stats.contains("raw 12\nvalid 12\n"), "{stats}");
+
+    // Replace one report the way `cp -p` or `rsync -a` do: a same-size
+    // temp file that takes the old mtime, renamed over the report. Only
+    // the inode changes.
+    let target = corpus.join("r003.txt");
+    let meta = std::fs::metadata(&target).expect("stat report");
+    let staged = corpus.join(".r003.txt.partial");
+    std::fs::write(&staged, "x".repeat(meta.len() as usize)).expect("stage replacement");
+    std::fs::File::options()
+        .write(true)
+        .open(&staged)
+        .expect("open staged")
+        .set_modified(meta.modified().expect("mtime"))
+        .expect("keep the old mtime");
+    std::fs::rename(&staged, &target).expect("replace");
+    let replaced = std::fs::metadata(&target).expect("stat replaced");
+    assert_eq!(replaced.len(), meta.len());
+    assert_eq!(replaced.modified().ok(), meta.modified().ok());
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let (_, stats) = get(addr, "/stats");
+        if stats.contains("generation 1") {
+            break stats;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "watcher missed the replace: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    };
+    assert!(stats.contains("raw 12\nvalid 11\n"), "{stats}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&corpus);
+}

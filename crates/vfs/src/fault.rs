@@ -12,15 +12,15 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::Vfs;
+use crate::{FileStat, Vfs};
 
 /// The class of filesystem operation, for scheduling and tracing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum OpKind {
     /// [`Vfs::read`].
     Read,
-    /// [`Vfs::metadata_len`].
-    MetadataLen,
+    /// [`Vfs::stat`].
+    Stat,
     /// [`Vfs::read_dir`].
     ReadDir,
     /// [`Vfs::write`].
@@ -42,7 +42,7 @@ impl OpKind {
     pub fn label(self) -> &'static str {
         match self {
             OpKind::Read => "read",
-            OpKind::MetadataLen => "metadata-len",
+            OpKind::Stat => "stat",
             OpKind::ReadDir => "read-dir",
             OpKind::Write => "write",
             OpKind::SyncFile => "sync-file",
@@ -153,7 +153,7 @@ impl RandomPlan {
                 2 => FaultKind::TornWrite(n),
                 _ => FaultKind::Transient(1 + (pick >> 16) as u32 % 2),
             },
-            OpKind::MetadataLen | OpKind::ReadDir | OpKind::RemoveFile => match pick % 3 {
+            OpKind::Stat | OpKind::ReadDir | OpKind::RemoveFile => match pick % 3 {
                 0 => FaultKind::Eio,
                 1 => FaultKind::Vanished,
                 _ => FaultKind::Transient(1 + (pick >> 16) as u32 % 2),
@@ -310,10 +310,10 @@ impl Vfs for FaultVfs {
         }
     }
 
-    fn metadata_len(&self, path: &Path) -> io::Result<u64> {
-        match self.decide(OpKind::MetadataLen, path) {
-            Some(kind) => Err(Self::err_for(kind, OpKind::MetadataLen, path)),
-            None => self.inner.metadata_len(path),
+    fn stat(&self, path: &Path) -> io::Result<FileStat> {
+        match self.decide(OpKind::Stat, path) {
+            Some(kind) => Err(Self::err_for(kind, OpKind::Stat, path)),
+            None => self.inner.stat(path),
         }
     }
 

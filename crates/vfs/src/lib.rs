@@ -16,8 +16,8 @@
 //!
 //! Two provided methods carry the robustness contract:
 //!
-//! * [`Vfs::read_verified`] compares the bytes read against the file's
-//!   metadata length, so silently truncated (short) reads surface as
+//! * [`Vfs::read_verified`] compares the bytes read against the length
+//!   [`Vfs::stat`] reports, so silently truncated (short) reads surface as
 //!   `UnexpectedEof` instead of corrupt data;
 //! * [`Vfs::atomic_write_with`] is the crash-durable write path: temp file
 //!   → fsync → read-back verification → rename → parent-directory fsync.
@@ -48,9 +48,49 @@ pub use shared::{SharedText, SlabArena, DEFAULT_SLAB_BYTES};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
+use std::time::SystemTime;
 
 fn other_err(detail: String) -> io::Error {
     io::Error::other(detail)
+}
+
+/// What one `stat` of a file reports: its size, modification time and
+/// inode. Equal stats are how a later run tells, without reading, that a
+/// file is probably unchanged — the inode catches a same-size replace
+/// (temp file plus rename) that keeps the old mtime.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FileStat {
+    /// Size in bytes.
+    pub len: u64,
+    /// Modification time in nanoseconds since the Unix epoch (negative
+    /// before it; 0 where the platform reports none).
+    pub mtime_ns: i64,
+    /// Inode number (0 on platforms without one).
+    pub ino: u64,
+}
+
+impl FileStat {
+    /// The stat of `meta`, as [`RealVfs::stat`] reports it.
+    pub fn from_metadata(meta: &std::fs::Metadata) -> FileStat {
+        #[cfg(unix)]
+        let ino = std::os::unix::fs::MetadataExt::ino(meta);
+        #[cfg(not(unix))]
+        let ino = 0;
+        FileStat {
+            len: meta.len(),
+            mtime_ns: meta.modified().map_or(0, unix_ns),
+            ino,
+        }
+    }
+}
+
+/// `t` in nanoseconds since the Unix epoch, negative before it and
+/// saturating past `i64`'s range (years 1677–2262).
+pub fn unix_ns(t: SystemTime) -> i64 {
+    match t.duration_since(SystemTime::UNIX_EPOCH) {
+        Ok(d) => i64::try_from(d.as_nanos()).unwrap_or(i64::MAX),
+        Err(e) => i64::try_from(e.duration().as_nanos()).map_or(i64::MIN, |n| -n),
+    }
 }
 
 /// The virtual-filesystem interface. Object-safe; `Send + Sync` so a
@@ -59,10 +99,11 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
     /// Read a file's entire contents.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
-    /// The file's size in bytes, from metadata (not from reading it).
-    fn metadata_len(&self, path: &Path) -> io::Result<u64>;
+    /// The file's size, modification time and inode, from metadata (not
+    /// from reading it).
+    fn stat(&self, path: &Path) -> io::Result<FileStat>;
 
-    /// List a directory's entries, sorted by path.
+    /// List a directory's entries, sorted by file name (byte order).
     fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
 
     /// Create (or truncate) a file with the given contents. *Not* durable
@@ -86,35 +127,48 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
 
     // ---------------------------------------------- provided methods ----
 
-    /// Read a file and verify the byte count against metadata, so a short
-    /// (truncated) read is an `UnexpectedEof` error instead of silent data
-    /// loss. All pipeline reads go through this.
-    fn read_verified(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let expected = self.metadata_len(path)?;
+    /// Stat a file, read it and verify the byte count against the stat,
+    /// so a short (truncated) read is an `UnexpectedEof` error instead of
+    /// silent data loss. Returns the bytes and the stat the check used.
+    /// All pipeline reads go through this.
+    fn read_verified_stat(&self, path: &Path) -> io::Result<(Vec<u8>, FileStat)> {
+        let stat = self.stat(path)?;
         let bytes = self.read(path)?;
-        if bytes.len() as u64 != expected {
+        if bytes.len() as u64 != stat.len {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 format!(
                     "short read: got {} of {} bytes from {}",
                     bytes.len(),
-                    expected,
+                    stat.len,
                     path.display()
                 ),
             ));
         }
-        Ok(bytes)
+        Ok((bytes, stat))
     }
 
-    /// [`Vfs::read_verified`] decoded as UTF-8 (`InvalidData` otherwise).
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        let bytes = self.read_verified(path)?;
-        String::from_utf8(bytes).map_err(|_| {
-            io::Error::new(
+    /// [`Vfs::read_verified_stat`] without the stat.
+    fn read_verified(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.read_verified_stat(path).map(|(bytes, _)| bytes)
+    }
+
+    /// [`Vfs::read_verified_stat`] decoded as UTF-8 (`InvalidData`
+    /// otherwise).
+    fn read_to_string_stat(&self, path: &Path) -> io::Result<(String, FileStat)> {
+        let (bytes, stat) = self.read_verified_stat(path)?;
+        match String::from_utf8(bytes) {
+            Ok(text) => Ok((text, stat)),
+            Err(_) => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("{} is not valid UTF-8", path.display()),
-            )
-        })
+            )),
+        }
+    }
+
+    /// [`Vfs::read_to_string_stat`] without the stat.
+    fn read_to_string(&self, path: &Path) -> io::Result<String> {
+        self.read_to_string_stat(path).map(|(text, _)| text)
     }
 
     /// Durable atomic write with an explicit temp path: write `tmp`, fsync

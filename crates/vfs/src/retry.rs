@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::Vfs;
+use crate::{FileStat, Vfs};
 
 /// Is this error worth retrying? Transient conditions — interrupted
 /// syscalls, would-block, timeouts — clear on their own; everything else
@@ -188,10 +188,8 @@ impl Vfs for RetryVfs {
         self.run_op("vfs:read", "vfs.retry.read", || self.inner.read(path))
     }
 
-    fn metadata_len(&self, path: &Path) -> io::Result<u64> {
-        self.run_op("vfs:metadata", "vfs.retry.metadata", || {
-            self.inner.metadata_len(path)
-        })
+    fn stat(&self, path: &Path) -> io::Result<FileStat> {
+        self.run_op("vfs:stat", "vfs.retry.stat", || self.inner.stat(path))
     }
 
     fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
