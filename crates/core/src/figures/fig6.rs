@@ -20,9 +20,6 @@ pub struct Fig6Extrapolated {
     pub yearly_means: Vec<(CpuVendor, Vec<(i32, f64)>)>,
     /// OLS trend over all points (quotient vs fractional year).
     pub trend: Option<LinearFit>,
-    /// Outlier-robust Theil–Sen trend over the same points (the recent
-    /// spread is heavy-tailed; this confirms the slope is not an artefact).
-    pub robust_trend: Option<TheilSen>,
     /// Mann–Kendall significance test on the yearly mean quotients.
     pub mk_test: Option<MannKendall>,
     /// Sample standard deviation of the quotient per era, documenting the
@@ -32,6 +29,14 @@ pub struct Fig6Extrapolated {
 
 fn quotient(row: &RunRow) -> Option<f64> {
     row.quotient.filter(|q| q.is_finite())
+}
+
+/// Every scatter point as `(xs, ys)`, vendors in [`VENDORS`] order.
+fn flatten(scatter: &[(CpuVendor, Vec<(f64, f64)>)]) -> (Vec<f64>, Vec<f64>) {
+    scatter
+        .iter()
+        .flat_map(|(_, pts)| pts.iter().copied())
+        .unzip()
 }
 
 /// Compute Figure 6 over the comparable dataset.
@@ -50,11 +55,8 @@ pub fn compute_rows(comparable: &[RunRow]) -> Fig6Extrapolated {
         .map(|&v| (v, vendor_yearly_mean(comparable, v, quotient)))
         .collect();
 
-    let all: Vec<(f64, f64)> = scatter.iter().flat_map(|(_, pts)| pts.clone()).collect();
-    let xs: Vec<f64> = all.iter().map(|p| p.0).collect();
-    let ys: Vec<f64> = all.iter().map(|p| p.1).collect();
+    let (xs, ys) = flatten(&scatter);
     let trend = tinystats::fit(&xs, &ys).ok();
-    let robust_trend = tinystats::theil_sen(&xs, &ys);
     let yearly_all: Vec<f64> = {
         let pairs: Vec<(i32, f64)> = comparable
             .iter()
@@ -82,13 +84,22 @@ pub fn compute_rows(comparable: &[RunRow]) -> Fig6Extrapolated {
         scatter,
         yearly_means,
         trend,
-        robust_trend,
         mk_test,
         spread_by_era,
     }
 }
 
 impl Fig6Extrapolated {
+    /// Outlier-robust Theil–Sen trend over the same points as
+    /// [`Self::trend`] (the recent spread is heavy-tailed; this confirms
+    /// the slope is not an artefact). No rendered figure, CSV or ledger
+    /// line reads it, so it is computed on demand rather than in every
+    /// reduce: it is by far the costliest statistic of the figure.
+    pub fn robust_trend(&self) -> Option<TheilSen> {
+        let (xs, ys) = flatten(&self.scatter);
+        tinystats::theil_sen(&xs, &ys)
+    }
+
     /// Render the figure.
     pub fn chart(&self) -> Chart {
         let mut chart = Chart::new(
@@ -167,7 +178,7 @@ mod tests {
         let fig = compute(&improving_idle_runs());
         let trend = fig.trend.unwrap();
         assert!(trend.slope > 0.0, "quotient trend is upward");
-        let robust = fig.robust_trend.unwrap();
+        let robust = fig.robust_trend().unwrap();
         assert!(robust.slope > 0.0, "Theil-Sen agrees");
         assert!(fig.mk_test.unwrap().s > 0, "Mann-Kendall agrees");
         // First run: linear curve untouched → quotient 1; last: 60/18.
@@ -200,8 +211,28 @@ mod tests {
     }
 
     #[test]
+    fn robust_trend_is_theil_sen_over_the_flattened_scatter() {
+        let fig = compute(&improving_idle_runs());
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for (_, pts) in &fig.scatter {
+            for &(x, y) in pts {
+                xs.push(x);
+                ys.push(y);
+            }
+        }
+        assert_eq!(xs.len(), 4);
+        let direct = tinystats::theil_sen(&xs, &ys).unwrap();
+        let method = fig.robust_trend().unwrap();
+        assert_eq!(method.slope.to_bits(), direct.slope.to_bits());
+        assert_eq!(method.intercept.to_bits(), direct.intercept.to_bits());
+        assert_eq!(method.n, direct.n);
+    }
+
+    #[test]
     fn empty_input() {
         let fig = compute(&[]);
         assert!(fig.trend.is_none());
+        assert!(fig.robust_trend().is_none());
     }
 }

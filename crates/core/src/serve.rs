@@ -2,7 +2,7 @@
 //!
 //! A std-only HTTP/1.1 server over [`std::net`] that answers figure and
 //! data queries straight from warm partition artifacts. The daemon keeps
-//! one immutable [`Snapshot`] — pre-rendered figures/CSVs plus an
+//! one immutable `Snapshot` — pre-rendered figures/CSVs plus an
 //! out-of-core per-partition row store (`SegFrame`-backed, spilling
 //! cold segments checksummed to disk under `max_resident_mb`) — behind
 //! an `RwLock<Arc<_>>`; every request reads whichever snapshot is

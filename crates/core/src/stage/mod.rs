@@ -61,8 +61,10 @@ pub use graph::{
 /// [`corpus_fingerprint`].
 /// `/8`: [`corpus_fingerprint`] folds each input's content hash instead
 /// of its text, so a directory corpus's stat manifest
-/// ([`manifest::CorpusManifest`]) can stand in for reading it.)
-pub const CODE_VERSION: &str = "spec-trends/stage-graph/8";
+/// ([`manifest::CorpusManifest`]) can stand in for reading it.
+/// `/9`: the Fig6 artifact dropped its Theil–Sen field, now computed on
+/// demand by [`crate::figures::fig6::Fig6Extrapolated::robust_trend`].)
+pub const CODE_VERSION: &str = "spec-trends/stage-graph/9";
 
 /// Write rendered `(name, content)` files into `dir` (created if needed)
 /// through `vfs`, returning the written paths in order. Each file lands

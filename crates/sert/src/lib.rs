@@ -2,7 +2,7 @@
 //!
 //! SERT-lite: a miniature Server Efficiency Rating Tool in the spirit of the
 //! SPECpower committee's SERT suite (paper §II; the EPA's ENERGY STAR server
-//! specification [8] builds on it). Where SPECpower_ssj2008 measures one
+//! specification \[8\] builds on it). Where SPECpower_ssj2008 measures one
 //! transactional workload across load levels, SERT rates a server across
 //! *resource-targeted worklets* — CPU kernels, memory bandwidth/capacity,
 //! storage I/O — and aggregates a weighted efficiency score.

@@ -4,7 +4,7 @@
 //! The paper's §III/§IV claims are of the form "X increases over the
 //! years". OLS answers that, but is sensitive to the heavy-tailed spread
 //! the dataset exhibits in recent years; Theil–Sen and Mann–Kendall give
-//! outlier-robust confirmation, and the ablation benches compare the two.
+//! outlier-robust confirmation.
 
 use crate::quantile::median;
 
@@ -28,25 +28,16 @@ impl TheilSen {
     }
 }
 
-/// Above this many points the estimator switches from materializing all
-/// `n(n−1)/2` pairwise slopes to rank selection by binary search. The
-/// materialized path is kept below the cutoff because its bytes are pinned
-/// by the ×1-corpus golden outputs; at `--scale 100` serve corpora
-/// (~67k comparable rows) the slope vector alone would be ~18 GiB and its
-/// median sort runs for minutes, which is what broke the 512 MiB
-/// out-of-core serve budget.
-const SLOPE_SELECT_CUTOFF: usize = 2048;
-
 /// Fit a Theil–Sen line. Pairs with non-finite coordinates are dropped;
 /// returns `None` with fewer than two distinct-x points.
 ///
-/// Up to [`SLOPE_SELECT_CUTOFF`] points this is the textbook O(n²)
-/// median-of-all-pairwise-slopes. Past the cutoff the median is found by
-/// [`median_slope_selected`] in O(n log n) memory-bounded passes; the two
-/// paths agree except for pairs sitting exactly on a floating-point
-/// rounding boundary of the probed slope, where the selected rank can
-/// shift to an adjacent order statistic (≤ 1 ulp-scale difference at
-/// corpus sizes where the cutover applies).
+/// The median of the `n(n−1)/2` pairwise slopes is found by rank
+/// selection without materializing them: a binary search over the slope
+/// value whose every probe is one O(n log n) inversion count, with peak
+/// memory linear in `n`. It agrees with the textbook sort-all-slopes
+/// median except for pairs sitting exactly on a floating-point rounding
+/// boundary of a probed slope, where the selected rank can shift to an
+/// adjacent order statistic (an ulp-scale difference).
 pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Option<TheilSen> {
     let pts: Vec<(f64, f64)> = xs
         .iter()
@@ -57,11 +48,7 @@ pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Option<TheilSen> {
     if pts.len() < 2 {
         return None;
     }
-    let slope = if pts.len() <= SLOPE_SELECT_CUTOFF {
-        median(&pairwise_slopes(&pts))?
-    } else {
-        median_slope_selected(&pts)?
-    };
+    let slope = median_slope_selected(&pts)?;
     let mx = median(&pts.iter().map(|p| p.0).collect::<Vec<_>>())?;
     let my = median(&pts.iter().map(|p| p.1).collect::<Vec<_>>())?;
     Some(TheilSen {
@@ -71,7 +58,9 @@ pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Option<TheilSen> {
     })
 }
 
-/// Every defined pairwise slope, in input pair order.
+/// Every defined pairwise slope, in input pair order: the O(n²)
+/// reference the selection path is tested against.
+#[cfg(test)]
 fn pairwise_slopes(pts: &[(f64, f64)]) -> Vec<f64> {
     let mut slopes = Vec::with_capacity(pts.len() * (pts.len() - 1) / 2);
     for i in 0..pts.len() {
@@ -113,9 +102,9 @@ fn key_slope(k: u64) -> f64 {
 /// two points once they are sorted by x). Peak memory is three `Vec`s of
 /// `n` elements, regardless of how many of the `n(n−1)/2` pairs exist.
 ///
-/// Divergence from the materialized path: slopes that overflow to ±∞ are
-/// ranked as extreme values here (the probe transform cannot drop them),
-/// whereas [`median`]'s `sorted_finite` discards them. Overflow needs
+/// Divergence from the materialized median: slopes that overflow to ±∞
+/// are ranked as extreme values here (the probe transform cannot drop
+/// them), whereas [`median`]'s `sorted_finite` discards them. Overflow needs
 /// |Δy/Δx| > `f64::MAX`, which physical (year, metric) series never hit.
 fn median_slope_selected(pts: &[(f64, f64)]) -> Option<f64> {
     let mut pts = pts.to_vec();
@@ -405,9 +394,9 @@ mod tests {
 
     #[test]
     fn slope_selection_matches_naive_median() {
-        // Sizes straddle nothing here (all small enough to materialize);
-        // the point is exact agreement across tie-heavy shapes: few
-        // distinct x levels, duplicated (x, y) points, and plain noise.
+        // Agreement across tie-heavy shapes (few distinct x levels,
+        // duplicated (x, y) points, plain noise) and at sizes from 2 up
+        // to just past 2048 points.
         for (n, seed, levels, dup) in [
             (2usize, 7u64, 4u64, 0usize),
             (3, 11, 2, 0),
@@ -415,6 +404,9 @@ mod tests {
             (127, 2, 16, 0),
             (128, 3, 1000, 2),
             (331, 4, 8, 4),
+            (2047, 5, 40, 0),
+            (2048, 6, 1000, 5),
+            (2049, 7, 16, 0),
         ] {
             let pts = lcg_points(n, seed, levels, dup);
             let naive = naive_median_slope(&pts);
@@ -462,10 +454,9 @@ mod tests {
 
     #[test]
     fn theil_sen_large_input_is_bounded_and_sane() {
-        // Past SLOPE_SELECT_CUTOFF the selection path engages; the fit
-        // must still recover the generating slope on noisy data without
-        // materializing ~2.4M slopes (cutoff + 1 squares to that).
-        let pts = lcg_points(SLOPE_SELECT_CUTOFF + 100, 5, 40, 0);
+        // The fit must recover the generating slope on noisy data without
+        // materializing the ~2.3M pairwise slopes of 2148 points.
+        let pts = lcg_points(2148, 5, 40, 0);
         let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
         let ys: Vec<f64> = pts.iter().map(|p| p.1).collect();
         let fit = theil_sen(&xs, &ys).unwrap();

@@ -69,7 +69,7 @@ fn quotient_trend_agrees_across_estimators() {
     let comparable = &common::analysis_set().comparable;
     let fig = fig6::compute(comparable);
     let ols = fig.trend.expect("enough points").slope;
-    let robust = fig.robust_trend.expect("enough points").slope;
+    let robust = fig.robust_trend().expect("enough points").slope;
     let mk = fig.mk_test.expect("enough years");
     assert!(ols > 0.0, "OLS slope {ols}");
     assert!(robust > 0.0, "Theil-Sen slope {robust}");
