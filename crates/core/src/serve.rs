@@ -98,7 +98,10 @@
 //! `catch_unwind`, malformed requests map to typed 4xx/5xx through the
 //! [`net`] parser (`405` known method, `501` unknown method, `431` header
 //! flood, `414` query flood, `400` bodies/garbage), and every request
-//! records a `spec-obs` span plus log₂-µs latency histograms
+//! records a `spec-obs` span (a filtered miss nests one child span per
+//! phase: `serve.miss.rows` or `serve.fanout.scatter` +
+//! `serve.fanout.merge`, then `serve.miss.reduce` and
+//! `serve.miss.render`) plus log₂-µs latency histograms
 //! (`serve.request_us`, `serve.<endpoint>_us`, `serve.queue_wait_us`,
 //! `serve.conn_requests`) and the shed/timeout counters
 //! (`serve.shed`, `serve.timeout.{read,write,deadline}`,
@@ -294,10 +297,10 @@ impl Response {
         Response::error(reject.status, &reject.detail)
     }
 
-    /// Render head + body. `keep_alive` decides the `Connection` header;
+    /// Render the head. `keep_alive` decides the `Connection` header;
     /// the client uses it to learn whether this response ends the
     /// connection.
-    fn render(&self, keep_alive: bool) -> Vec<u8> {
+    fn head(&self, keep_alive: bool) -> String {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
@@ -313,9 +316,13 @@ impl Response {
             head.push_str("Allow: GET\r\n");
         }
         head.push_str("\r\n");
-        let mut bytes = head.into_bytes();
-        bytes.extend_from_slice(&self.body);
-        bytes
+        head
+    }
+
+    /// Write head + body to `conn` within `budget`; the body is written
+    /// from where it lives, never copied behind the head.
+    fn send(&self, conn: &mut net::Conn, keep_alive: bool, budget: Duration) -> net::WriteEvent {
+        conn.write_response(self.head(keep_alive).as_bytes(), &self.body, budget)
     }
 }
 
@@ -428,9 +435,10 @@ impl Snapshot {
         };
         store.seal().map_err(frame_err)?;
         let mut query_sp = obs::span("serve.refresh.full_query");
-        let tagged = store.query(|_| true, |_| true).map_err(frame_err)?;
-        let (valid, comparable) = split_tagged(&tagged);
-        drop(tagged);
+        let (valid, comparable) = store
+            .gather(|_| true, |_| true)
+            .map_err(frame_err)?
+            .into_split();
         query_sp.observe_into("serve.refresh_full_query_us");
         // The six SVGs then the six CSVs, each one pool task with its own
         // span (on whichever thread renders it).
@@ -446,7 +454,14 @@ impl Snapshot {
             let mut render_sp = obs::span(span);
             render_sp.record(field, u64::from(n));
             render_sp.observe_into("serve.refresh_render_us");
-            Arc::new(render_response(kind, n, AggLevel::None, &valid, &comparable))
+            Arc::new(render_response(
+                kind,
+                n,
+                AggLevel::None,
+                &valid,
+                &comparable,
+                REFRESH_PHASES,
+            ))
         });
         sp.record("generation", generation);
         sp.record("rows", store.n_rows());
@@ -692,53 +707,58 @@ fn parse_filter(query: &str) -> Result<RowFilter, TrendsError> {
     Ok(filter)
 }
 
+/// Span names for the two halves of a render: the figure reduce, then
+/// the SVG/CSV writer.
+type Phases = [&'static str; 2];
+/// A filtered (or fan-out) miss.
+const MISS_PHASES: Phases = ["serve.miss.reduce", "serve.miss.render"];
+/// A snapshot build's unfiltered renders.
+const REFRESH_PHASES: Phases = ["serve.refresh.reduce", "serve.refresh.render"];
+
+/// Run `reduce`, then `render` over its result, each under its span.
+fn reduce_render<T>(
+    phases: Phases,
+    reduce: impl FnOnce() -> T,
+    render: impl FnOnce(&T) -> String,
+) -> String {
+    let reduced = {
+        let _sp = obs::span(phases[0]);
+        reduce()
+    };
+    let _sp = obs::span(phases[1]);
+    render(&reduced)
+}
+
 /// Render figure `n` over (possibly filtered) rows: the pipeline's
 /// `compute_rows` reduce, then the export's served-SVG renderer.
-fn render_figure(n: u8, valid: &[RunRow], comparable: &[RunRow]) -> String {
+fn render_figure(n: u8, valid: &[RunRow], comparable: &[RunRow], phases: Phases) -> String {
     match n {
-        1 => export::fig1_svg(&fig1::compute_rows(valid)),
-        2 => export::fig2_svg(&fig2::compute_rows(comparable)),
-        3 => export::fig3_svg(&fig3::compute_rows(comparable)),
-        4 => export::fig4_svg(&fig4::compute_rows(comparable)),
-        5 => export::fig5_svg(&fig5::compute_rows(comparable)),
-        _ => export::fig6_svg(&fig6::compute_rows(comparable)),
+        1 => reduce_render(phases, || fig1::compute_rows(valid), export::fig1_svg),
+        2 => reduce_render(phases, || fig2::compute_rows(comparable), export::fig2_svg),
+        3 => reduce_render(phases, || fig3::compute_rows(comparable), export::fig3_svg),
+        4 => reduce_render(phases, || fig4::compute_rows(comparable), export::fig4_svg),
+        5 => reduce_render(phases, || fig5::compute_rows(comparable), export::fig5_svg),
+        _ => reduce_render(phases, || fig6::compute_rows(comparable), export::fig6_svg),
     }
 }
 
 /// Render figure `n`'s CSV over (possibly filtered) rows: the pipeline's
 /// `compute_rows` reduce, then the export's served-CSV renderer.
-fn render_data(n: u8, valid: &[RunRow], comparable: &[RunRow]) -> String {
+fn render_data(n: u8, valid: &[RunRow], comparable: &[RunRow], phases: Phases) -> String {
     match n {
-        1 => export::fig1_csv(&fig1::compute_rows(valid)),
-        2 => export::fig2_csv(&fig2::compute_rows(comparable)),
-        3 => export::fig3_csv(&fig3::compute_rows(comparable)),
-        4 => export::fig4_csv(&fig4::compute_rows(comparable)),
-        5 => export::fig5_csv(&fig5::compute_rows(comparable)),
-        _ => export::fig6_csv(&fig6::compute_rows(comparable)),
+        1 => reduce_render(phases, || fig1::compute_rows(valid), export::fig1_csv),
+        2 => reduce_render(phases, || fig2::compute_rows(comparable), export::fig2_csv),
+        3 => reduce_render(phases, || fig3::compute_rows(comparable), export::fig3_csv),
+        4 => reduce_render(phases, || fig4::compute_rows(comparable), export::fig4_csv),
+        5 => reduce_render(phases, || fig5::compute_rows(comparable), export::fig5_csv),
+        _ => reduce_render(phases, || fig6::compute_rows(comparable), export::fig6_csv),
     }
-}
-
-/// Split `(gidx, comparable, row)` tuples — already sorted by global
-/// corpus index — into the valid/comparable row vectors every render
-/// path consumes. The order is exactly the monolithic merged order,
-/// which makes the float reduces (and therefore the rendered bytes)
-/// identical whether the rows came from one process or a gather.
-fn split_tagged(tagged: &[rows::TaggedRow]) -> (Vec<RunRow>, Vec<RunRow>) {
-    let mut valid = Vec::with_capacity(tagged.len());
-    let mut comparable = Vec::new();
-    for (_, comp, row) in tagged {
-        valid.push(*row);
-        if *comp {
-            comparable.push(*row);
-        }
-    }
-    (valid, comparable)
 }
 
 /// `agg=year`: the per-vendor yearly-mean series behind figure `n`'s
 /// trend lines, as CSV. Only figures 2/3/5/6 carry such a series.
-fn render_agg_year(n: u8, comparable: &[RunRow]) -> String {
-    let (metric, means) = match n {
+fn render_agg_year(n: u8, comparable: &[RunRow], phases: Phases) -> String {
+    let reduce = || match n {
         2 => (
             "w_per_socket_mean",
             fig2::compute_rows(comparable).yearly_means,
@@ -756,23 +776,25 @@ fn render_agg_year(n: u8, comparable: &[RunRow]) -> String {
             fig6::compute_rows(comparable).yearly_means,
         ),
     };
-    let mut vendors = Vec::new();
-    let mut years = Vec::new();
-    let mut values = Vec::new();
-    for (vendor, points) in &means {
-        for &(year, mean) in points {
-            vendors.push(vendor.label().to_string());
-            years.push(i64::from(year));
-            values.push(mean);
+    reduce_render(phases, reduce, |(metric, means)| {
+        let mut vendors = Vec::new();
+        let mut years = Vec::new();
+        let mut values = Vec::new();
+        for (vendor, points) in means {
+            for &(year, mean) in points {
+                vendors.push(vendor.label().to_string());
+                years.push(i64::from(year));
+                values.push(mean);
+            }
         }
-    }
-    Frame::from_columns([
-        ("vendor", Column::Str(vendors)),
-        ("year", Column::I64(years)),
-        (metric, Column::F64(values)),
-    ])
-    .expect("aggregate frame")
-    .to_csv()
+        Frame::from_columns([
+            ("vendor", Column::Str(vendors)),
+            ("year", Column::I64(years)),
+            (*metric, Column::F64(values)),
+        ])
+        .expect("aggregate frame")
+        .to_csv()
+    })
 }
 
 /// Which row-backed endpoint family a path names.
@@ -828,29 +850,31 @@ fn parse_target(path: &str, query: &str) -> Result<(Kind, u8, RowFilter), Respon
     Ok((kind, n, filter))
 }
 
-/// Render one figure/data response over (possibly filtered) rows.
+/// Render one figure/data response over (possibly filtered) rows in
+/// global corpus order, which makes the float reduces (and therefore the
+/// rendered bytes) identical whether the rows came from one process or a
+/// gather.
 fn render_response(
     kind: Kind,
     n: u8,
     agg: AggLevel,
     valid: &[RunRow],
     comparable: &[RunRow],
+    phases: Phases,
 ) -> Response {
     match (kind, agg) {
-        (Kind::Figures, _) => Response::ok("image/svg+xml", render_figure(n, valid, comparable)),
-        (Kind::Data, AggLevel::None) => {
-            Response::ok("text/csv; charset=utf-8", render_data(n, valid, comparable))
+        (Kind::Figures, _) => {
+            Response::ok("image/svg+xml", render_figure(n, valid, comparable, phases))
         }
-        (Kind::Data, AggLevel::Year) => {
-            Response::ok("text/csv; charset=utf-8", render_agg_year(n, comparable))
-        }
+        (Kind::Data, AggLevel::None) => Response::ok(
+            "text/csv; charset=utf-8",
+            render_data(n, valid, comparable, phases),
+        ),
+        (Kind::Data, AggLevel::Year) => Response::ok(
+            "text/csv; charset=utf-8",
+            render_agg_year(n, comparable, phases),
+        ),
     }
-}
-
-/// Render one filtered (or aggregated) response from gathered rows.
-fn render_filtered(kind: Kind, n: u8, filter: RowFilter, tagged: &[rows::TaggedRow]) -> Response {
-    let (valid, comparable) = split_tagged(tagged);
-    render_response(kind, n, filter.agg, &valid, &comparable)
 }
 
 /// Terminal fate of one admitted connection (exactly one per connection).
@@ -1376,8 +1400,8 @@ fn fanout_meta_loop(shared: &Shared, poll_ms: u64) {
 /// whichever thread is doing the shedding.
 fn shed_connection(stream: TcpStream, detail: &str) {
     let mut conn = net::Conn::new(stream);
-    let rendered = Response::unavailable(detail).render(false);
-    if let net::WriteEvent::Done = conn.write_response(&rendered, Duration::from_millis(250)) {
+    let response = Response::unavailable(detail);
+    if let net::WriteEvent::Done = response.send(&mut conn, false, Duration::from_millis(250)) {
         // The client may have written a full request we never read;
         // linger briefly so the 503 isn't destroyed by an RST.
         conn.lingering_close(Duration::from_millis(100));
@@ -1554,8 +1578,7 @@ fn connection_loop(shared: &Shared, conn: &mut net::Conn, served: &mut u64) -> O
             net::ReadEvent::Error(_) => return Outcome::Aborted,
             net::ReadEvent::Reject(reject) => {
                 obs::count(&format!("serve.status.{}", reject.status), 1);
-                let rendered = Response::reject(&reject).render(false);
-                return match conn.write_response(&rendered, write_budget) {
+                return match Response::reject(&reject).send(conn, false, write_budget) {
                     net::WriteEvent::Done => {
                         shared.life.bump(&shared.life.requests);
                         // Rejected clients (431 floods especially) often
@@ -1586,8 +1609,7 @@ fn connection_loop(shared: &Shared, conn: &mut net::Conn, served: &mut u64) -> O
                     // admission queue, finish this response and free the
                     // worker instead of idling on a parked keep-alive.
                     && shared.queue_len() == 0;
-                let rendered = response.render(keep_alive);
-                let write = conn.write_response(&rendered, write_budget);
+                let write = response.send(conn, keep_alive, write_budget);
                 if obs::enabled() {
                     obs::observe_us("serve.request_us", start.elapsed().as_micros() as u64);
                     obs::count(&format!("serve.status.{}", response.status), 1);
@@ -1714,16 +1736,25 @@ fn figure_or_data(
     if deadline.expired(clock) {
         return deadline_blown(shared, "before recompute");
     }
-    let tagged = match snapshot
+    let rows_sp = obs::span("serve.miss.rows");
+    let gathered = snapshot
         .rows
         .lock()
         .expect("rows lock")
-        .query(|key| filter.matches_key(key), |row| filter.matches_row(row))
-    {
-        Ok(tagged) => tagged,
+        .gather(|key| filter.matches_key(key), |row| filter.matches_row(row));
+    let (valid, comparable) = match gathered {
+        Ok(gathered) => gathered.into_split(),
         Err(e) => return Arc::new(Response::error(500, &format!("row store: {e}"))),
     };
-    let response = Arc::new(render_filtered(kind, n, filter, &tagged));
+    drop(rows_sp);
+    let response = Arc::new(render_response(
+        kind,
+        n,
+        filter.agg,
+        &valid,
+        &comparable,
+        MISS_PHASES,
+    ));
     if deadline.expired(clock) {
         return deadline_blown(shared, "during recompute");
     }
@@ -1835,6 +1866,7 @@ fn fanout_figure_or_data(
     let Some(budget) = deadline.remaining(clock) else {
         return deadline_blown(shared, "before scatter");
     };
+    let scatter_sp = obs::span("serve.fanout.scatter");
     let gathered: Vec<Result<Vec<rows::TaggedRow>, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = fan
             .shards
@@ -1849,10 +1881,17 @@ fn fanout_figure_or_data(
             })
             .collect()
     });
-    let mut tagged = Vec::new();
+    drop(scatter_sp);
+    let merge_sp = obs::span("serve.fanout.merge");
+    let n_rows = gathered.iter().flatten().map(Vec::len).sum();
+    let mut merged = rows::Gathered::with_capacity(n_rows);
     for (client, result) in fan.shards.iter().zip(gathered) {
         match result {
-            Ok(rows) => tagged.extend(rows),
+            Ok(shard_rows) => {
+                for (gidx, comparable, row) in shard_rows {
+                    merged.push(gidx, comparable, row);
+                }
+            }
             Err(detail) => {
                 obs::count("serve.fanout_error", 1);
                 return Arc::new(Response::unavailable(&format!(
@@ -1863,8 +1902,16 @@ fn fanout_figure_or_data(
         }
     }
     // Restore the monolithic merged order before the reduces run.
-    tagged.sort_unstable_by_key(|t| t.0);
-    let response = Arc::new(render_filtered(kind, n, filter, &tagged));
+    let (valid, comparable) = merged.into_split();
+    drop(merge_sp);
+    let response = Arc::new(render_response(
+        kind,
+        n,
+        filter.agg,
+        &valid,
+        &comparable,
+        MISS_PHASES,
+    ));
     if deadline.expired(clock) {
         return deadline_blown(shared, "during gather");
     }

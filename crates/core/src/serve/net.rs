@@ -27,7 +27,7 @@
 //!   budget is a plain duration, *not* clock-derived, so an expired
 //!   request deadline can still deliver its 503.
 
-use std::io::{Read as _, Write as _};
+use std::io::{ErrorKind, IoSlice, Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -483,17 +483,35 @@ impl Conn {
         }
     }
 
-    /// Write a fully rendered response within `budget`.
-    pub fn write_response(&mut self, bytes: &[u8], budget: Duration) -> WriteEvent {
+    /// Write a rendered response head and its body within `budget`, as
+    /// vectored writes: the body is sent from its own buffer.
+    pub fn write_response(&mut self, head: &[u8], body: &[u8], budget: Duration) -> WriteEvent {
         if set_write_timeout(&self.stream, budget).is_err() {
             return WriteEvent::Error(std::io::Error::other("set_write_timeout failed"));
         }
-        match self.stream.write_all(bytes).and_then(|()| self.stream.flush()) {
+        match write_all_vectored(&mut self.stream, head, body).and_then(|()| self.stream.flush()) {
             Ok(()) => WriteEvent::Done,
             Err(e) if is_timeout(&e) => WriteEvent::TimedOut,
             Err(e) => WriteEvent::Error(e),
         }
     }
+}
+
+/// `write_all` over two buffers: retry on `Interrupted`, fail with
+/// `WriteZero` when the socket accepts nothing.
+fn write_all_vectored(stream: &mut TcpStream, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let mut slices = [IoSlice::new(head), IoSlice::new(body)];
+    let mut bufs = &mut slices[..];
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// `set_read_timeout` rejects a zero duration; clamp to 1 ms instead so

@@ -7,10 +7,12 @@
 //! partition, each encoding rows as typed columns, with cold segments
 //! spilled through the checksummed `spec-vfs` segment store under a
 //! `--max-resident-mb` budget. Queries prune whole partitions by key
-//! before touching a segment, stream matching rows out, and sort by
-//! global corpus index — restoring the exact monolithic row order, so
+//! before touching a segment, stream matching rows out, and order them
+//! by global corpus index — restoring the exact monolithic row order, so
 //! every figure/CSV rendered from a query is byte-identical to one
-//! rendered from the old in-memory vectors.
+//! rendered from the old in-memory vectors. The ordering sorts 8-byte
+//! keys, not rows: [`Gathered`] moves each row once, into its final
+//! slot, while splitting off the comparable subset.
 //!
 //! `Option<f64>` fields ride in a presence bitmask column rather than a
 //! NaN sentinel: `Some(NaN)` and `None` must round-trip distinctly for
@@ -64,6 +66,94 @@ struct RowPart {
     key: PartKey,
     frame: SegFrame,
     pending: Vec<TaggedRow>,
+    /// Rows pushed into this partition (sealed and pending).
+    rows: usize,
+}
+
+/// Bit 31 of a [`Gathered`] key: the row is comparable.
+const COMPARABLE: u64 = 1 << 31;
+/// Bits 0..31 of a [`Gathered`] key: the row's position in gather order.
+const POSITION: u64 = COMPARABLE - 1;
+
+/// Rows in the order they were gathered (partition by partition, or shard
+/// by shard), with one 8-byte key per row that restores the global corpus
+/// order: `gidx << 32 | comparable << 31 | position`. Sorting the keys
+/// orders by `gidx`; the rows themselves are moved once, by
+/// [`Gathered::into_split`] or [`Gathered::into_tagged`].
+pub(crate) struct Gathered {
+    rows: Vec<RunRow>,
+    keys: Vec<u64>,
+}
+
+impl Gathered {
+    /// An empty gather with room for `n` rows.
+    pub fn with_capacity(n: usize) -> Gathered {
+        Gathered {
+            rows: Vec::with_capacity(n),
+            keys: Vec::with_capacity(n),
+        }
+    }
+
+    /// Append one row in gather order.
+    pub fn push(&mut self, gidx: u32, comparable: bool, row: RunRow) {
+        let position = self.rows.len() as u64;
+        assert!(position <= POSITION, "gather exceeds 2^31 rows");
+        self.keys
+            .push(u64::from(gidx) << 32 | u64::from(comparable) << 31 | position);
+        self.rows.push(row);
+    }
+
+    /// The (valid, comparable) row vectors in global corpus order.
+    ///
+    /// The comparable rows are copied out in key order; the valid rows
+    /// are then permuted in place, one cycle at a time, so every row is
+    /// moved exactly once and no second full-size row vector exists.
+    pub fn into_split(self) -> (Vec<RunRow>, Vec<RunRow>) {
+        let Gathered { mut rows, mut keys } = self;
+        keys.sort_unstable();
+        let n_comparable = keys.iter().filter(|&&k| k & COMPARABLE != 0).count();
+        let mut comparable = Vec::with_capacity(n_comparable);
+        comparable.extend(
+            keys.iter()
+                .filter(|&&k| k & COMPARABLE != 0)
+                .map(|&k| rows[(k & POSITION) as usize]),
+        );
+        // Slot `i` takes the row at position `keys[i] & POSITION`. A slot
+        // is finished once its key points at itself.
+        for start in 0..rows.len() {
+            if (keys[start] & POSITION) as usize == start {
+                continue;
+            }
+            let first = rows[start];
+            let mut slot = start;
+            loop {
+                let from = (keys[slot] & POSITION) as usize;
+                keys[slot] = slot as u64;
+                if from == start {
+                    rows[slot] = first;
+                    break;
+                }
+                rows[slot] = rows[from];
+                slot = from;
+            }
+        }
+        (rows, comparable)
+    }
+
+    /// The tagged rows in global corpus order (the `/shard/rows` payload).
+    pub fn into_tagged(self) -> Vec<TaggedRow> {
+        let Gathered { rows, mut keys } = self;
+        keys.sort_unstable();
+        keys.iter()
+            .map(|&k| {
+                (
+                    (k >> 32) as u32,
+                    k & COMPARABLE != 0,
+                    rows[(k & POSITION) as usize],
+                )
+            })
+            .collect()
+    }
 }
 
 /// Per-partition, segment-backed store of tagged rows.
@@ -173,7 +263,7 @@ fn rows_to_frame(rows: &[TaggedRow]) -> Frame {
 fn frame_rows(
     frame: &Frame,
     keep: &impl Fn(&RunRow) -> bool,
-    out: &mut Vec<TaggedRow>,
+    out: &mut Gathered,
 ) -> tinyframe::Result<()> {
     let gidx = frame.i64s("gidx")?;
     let comp = frame.bools("comparable")?;
@@ -222,7 +312,7 @@ fn frame_rows(
             quotient: opt(9),
         };
         if keep(&row) {
-            out.push((gidx[i] as u32, comp[i], row));
+            out.push(gidx[i] as u32, comp[i], row);
         }
     }
     Ok(())
@@ -265,6 +355,7 @@ impl RowStore {
                 key,
                 frame,
                 pending: Vec::new(),
+                rows: 0,
             },
         );
         Ok(at)
@@ -276,6 +367,7 @@ impl RowStore {
         let i = self.part_index(key)?;
         let part = &mut self.parts[i];
         part.pending.push((gidx, comparable, row));
+        part.rows += 1;
         self.n_rows += 1;
         if part.pending.len() >= segment_rows {
             let frame = rows_to_frame(&part.pending);
@@ -299,17 +391,26 @@ impl RowStore {
         Ok(())
     }
 
-    /// Every row matching the filter, sorted by global corpus index —
-    /// exactly the slice of the monolithic merged order the filter keeps.
-    /// Partitions whose key cannot match are pruned without touching (or
-    /// reloading) a single segment.
-    pub fn query(
+    /// Every row matching the filter, in gather order with the keys that
+    /// restore the global corpus order — exactly the slice of the
+    /// monolithic merged order the filter keeps. Partitions whose key
+    /// cannot match are pruned without touching (or reloading) a single
+    /// segment.
+    pub fn gather(
         &mut self,
         matches_key: impl Fn(&PartKey) -> bool,
         matches_row: impl Fn(&RunRow) -> bool,
-    ) -> tinyframe::Result<Vec<TaggedRow>> {
+    ) -> tinyframe::Result<Gathered> {
         self.seal()?;
-        let mut out = Vec::new();
+        // Every row of a matching partition is an upper bound (exact when
+        // the row filter is the key filter, as for year/vendor filters).
+        let bound = self
+            .parts
+            .iter()
+            .filter(|p| matches_key(&p.key))
+            .map(|p| p.rows)
+            .sum();
+        let mut out = Gathered::with_capacity(bound);
         for part in &mut self.parts {
             if !matches_key(&part.key) {
                 continue;
@@ -317,8 +418,16 @@ impl RowStore {
             part.frame
                 .for_each_segment(|seg| frame_rows(seg, &matches_row, &mut out))?;
         }
-        out.sort_unstable_by_key(|t| t.0);
         Ok(out)
+    }
+
+    /// [`RowStore::gather`] as tagged rows sorted by global corpus index.
+    pub fn query(
+        &mut self,
+        matches_key: impl Fn(&PartKey) -> bool,
+        matches_row: impl Fn(&RunRow) -> bool,
+    ) -> tinyframe::Result<Vec<TaggedRow>> {
+        Ok(self.gather(matches_key, matches_row)?.into_tagged())
     }
 
     /// Total rows stored.
@@ -505,5 +614,50 @@ mod tests {
         assert!(store.segments_spilled() > 0, "budget still enforced");
         drop(store);
         assert!(!dir.exists(), "cleanup removes the spill scratch");
+    }
+
+    /// The gather kernel against the obvious one: sort the tagged rows
+    /// themselves, then split.
+    #[test]
+    fn gathered_orders_and_splits_like_a_row_sort() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for n in [0usize, 1, 2, 3, 17, 64, 1000] {
+            // A random permutation of gidx 0..n, scaled to leave gaps.
+            let mut order: Vec<u32> = (0..n as u32).map(|g| g * 3 + 1).collect();
+            for i in (1..order.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                order.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            let tagged: Vec<TaggedRow> = order
+                .iter()
+                .map(|&g| (g, g % 5 != 0, sample_row(g)))
+                .collect();
+            let mut gathered = Gathered::with_capacity(n);
+            for &(g, c, row) in &tagged {
+                gathered.push(g, c, row);
+            }
+            let mut sorted = tagged.clone();
+            sorted.sort_unstable_by_key(|t| t.0);
+            let valid: Vec<RunRow> = sorted.iter().map(|t| t.2).collect();
+            let comparable: Vec<RunRow> = sorted.iter().filter(|t| t.1).map(|t| t.2).collect();
+
+            let mut again = Gathered::with_capacity(n);
+            for &(g, c, row) in &tagged {
+                again.push(g, c, row);
+            }
+            assert_eq!(again.into_tagged(), sorted, "n = {n}");
+            let (got_valid, got_comparable) = gathered.into_split();
+            assert_eq!(got_valid.len(), valid.len());
+            assert_eq!(got_comparable.len(), comparable.len());
+            for (g, w) in got_valid
+                .iter()
+                .zip(&valid)
+                .chain(got_comparable.iter().zip(&comparable))
+            {
+                assert_rows_bit_equal(g, w);
+            }
+        }
     }
 }

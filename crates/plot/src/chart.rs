@@ -211,6 +211,12 @@ impl Chart {
 
     /// Render to an SVG string.
     pub fn to_svg(&self, width: u32, height: u32) -> String {
+        self.to_doc(width, height).finish()
+    }
+
+    /// Draw the chart into an open [`SvgDoc`] (what [`Chart::to_svg`]
+    /// finishes, and what a grid embeds as one panel).
+    pub(crate) fn to_doc(&self, width: u32, height: u32) -> SvgDoc {
         let mut doc = SvgDoc::new(width, height);
         let margin_left = 64.0;
         let margin_right = 16.0;
@@ -386,7 +392,7 @@ impl Chart {
             doc.text(margin_left + 16.0, ly, &s.name, 11.0, "start", "#111");
         }
 
-        doc.render()
+        doc
     }
 }
 

@@ -1,6 +1,8 @@
 //! Multi-panel figure composition: render several charts into one SVG,
 //! arranged in a grid — the paper's Figure 4 is a 2×2 panel of load levels.
 
+use std::fmt::Write as _;
+
 use crate::chart::Chart;
 
 /// Render `charts` as a grid with `cols` columns. Each panel gets
@@ -14,28 +16,24 @@ pub fn render_grid(charts: &[Chart], cols: usize, panel_w: u32, panel_h: u32) ->
     let height = panel_h * rows as u32;
 
     let mut out = String::with_capacity(charts.len() * 8192);
-    out.push_str(&format!(
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{width}\" height=\"{height}\" viewBox=\"0 0 {width} {height}\">\n"
-    ));
-    out.push_str(&format!(
-        "<rect width=\"{width}\" height=\"{height}\" fill=\"white\"/>\n"
-    ));
+    let _ = writeln!(
+        out,
+        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{width}\" height=\"{height}\" viewBox=\"0 0 {width} {height}\">"
+    );
+    let _ = writeln!(
+        out,
+        "<rect width=\"{width}\" height=\"{height}\" fill=\"white\"/>"
+    );
     for (i, chart) in charts.iter().enumerate() {
         let col = i % cols;
         let row = i / cols;
         let x = col as u32 * panel_w;
         let y = row as u32 * panel_h;
-        let inner = chart.to_svg(panel_w, panel_h);
-        // Strip the inner document wrapper and embed as a translated group.
-        let body = inner
-            .lines()
-            .skip(1) // <svg …>
-            .take_while(|l| !l.starts_with("</svg>"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        out.push_str(&format!("<g transform=\"translate({x} {y})\">\n"));
-        out.push_str(&body);
-        out.push_str("\n</g>\n");
+        // Embed the panel's content (everything inside its `<svg>`
+        // wrapper) as a translated group.
+        let _ = writeln!(out, "<g transform=\"translate({x} {y})\">");
+        out.push_str(chart.to_doc(panel_w, panel_h).inner());
+        out.push_str("</g>\n");
     }
     out.push_str("</svg>\n");
     out

@@ -99,7 +99,8 @@ pub fn format_tick(v: f64) -> String {
 }
 
 fn trim(v: f64) -> String {
-    let s = format!("{v:.3}");
+    let mut s = String::new();
+    crate::svg::push_fixed(&mut s, v, 3);
     let s = s.trim_end_matches('0').trim_end_matches('.');
     if s.is_empty() || s == "-" {
         "0".to_string()

@@ -262,3 +262,89 @@ fn warm_cache_run_reports_hits_and_zero_executions() {
     drop(cache);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One `GET` on a fresh connection; returns the status code.
+fn get_status(addr: std::net::SocketAddr, target: &str) -> u16 {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(
+            format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
+        )
+        .expect("request");
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).expect("response");
+    String::from_utf8_lossy(&reply)
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status")
+}
+
+/// The names of the spans under the `serve.request` span whose path
+/// field is `path`, in start order.
+fn request_children(spans: &[obs::SpanRecord], path: &str) -> Vec<&'static str> {
+    let request = spans
+        .iter()
+        .find(|s| {
+            s.name == "serve.request"
+                && s.fields
+                    .iter()
+                    .any(|(k, v)| *k == "path" && matches!(v, FieldValue::Str(p) if p == path))
+        })
+        .unwrap_or_else(|| panic!("no serve.request span for {path}"));
+    let mut children: Vec<&obs::SpanRecord> = spans
+        .iter()
+        .filter(|s| s.parent == Some(request.id))
+        .collect();
+    children.sort_by_key(|s| s.start_us);
+    children.iter().map(|s| s.name).collect()
+}
+
+#[test]
+fn serve_misses_record_one_span_per_phase() {
+    use spec_power_trends::analysis::{ServeConfig, Server, ShardSpec};
+    use spec_power_trends::format::write_run;
+    use spec_power_trends::model::linear_test_run;
+
+    let _guard = obs_session(true);
+    let texts: Vec<(Option<String>, String)> = (1..=12)
+        .map(|i| (None, write_run(&linear_test_run(i, 1e6, 60.0, 300.0))))
+        .collect();
+    let config = |texts: Vec<(Option<String>, String)>| {
+        let mut config = ServeConfig::new(CorpusSource::Memory(texts));
+        config.addr = "127.0.0.1:0".to_string();
+        config.threads = 1;
+        config
+    };
+    let local = Server::start(config(texts.clone())).expect("local daemon");
+    let mut shard_config = config(texts);
+    shard_config.shard = Some(ShardSpec { index: 0, count: 1 });
+    let shard = Server::start(shard_config).expect("shard daemon");
+    let mut front_config = config(Vec::new());
+    front_config.fan_out = vec![shard.addr().to_string()];
+    let front = Server::start(front_config).expect("front end");
+
+    assert_eq!(get_status(local.addr(), "/figures/2?vendor=intel"), 200);
+    assert_eq!(get_status(front.addr(), "/figures/3?vendor=intel"), 200);
+    front.shutdown();
+    shard.shutdown();
+    local.shutdown();
+
+    let spans = obs::take_spans();
+    assert_eq!(
+        request_children(&spans, "/figures/2"),
+        ["serve.miss.rows", "serve.miss.reduce", "serve.miss.render"],
+        "local miss phases"
+    );
+    assert_eq!(
+        request_children(&spans, "/figures/3"),
+        [
+            "serve.fanout.scatter",
+            "serve.fanout.merge",
+            "serve.miss.reduce",
+            "serve.miss.render"
+        ],
+        "fan-out miss phases"
+    );
+}
