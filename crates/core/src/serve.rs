@@ -57,12 +57,13 @@
 //! deterministic hash of the partition key assigns to shard *i*;
 //! `ServeConfig::fan_out = [addr, ...]` runs a front end with **no local
 //! snapshot** that scatters each filtered query to every shard over
-//! keep-alive HTTP/1.1 (`/shard/rows`), gathers the codec-framed
-//! partial rows, re-sorts them by global row index and runs the same
+//! keep-alive HTTP/1.1 (`/shard/rows`), merges the codec-framed,
+//! gidx-ascending partial rows into global row order and runs the same
 //! reduce — responses are byte-identical to a single-process daemon. A
-//! dead shard degrades that query to `503` + `Retry-After` inside the
-//! request deadline; `/stats` grows a per-shard table (address, owned
-//! partitions, proxied requests, p99, last error).
+//! dead shard, or two shards returning the same row, degrades that query
+//! to `503` + `Retry-After` inside the request deadline; `/stats` grows a
+//! per-shard table (address, owned partitions, proxied requests, p99,
+//! last error).
 //!
 //! ## Connection lifecycle (see [`net`] and DESIGN.md §15)
 //!
@@ -135,6 +136,7 @@ use crate::stage::{
     PartitionedDriver, ShardSpec,
 };
 use crate::stream::StreamRows;
+use rows::Side;
 
 pub use net::Limits;
 
@@ -436,10 +438,12 @@ impl Snapshot {
         store.seal().map_err(frame_err)?;
         let mut query_sp = obs::span("serve.refresh.full_query");
         let (valid, comparable) = store
-            .gather(|_| true, |_| true)
-            .map_err(frame_err)?
-            .into_split();
+            .gather_split(|_| true, |_, _| true)
+            .map_err(frame_err)?;
+        query_sp.record("rows", valid.len() + comparable.len());
+        query_sp.record("side", "both");
         query_sp.observe_into("serve.refresh_full_query_us");
+        drop(query_sp);
         // The six SVGs then the six CSVs, each one pool task with its own
         // span (on whichever thread renders it).
         let renders: Vec<(Kind, u8)> = [Kind::Figures, Kind::Data]
@@ -454,12 +458,15 @@ impl Snapshot {
             let mut render_sp = obs::span(span);
             render_sp.record(field, u64::from(n));
             render_sp.observe_into("serve.refresh_render_us");
+            let rows = match side_of(n) {
+                Side::Valid => &valid,
+                Side::Comparable => &comparable,
+            };
             Arc::new(render_response(
                 kind,
                 n,
                 AggLevel::None,
-                &valid,
-                &comparable,
+                rows,
                 REFRESH_PHASES,
             ))
         });
@@ -629,21 +636,18 @@ impl RowFilter {
         self.years.is_none() && self.vendors.is_none() && self.agg == AggLevel::None
     }
 
-    fn matches_row(self, row: &RunRow) -> bool {
+    /// Row predicate, on the two columns a filter names.
+    fn matches_row(self, hw_year: i32, vendor: CpuVendor) -> bool {
         self.years
-            .is_none_or(|(lo, hi)| (lo..=hi).contains(&row.hw_year))
+            .is_none_or(|(lo, hi)| (lo..=hi).contains(&hw_year))
             && self
                 .vendors
-                .is_none_or(|mask| mask & (1 << vendor_bit(row.vendor)) != 0)
+                .is_none_or(|mask| mask & (1 << vendor_bit(vendor)) != 0)
     }
 
     /// Partition-pruning predicate: whether any row keyed here can match.
     fn matches_key(self, key: &PartKey) -> bool {
-        self.years
-            .is_none_or(|(lo, hi)| (lo..=hi).contains(&key.year))
-            && self
-                .vendors
-                .is_none_or(|mask| mask & (1 << vendor_bit(key.vendor)) != 0)
+        self.matches_row(key.year, key.vendor)
     }
 }
 
@@ -729,29 +733,40 @@ fn reduce_render<T>(
     render(&reduced)
 }
 
-/// Render figure `n` over (possibly filtered) rows: the pipeline's
-/// `compute_rows` reduce, then the export's served-SVG renderer.
-fn render_figure(n: u8, valid: &[RunRow], comparable: &[RunRow], phases: Phases) -> String {
-    match n {
-        1 => reduce_render(phases, || fig1::compute_rows(valid), export::fig1_svg),
-        2 => reduce_render(phases, || fig2::compute_rows(comparable), export::fig2_svg),
-        3 => reduce_render(phases, || fig3::compute_rows(comparable), export::fig3_svg),
-        4 => reduce_render(phases, || fig4::compute_rows(comparable), export::fig4_svg),
-        5 => reduce_render(phases, || fig5::compute_rows(comparable), export::fig5_svg),
-        _ => reduce_render(phases, || fig6::compute_rows(comparable), export::fig6_svg),
+/// The side of the valid/comparable split figure `n`'s reduce reads.
+fn side_of(n: u8) -> Side {
+    if n == 1 {
+        Side::Valid
+    } else {
+        Side::Comparable
     }
 }
 
-/// Render figure `n`'s CSV over (possibly filtered) rows: the pipeline's
-/// `compute_rows` reduce, then the export's served-CSV renderer.
-fn render_data(n: u8, valid: &[RunRow], comparable: &[RunRow], phases: Phases) -> String {
+/// Render figure `n` over the (possibly filtered) rows of its
+/// [`side_of`]: the pipeline's `compute_rows` reduce, then the export's
+/// served-SVG renderer.
+fn render_figure(n: u8, rows: &[RunRow], phases: Phases) -> String {
     match n {
-        1 => reduce_render(phases, || fig1::compute_rows(valid), export::fig1_csv),
-        2 => reduce_render(phases, || fig2::compute_rows(comparable), export::fig2_csv),
-        3 => reduce_render(phases, || fig3::compute_rows(comparable), export::fig3_csv),
-        4 => reduce_render(phases, || fig4::compute_rows(comparable), export::fig4_csv),
-        5 => reduce_render(phases, || fig5::compute_rows(comparable), export::fig5_csv),
-        _ => reduce_render(phases, || fig6::compute_rows(comparable), export::fig6_csv),
+        1 => reduce_render(phases, || fig1::compute_rows(rows), export::fig1_svg),
+        2 => reduce_render(phases, || fig2::compute_rows(rows), export::fig2_svg),
+        3 => reduce_render(phases, || fig3::compute_rows(rows), export::fig3_svg),
+        4 => reduce_render(phases, || fig4::compute_rows(rows), export::fig4_svg),
+        5 => reduce_render(phases, || fig5::compute_rows(rows), export::fig5_svg),
+        _ => reduce_render(phases, || fig6::compute_rows(rows), export::fig6_svg),
+    }
+}
+
+/// Render figure `n`'s CSV over the (possibly filtered) rows of its
+/// [`side_of`]: the pipeline's `compute_rows` reduce, then the export's
+/// served-CSV renderer.
+fn render_data(n: u8, rows: &[RunRow], phases: Phases) -> String {
+    match n {
+        1 => reduce_render(phases, || fig1::compute_rows(rows), export::fig1_csv),
+        2 => reduce_render(phases, || fig2::compute_rows(rows), export::fig2_csv),
+        3 => reduce_render(phases, || fig3::compute_rows(rows), export::fig3_csv),
+        4 => reduce_render(phases, || fig4::compute_rows(rows), export::fig4_csv),
+        5 => reduce_render(phases, || fig5::compute_rows(rows), export::fig5_csv),
+        _ => reduce_render(phases, || fig6::compute_rows(rows), export::fig6_csv),
     }
 }
 
@@ -850,30 +865,19 @@ fn parse_target(path: &str, query: &str) -> Result<(Kind, u8, RowFilter), Respon
     Ok((kind, n, filter))
 }
 
-/// Render one figure/data response over (possibly filtered) rows in
-/// global corpus order, which makes the float reduces (and therefore the
-/// rendered bytes) identical whether the rows came from one process or a
-/// gather.
-fn render_response(
-    kind: Kind,
-    n: u8,
-    agg: AggLevel,
-    valid: &[RunRow],
-    comparable: &[RunRow],
-    phases: Phases,
-) -> Response {
+/// Render one figure/data response over the (possibly filtered) rows of
+/// figure `n`'s [`side_of`] in global corpus order, which makes the float
+/// reduces (and therefore the rendered bytes) identical whether the rows
+/// came from one process or a gather.
+fn render_response(kind: Kind, n: u8, agg: AggLevel, rows: &[RunRow], phases: Phases) -> Response {
     match (kind, agg) {
-        (Kind::Figures, _) => {
-            Response::ok("image/svg+xml", render_figure(n, valid, comparable, phases))
+        (Kind::Figures, _) => Response::ok("image/svg+xml", render_figure(n, rows, phases)),
+        (Kind::Data, AggLevel::None) => {
+            Response::ok("text/csv; charset=utf-8", render_data(n, rows, phases))
         }
-        (Kind::Data, AggLevel::None) => Response::ok(
-            "text/csv; charset=utf-8",
-            render_data(n, valid, comparable, phases),
-        ),
-        (Kind::Data, AggLevel::Year) => Response::ok(
-            "text/csv; charset=utf-8",
-            render_agg_year(n, comparable, phases),
-        ),
+        (Kind::Data, AggLevel::Year) => {
+            Response::ok("text/csv; charset=utf-8", render_agg_year(n, rows, phases))
+        }
     }
 }
 
@@ -1736,25 +1740,21 @@ fn figure_or_data(
     if deadline.expired(clock) {
         return deadline_blown(shared, "before recompute");
     }
-    let rows_sp = obs::span("serve.miss.rows");
-    let gathered = snapshot
-        .rows
-        .lock()
-        .expect("rows lock")
-        .gather(|key| filter.matches_key(key), |row| filter.matches_row(row));
-    let (valid, comparable) = match gathered {
-        Ok(gathered) => gathered.into_split(),
+    let side = side_of(n);
+    let mut rows_sp = obs::span("serve.miss.rows");
+    let gathered = snapshot.rows.lock().expect("rows lock").gather(
+        side,
+        |key| filter.matches_key(key),
+        |year, vendor| filter.matches_row(year, vendor),
+    );
+    let rows = match gathered {
+        Ok(rows) => rows,
         Err(e) => return Arc::new(Response::error(500, &format!("row store: {e}"))),
     };
+    rows_sp.record("rows", rows.len());
+    rows_sp.record("side", side.label());
     drop(rows_sp);
-    let response = Arc::new(render_response(
-        kind,
-        n,
-        filter.agg,
-        &valid,
-        &comparable,
-        MISS_PHASES,
-    ));
+    let response = Arc::new(render_response(kind, n, filter.agg, &rows, MISS_PHASES));
     if deadline.expired(clock) {
         return deadline_blown(shared, "during recompute");
     }
@@ -1811,12 +1811,10 @@ fn shard_rows_response(shared: &Shared, query: &str, deadline: net::Deadline) ->
     if deadline.expired(clock) {
         return deadline_blown(shared, "before row scan");
     }
-    let tagged = match snapshot
-        .rows
-        .lock()
-        .expect("rows lock")
-        .query(|key| filter.matches_key(key), |row| filter.matches_row(row))
-    {
+    let tagged = match snapshot.rows.lock().expect("rows lock").query(
+        |key| filter.matches_key(key),
+        |year, vendor| filter.matches_row(year, vendor),
+    ) {
         Ok(tagged) => tagged,
         Err(e) => return Arc::new(Response::error(500, &format!("row store: {e}"))),
     };
@@ -1841,7 +1839,7 @@ fn shard_rows_response(shared: &Shared, query: &str, deadline: net::Deadline) ->
 /// what makes the bytes identical. Any shard failure degrades the
 /// answer to 503 + `Retry-After` within the request deadline: a partial
 /// gather must never render, because missing rows would silently change
-/// the reduces.
+/// the reduces — nor an overlapping one, whose doubled rows would.
 fn fanout_figure_or_data(
     shared: &Shared,
     fan: &FanOut,
@@ -1882,16 +1880,11 @@ fn fanout_figure_or_data(
             .collect()
     });
     drop(scatter_sp);
-    let merge_sp = obs::span("serve.fanout.merge");
-    let n_rows = gathered.iter().flatten().map(Vec::len).sum();
-    let mut merged = rows::Gathered::with_capacity(n_rows);
+    let mut merge_sp = obs::span("serve.fanout.merge");
+    let mut payloads = Vec::with_capacity(gathered.len());
     for (client, result) in fan.shards.iter().zip(gathered) {
         match result {
-            Ok(shard_rows) => {
-                for (gidx, comparable, row) in shard_rows {
-                    merged.push(gidx, comparable, row);
-                }
-            }
+            Ok(shard_rows) => payloads.push(shard_rows),
             Err(detail) => {
                 obs::count("serve.fanout_error", 1);
                 return Arc::new(Response::unavailable(&format!(
@@ -1901,17 +1894,23 @@ fn fanout_figure_or_data(
             }
         }
     }
-    // Restore the monolithic merged order before the reduces run.
-    let (valid, comparable) = merged.into_split();
+    // Restore the monolithic merged order before the reduces run. Shards
+    // that overlap (say, two daemons started with the same `--shard`)
+    // would render rows twice: refuse instead.
+    let side = side_of(n);
+    let rows = match rows::merge_tagged(&payloads, side) {
+        Ok(rows) => rows,
+        Err(detail) => {
+            obs::count("serve.fanout_error", 1);
+            return Arc::new(Response::unavailable(&format!(
+                "shard rows overlap: {detail}"
+            )));
+        }
+    };
+    merge_sp.record("rows", rows.len());
+    merge_sp.record("side", side.label());
     drop(merge_sp);
-    let response = Arc::new(render_response(
-        kind,
-        n,
-        filter.agg,
-        &valid,
-        &comparable,
-        MISS_PHASES,
-    ));
+    let response = Arc::new(render_response(kind, n, filter.agg, &rows, MISS_PHASES));
     if deadline.expired(clock) {
         return deadline_blown(shared, "during gather");
     }
@@ -2332,17 +2331,22 @@ mod tests {
         config
     }
 
+    /// A fan-out front end over `shards`.
+    fn start_front_end(shards: &[&Server]) -> Server {
+        let mut config = ServeConfig::new(CorpusSource::Memory(Vec::new()));
+        config.addr = "127.0.0.1:0".to_string();
+        config.threads = 2;
+        config.poll_ms = 50;
+        config.fan_out = shards.iter().map(|s| s.addr().to_string()).collect();
+        Server::start(config).expect("front-end starts")
+    }
+
     #[test]
     fn two_shard_fan_out_is_byte_identical_and_degrades_to_503() {
         let single = test_server(24);
         let shard_a = Server::start(shard_test_config(24, 0, 2)).expect("shard a");
         let shard_b = Server::start(shard_test_config(24, 1, 2)).expect("shard b");
-        let mut front_config = ServeConfig::new(CorpusSource::Memory(Vec::new()));
-        front_config.addr = "127.0.0.1:0".to_string();
-        front_config.threads = 2;
-        front_config.poll_ms = 50;
-        front_config.fan_out = vec![shard_a.addr().to_string(), shard_b.addr().to_string()];
-        let front = Server::start(front_config).expect("front-end starts");
+        let front = start_front_end(&[&shard_a, &shard_b]);
         let addr = front.addr();
         for n in 1..=6 {
             for target in [format!("/figures/{n}"), format!("/data/{n}")] {
@@ -2385,6 +2389,32 @@ mod tests {
         front.shutdown();
         shard_a.shutdown();
         single.shutdown();
+    }
+
+    #[test]
+    fn overlapping_shards_answer_503_and_are_never_memoized() {
+        // Two daemons that own the same partitions: every row arrives twice.
+        let shard_a = Server::start(shard_test_config(24, 0, 2)).expect("shard a");
+        let shard_b = Server::start(shard_test_config(24, 0, 2)).expect("shard b");
+        let front = start_front_end(&[&shard_a, &shard_b]);
+        let target = "/data/2?year=2010-2017";
+        let (_, rows) = get_bytes(shard_a.addr(), "/shard/rows?year=2010-2017");
+        let (_, tagged): (u64, Vec<rows::TaggedRow>) = decode_from_slice(&rows).expect("rows");
+        assert!(!tagged.is_empty(), "the filter selects rows on both shards");
+        for _ in 0..2 {
+            let mut stream = TcpStream::connect(front.addr()).expect("connect");
+            stream
+                .write_all(format!("GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n").as_bytes())
+                .expect("request");
+            let resp = read_response(&mut stream).expect("read").expect("response");
+            assert_eq!(resp.status, 503, "{target}");
+            assert!(resp.retry_after, "503 must carry Retry-After");
+        }
+        let (_, stats) = get(front.addr(), "/stats");
+        assert_eq!(stat_line(&stats, "memo_entries "), 0, "{stats}");
+        front.shutdown();
+        shard_a.shutdown();
+        shard_b.shutdown();
     }
 
     #[test]

@@ -7,12 +7,26 @@
 //! partition, each encoding rows as typed columns, with cold segments
 //! spilled through the checksummed `spec-vfs` segment store under a
 //! `--max-resident-mb` budget. Queries prune whole partitions by key
-//! before touching a segment, stream matching rows out, and order them
-//! by global corpus index — restoring the exact monolithic row order, so
-//! every figure/CSV rendered from a query is byte-identical to one
-//! rendered from the old in-memory vectors. The ordering sorts 8-byte
-//! keys, not rows: [`Gathered`] moves each row once, into its final
-//! slot, while splitting off the comparable subset.
+//! before touching a segment and return matching rows in global corpus
+//! index order — the exact monolithic row order, so every figure/CSV
+//! rendered from a query is byte-identical to one rendered from the old
+//! in-memory vectors.
+//!
+//! **The ordered gather places each row once.** Pass 1 reads only the
+//! `gidx`, `comparable`, `hw_year` and `vendor` columns of the
+//! key-matching partitions, evaluates the row filter on
+//! `(hw_year, vendor)`, and marks each selected row's gidx in a bitmap as
+//! wide as the largest gidx the store was given. A row's output slot is
+//! the number of marked gidx below it: one prefix popcount per 64-bit
+//! word, plus a popcount inside the row's word. Pass 2 decodes each
+//! selected row once, straight into its slot — no key sort, no
+//! permutation, no second row vector. A caller asks for the one side its
+//! reduce reads ([`RowStore::gather`]), both sides from one decode
+//! ([`RowStore::gather_split`]) or tagged rows ([`RowStore::query`]). Under
+//! a resident budget smaller than a partition's matching segments, a
+//! gather loads those segments once per pass. A fan-out front end merges
+//! the shards' gidx-ascending payloads with [`merge_tagged`], which
+//! refuses a gidx that arrives twice.
 //!
 //! `Option<f64>` fields ride in a presence bitmask column rather than a
 //! NaN sentinel: `Some(NaN)` and `None` must round-trip distinctly for
@@ -70,90 +84,129 @@ struct RowPart {
     rows: usize,
 }
 
-/// Bit 31 of a [`Gathered`] key: the row is comparable.
-const COMPARABLE: u64 = 1 << 31;
-/// Bits 0..31 of a [`Gathered`] key: the row's position in gather order.
-const POSITION: u64 = COMPARABLE - 1;
-
-/// Rows in the order they were gathered (partition by partition, or shard
-/// by shard), with one 8-byte key per row that restores the global corpus
-/// order: `gidx << 32 | comparable << 31 | position`. Sorting the keys
-/// orders by `gidx`; the rows themselves are moved once, by
-/// [`Gathered::into_split`] or [`Gathered::into_tagged`].
-pub(crate) struct Gathered {
-    rows: Vec<RunRow>,
-    keys: Vec<u64>,
+/// Which rows of a selection a gather places: the side of the split the
+/// endpoint's reduce reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Side {
+    /// Every selected row (Figure 1 reads these).
+    Valid,
+    /// The selected rows that are comparable (Figures 2–6 read these).
+    Comparable,
 }
 
-impl Gathered {
-    /// An empty gather with room for `n` rows.
-    pub fn with_capacity(n: usize) -> Gathered {
-        Gathered {
-            rows: Vec::with_capacity(n),
-            keys: Vec::with_capacity(n),
+impl Side {
+    /// The span field value.
+    pub fn label(self) -> &'static str {
+        match self {
+            Side::Valid => "valid",
+            Side::Comparable => "comparable",
+        }
+    }
+}
+
+/// The output slots of one gather side: a bitmap over gidx and, once
+/// ranked, the number of marked gidx below each 64-bit word.
+struct Placement {
+    words: Vec<u64>,
+    ranks: Vec<usize>,
+}
+
+impl Placement {
+    /// An empty bitmap over gidx `0..bound`.
+    fn new(bound: usize) -> Placement {
+        Placement {
+            words: vec![0; bound.div_ceil(64)],
+            ranks: Vec::new(),
         }
     }
 
-    /// Append one row in gather order.
-    pub fn push(&mut self, gidx: u32, comparable: bool, row: RunRow) {
-        let position = self.rows.len() as u64;
-        assert!(position <= POSITION, "gather exceeds 2^31 rows");
-        self.keys
-            .push(u64::from(gidx) << 32 | u64::from(comparable) << 31 | position);
-        self.rows.push(row);
+    /// Mark `gidx`; false if it was already marked.
+    fn mark(&mut self, gidx: u32) -> bool {
+        let (word, bit) = (gidx as usize / 64, 1u64 << (gidx % 64));
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
     }
 
-    /// The (valid, comparable) row vectors in global corpus order.
-    ///
-    /// The comparable rows are copied out in key order; the valid rows
-    /// are then permuted in place, one cycle at a time, so every row is
-    /// moved exactly once and no second full-size row vector exists.
-    pub fn into_split(self) -> (Vec<RunRow>, Vec<RunRow>) {
-        let Gathered { mut rows, mut keys } = self;
-        keys.sort_unstable();
-        let n_comparable = keys.iter().filter(|&&k| k & COMPARABLE != 0).count();
-        let mut comparable = Vec::with_capacity(n_comparable);
-        comparable.extend(
-            keys.iter()
-                .filter(|&&k| k & COMPARABLE != 0)
-                .map(|&k| rows[(k & POSITION) as usize]),
-        );
-        // Slot `i` takes the row at position `keys[i] & POSITION`. A slot
-        // is finished once its key points at itself.
-        for start in 0..rows.len() {
-            if (keys[start] & POSITION) as usize == start {
-                continue;
-            }
-            let first = rows[start];
-            let mut slot = start;
-            loop {
-                let from = (keys[slot] & POSITION) as usize;
-                keys[slot] = slot as u64;
-                if from == start {
-                    rows[slot] = first;
-                    break;
-                }
-                rows[slot] = rows[from];
-                slot = from;
-            }
-        }
-        (rows, comparable)
-    }
-
-    /// The tagged rows in global corpus order (the `/shard/rows` payload).
-    pub fn into_tagged(self) -> Vec<TaggedRow> {
-        let Gathered { rows, mut keys } = self;
-        keys.sort_unstable();
-        keys.iter()
-            .map(|&k| {
-                (
-                    (k >> 32) as u32,
-                    k & COMPARABLE != 0,
-                    rows[(k & POSITION) as usize],
-                )
+    /// Fix every word's rank (the prefix popcount); returns how many gidx
+    /// are marked.
+    fn rank(&mut self) -> usize {
+        let mut total = 0;
+        self.ranks = self
+            .words
+            .iter()
+            .map(|word| {
+                let rank = total;
+                total += word.count_ones() as usize;
+                rank
             })
-            .collect()
+            .collect();
+        total
     }
+
+    /// The output slot of a marked `gidx`: how many marked gidx are below
+    /// it.
+    fn slot(&self, gidx: u32) -> usize {
+        let word = gidx as usize / 64;
+        let below = self.words[word] & ((1u64 << (gidx % 64)) - 1);
+        self.ranks[word] + below.count_ones() as usize
+    }
+}
+
+/// The filler an output vector holds until pass 2 overwrites every slot.
+const EMPTY_ROW: RunRow = RunRow {
+    hw_year: 0,
+    frac_year: 0.0,
+    vendor: CpuVendor::Intel,
+    features: 0,
+    per_socket: None,
+    p100: None,
+    p70: None,
+    p20: None,
+    overall: 0.0,
+    rel60: None,
+    rel70: None,
+    rel80: None,
+    rel90: None,
+    idle_fraction: None,
+    quotient: None,
+};
+
+/// K-way merge of tagged-row payloads, each gidx-ascending (one per shard),
+/// into the rows of `side` in global corpus order. A payload that is not
+/// strictly gidx-ascending, or a gidx carried by two payloads, is an
+/// error rather than a row placed twice or out of order.
+pub(crate) fn merge_tagged(payloads: &[Vec<TaggedRow>], side: Side) -> Result<Vec<RunRow>, String> {
+    for (i, payload) in payloads.iter().enumerate() {
+        if let Some(w) = payload.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return Err(format!(
+                "payload {i} is not gidx-ascending ({} then {})",
+                w[0].0, w[1].0
+            ));
+        }
+    }
+    let mut out = Vec::with_capacity(payloads.iter().map(Vec::len).sum());
+    let mut heads = vec![0usize; payloads.len()];
+    let mut last = None;
+    loop {
+        let next = payloads
+            .iter()
+            .zip(&heads)
+            .enumerate()
+            .filter_map(|(i, (payload, &head))| payload.get(head).map(|t| (t.0, i)))
+            .min();
+        let Some((gidx, i)) = next else { break };
+        if last == Some(gidx) {
+            return Err(format!("gidx {gidx} arrived from two payloads"));
+        }
+        last = Some(gidx);
+        let (_, comparable, row) = payloads[i][heads[i]];
+        heads[i] += 1;
+        if side == Side::Valid || comparable {
+            out.push(row);
+        }
+    }
+    Ok(out)
 }
 
 /// Per-partition, segment-backed store of tagged rows.
@@ -164,6 +217,8 @@ pub(crate) struct RowStore {
     spill: Option<(PathBuf, usize)>,
     cleanup: Option<PathBuf>,
     n_rows: usize,
+    /// One past the largest gidx pushed: the width of a gather's bitmap.
+    gidx_bound: usize,
 }
 
 const COLUMNS: usize = 18;
@@ -201,7 +256,7 @@ fn vendor_of(code: i64) -> CpuVendor {
 }
 
 /// Encode tagged rows as an 18-column frame. Column order is the codec;
-/// [`frame_rows`] is its exact inverse (bit-exact for every f64,
+/// [`SegRows::row`] is its exact inverse (bit-exact for every f64,
 /// including `Some(NaN)` vs `None`, via the presence bitmask).
 fn rows_to_frame(rows: &[TaggedRow]) -> Frame {
     let n = rows.len();
@@ -259,63 +314,63 @@ fn rows_to_frame(rows: &[TaggedRow]) -> Frame {
     frame
 }
 
-/// Decode every row of one segment, appending those `keep` accepts.
-fn frame_rows(
-    frame: &Frame,
-    keep: &impl Fn(&RunRow) -> bool,
-    out: &mut Gathered,
-) -> tinyframe::Result<()> {
-    let gidx = frame.i64s("gidx")?;
-    let comp = frame.bools("comparable")?;
-    let hw_year = frame.i64s("hw_year")?;
-    let frac_year = frame.f64s("frac_year")?;
-    let vendor = frame.i64s("vendor")?;
-    let features = frame.i64s("features")?;
-    let present = frame.i64s("present")?;
-    let overall = frame.f64s("overall")?;
-    let cols = [
-        frame.f64s("per_socket")?,
-        frame.f64s("p100")?,
-        frame.f64s("p70")?,
-        frame.f64s("p20")?,
-        frame.f64s("rel60")?,
-        frame.f64s("rel70")?,
-        frame.f64s("rel80")?,
-        frame.f64s("rel90")?,
-        frame.f64s("idle_fraction")?,
-        frame.f64s("quotient")?,
-    ];
-    for i in 0..frame.n_rows() {
-        let mask = present[i];
-        let opt = |bit: usize| -> Option<f64> {
-            if mask & (1 << bit) != 0 {
-                Some(cols[bit][i])
-            } else {
-                None
-            }
-        };
-        let row = RunRow {
-            hw_year: hw_year[i] as i32,
-            frac_year: frac_year[i],
-            vendor: vendor_of(vendor[i]),
-            features: features[i] as u8,
+/// One segment's columns, decoded by row index: the inverse of
+/// [`rows_to_frame`].
+struct SegRows<'a> {
+    hw_year: &'a [i64],
+    frac_year: &'a [f64],
+    vendor: &'a [i64],
+    features: &'a [i64],
+    present: &'a [i64],
+    overall: &'a [f64],
+    optionals: [&'a [f64]; 10],
+}
+
+impl<'a> SegRows<'a> {
+    fn of(frame: &'a Frame) -> tinyframe::Result<SegRows<'a>> {
+        Ok(SegRows {
+            hw_year: frame.i64s("hw_year")?,
+            frac_year: frame.f64s("frac_year")?,
+            vendor: frame.i64s("vendor")?,
+            features: frame.i64s("features")?,
+            present: frame.i64s("present")?,
+            overall: frame.f64s("overall")?,
+            optionals: [
+                frame.f64s("per_socket")?,
+                frame.f64s("p100")?,
+                frame.f64s("p70")?,
+                frame.f64s("p20")?,
+                frame.f64s("rel60")?,
+                frame.f64s("rel70")?,
+                frame.f64s("rel80")?,
+                frame.f64s("rel90")?,
+                frame.f64s("idle_fraction")?,
+                frame.f64s("quotient")?,
+            ],
+        })
+    }
+
+    fn row(&self, i: usize) -> RunRow {
+        let mask = self.present[i];
+        let opt = |bit: usize| (mask & (1 << bit) != 0).then(|| self.optionals[bit][i]);
+        RunRow {
+            hw_year: self.hw_year[i] as i32,
+            frac_year: self.frac_year[i],
+            vendor: vendor_of(self.vendor[i]),
+            features: self.features[i] as u8,
             per_socket: opt(0),
             p100: opt(1),
             p70: opt(2),
             p20: opt(3),
-            overall: overall[i],
+            overall: self.overall[i],
             rel60: opt(4),
             rel70: opt(5),
             rel80: opt(6),
             rel90: opt(7),
             idle_fraction: opt(8),
             quotient: opt(9),
-        };
-        if keep(&row) {
-            out.push(gidx[i] as u32, comp[i], row);
         }
     }
-    Ok(())
 }
 
 impl RowStore {
@@ -331,6 +386,7 @@ impl RowStore {
             spill: config.spill,
             cleanup,
             n_rows: 0,
+            gidx_bound: 0,
         })
     }
 
@@ -362,13 +418,20 @@ impl RowStore {
     }
 
     /// Append one tagged row to its partition.
-    pub fn push(&mut self, key: PartKey, gidx: u32, comparable: bool, row: RunRow) -> tinyframe::Result<()> {
+    pub fn push(
+        &mut self,
+        key: PartKey,
+        gidx: u32,
+        comparable: bool,
+        row: RunRow,
+    ) -> tinyframe::Result<()> {
         let segment_rows = self.segment_rows;
         let i = self.part_index(key)?;
         let part = &mut self.parts[i];
         part.pending.push((gidx, comparable, row));
         part.rows += 1;
         self.n_rows += 1;
+        self.gidx_bound = self.gidx_bound.max(gidx as usize + 1);
         if part.pending.len() >= segment_rows {
             let frame = rows_to_frame(&part.pending);
             part.pending.clear();
@@ -391,43 +454,112 @@ impl RowStore {
         Ok(())
     }
 
-    /// Every row matching the filter, in gather order with the keys that
-    /// restore the global corpus order — exactly the slice of the
-    /// monolithic merged order the filter keeps. Partitions whose key
-    /// cannot match are pruned without touching (or reloading) a single
-    /// segment.
+    /// The rows of `side` among those the filter selects, in global corpus
+    /// order — exactly the slice of the monolithic merged order the
+    /// filter keeps. Partitions whose key cannot match are pruned without
+    /// touching (or reloading) a single segment.
     pub fn gather(
         &mut self,
+        side: Side,
         matches_key: impl Fn(&PartKey) -> bool,
-        matches_row: impl Fn(&RunRow) -> bool,
-    ) -> tinyframe::Result<Gathered> {
-        self.seal()?;
-        // Every row of a matching partition is an upper bound (exact when
-        // the row filter is the key filter, as for year/vendor filters).
-        let bound = self
-            .parts
-            .iter()
-            .filter(|p| matches_key(&p.key))
-            .map(|p| p.rows)
-            .sum();
-        let mut out = Gathered::with_capacity(bound);
-        for part in &mut self.parts {
-            if !matches_key(&part.key) {
-                continue;
-            }
-            part.frame
-                .for_each_segment(|seg| frame_rows(seg, &matches_row, &mut out))?;
-        }
-        Ok(out)
+        matches_row: impl Fn(i32, CpuVendor) -> bool,
+    ) -> tinyframe::Result<Vec<RunRow>> {
+        let (rows, _) = self.place(side, false, matches_key, matches_row, |_, _, row| row)?;
+        Ok(rows)
     }
 
-    /// [`RowStore::gather`] as tagged rows sorted by global corpus index.
+    /// Both sides of the selection, `(valid, comparable)`, from one decode
+    /// per row.
+    pub fn gather_split(
+        &mut self,
+        matches_key: impl Fn(&PartKey) -> bool,
+        matches_row: impl Fn(i32, CpuVendor) -> bool,
+    ) -> tinyframe::Result<(Vec<RunRow>, Vec<RunRow>)> {
+        self.place(Side::Valid, true, matches_key, matches_row, |_, _, row| row)
+    }
+
+    /// The selected rows tagged with their gidx and comparable flag, in
+    /// gidx order (the `/shard/rows` payload).
     pub fn query(
         &mut self,
         matches_key: impl Fn(&PartKey) -> bool,
-        matches_row: impl Fn(&RunRow) -> bool,
+        matches_row: impl Fn(i32, CpuVendor) -> bool,
     ) -> tinyframe::Result<Vec<TaggedRow>> {
-        Ok(self.gather(matches_key, matches_row)?.into_tagged())
+        let (rows, _) = self.place(Side::Valid, false, matches_key, matches_row, |g, c, row| {
+            (g, c, row)
+        })?;
+        Ok(rows)
+    }
+
+    /// The ordered gather kernel. Pass 1 reads only the `gidx`,
+    /// `comparable`, `hw_year` and `vendor` columns of the key-matching
+    /// partitions and marks the gidx of every row of `side` that
+    /// `matches_row` selects; with `split` it also marks the comparable
+    /// ones in a second bitmap. Ranking a bitmap gives every marked row
+    /// its output slot. Pass 2 decodes each marked row once and writes
+    /// `make(gidx, comparable, row)` straight into its slot(s): the first
+    /// vector holds every marked row, the second (empty unless `split`)
+    /// the comparable ones.
+    fn place<T: Copy>(
+        &mut self,
+        side: Side,
+        split: bool,
+        matches_key: impl Fn(&PartKey) -> bool,
+        matches_row: impl Fn(i32, CpuVendor) -> bool,
+        make: impl Fn(u32, bool, RunRow) -> T,
+    ) -> tinyframe::Result<(Vec<T>, Vec<T>)> {
+        self.seal()?;
+        let selects = |comparable: bool, hw_year: i64, vendor: i64| {
+            (comparable || side == Side::Valid) && matches_row(hw_year as i32, vendor_of(vendor))
+        };
+        let mut main = Placement::new(self.gidx_bound);
+        let mut sub = Placement::new(if split { self.gidx_bound } else { 0 });
+        for part in self.parts.iter_mut().filter(|p| matches_key(&p.key)) {
+            part.frame.for_each_segment(|seg| {
+                let gidx = seg.i64s("gidx")?;
+                let comparable = seg.bools("comparable")?;
+                let hw_year = seg.i64s("hw_year")?;
+                let vendor = seg.i64s("vendor")?;
+                for i in 0..seg.n_rows() {
+                    if !selects(comparable[i], hw_year[i], vendor[i]) {
+                        continue;
+                    }
+                    let g = gidx[i] as u32;
+                    if !main.mark(g) {
+                        return Err(tinyframe::FrameError::Codec(format!(
+                            "gidx {g} is stored twice"
+                        )));
+                    }
+                    if split && comparable[i] {
+                        sub.mark(g);
+                    }
+                }
+                Ok(())
+            })?;
+        }
+        let filler = make(0, false, EMPTY_ROW);
+        let mut out = vec![filler; main.rank()];
+        let mut out_sub = vec![filler; sub.rank()];
+        for part in self.parts.iter_mut().filter(|p| matches_key(&p.key)) {
+            part.frame.for_each_segment(|seg| {
+                let gidx = seg.i64s("gidx")?;
+                let comparable = seg.bools("comparable")?;
+                let rows = SegRows::of(seg)?;
+                for i in 0..seg.n_rows() {
+                    if !selects(comparable[i], rows.hw_year[i], rows.vendor[i]) {
+                        continue;
+                    }
+                    let g = gidx[i] as u32;
+                    let placed = make(g, comparable[i], rows.row(i));
+                    out[main.slot(g)] = placed;
+                    if split && comparable[i] {
+                        out_sub[sub.slot(g)] = placed;
+                    }
+                }
+                Ok(())
+            })?;
+        }
+        Ok((out, out_sub))
     }
 
     /// Total rows stored.
@@ -546,7 +678,7 @@ mod tests {
         for (g, c, row) in rows.iter().rev() {
             store.push(key_of(row), *g, *c, *row).unwrap();
         }
-        let got = store.query(|_| true, |_| true).unwrap();
+        let got = store.query(|_| true, |_, _| true).unwrap();
         assert_eq!(got.len(), rows.len());
         for ((wg, wc, want), (gg, gc, got)) in rows.iter().zip(&got) {
             assert_eq!((wg, wc), (gg, gc));
@@ -567,11 +699,11 @@ mod tests {
         let amd = store
             .query(
                 |k| k.vendor == CpuVendor::Amd,
-                |r| r.vendor == CpuVendor::Amd,
+                |_, vendor| vendor == CpuVendor::Amd,
             )
             .unwrap();
         let unpruned = store
-            .query(|_| true, |r| r.vendor == CpuVendor::Amd)
+            .query(|_| true, |_, vendor| vendor == CpuVendor::Amd)
             .unwrap();
         assert_eq!(amd, unpruned, "pruning never changes the result");
         assert!(!amd.is_empty());
@@ -602,18 +734,76 @@ mod tests {
         }
         store.seal().unwrap();
         assert!(store.segments_spilled() > 0, "tiny budget must spill");
-        let got = store.query(|_| true, |_| true).unwrap();
+        let got = store.query(|_| true, |_, _| true).unwrap();
         assert_eq!(got.len(), rows.len());
         for ((wg, _, want), (gg, _, got)) in rows.iter().zip(&got) {
             assert_eq!(wg, gg);
             assert_rows_bit_equal(want, got);
         }
         // Repeated queries reload under the same budget, not unboundedly.
-        let again = store.query(|_| true, |_| true).unwrap();
+        let again = store.query(|_| true, |_, _| true).unwrap();
         assert_eq!(again.len(), rows.len());
         assert!(store.segments_spilled() > 0, "budget still enforced");
         drop(store);
         assert!(!dir.exists(), "cleanup removes the spill scratch");
+    }
+
+    fn assert_all_bit_equal(got: &[RunRow], want: &[RunRow], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (g, w) in got.iter().zip(want) {
+            assert_rows_bit_equal(g, w);
+        }
+    }
+
+    /// Every gather the kernel offers against the obvious one: filter the
+    /// tagged rows, sort the rows themselves by gidx, then split.
+    fn assert_gathers_match_a_row_sort(
+        store: &mut RowStore,
+        tagged: &[TaggedRow],
+        matches_key: impl Fn(&PartKey) -> bool + Copy,
+        matches_row: impl Fn(i32, CpuVendor) -> bool + Copy,
+        what: &str,
+    ) {
+        let mut sorted: Vec<TaggedRow> = tagged
+            .iter()
+            .filter(|t| matches_row(t.2.hw_year, t.2.vendor))
+            .copied()
+            .collect();
+        sorted.sort_unstable_by_key(|t| t.0);
+        let valid: Vec<RunRow> = sorted.iter().map(|t| t.2).collect();
+        let comparable: Vec<RunRow> = sorted.iter().filter(|t| t.1).map(|t| t.2).collect();
+
+        let got = store.query(matches_key, matches_row).unwrap();
+        assert_eq!(got.len(), sorted.len(), "{what}: tagged");
+        for ((gg, gc, g), (wg, wc, w)) in got.iter().zip(&sorted) {
+            assert_eq!((gg, gc), (wg, wc), "{what}: tagged");
+            assert_rows_bit_equal(g, w);
+        }
+        let got = store.gather(Side::Valid, matches_key, matches_row).unwrap();
+        assert_all_bit_equal(&got, &valid, &format!("{what}: valid side"));
+        let got = store
+            .gather(Side::Comparable, matches_key, matches_row)
+            .unwrap();
+        assert_all_bit_equal(&got, &comparable, &format!("{what}: comparable side"));
+        let (got_valid, got_comparable) = store.gather_split(matches_key, matches_row).unwrap();
+        assert_all_bit_equal(&got_valid, &valid, &format!("{what}: split valid"));
+        assert_all_bit_equal(
+            &got_comparable,
+            &comparable,
+            &format!("{what}: split comparable"),
+        );
+    }
+
+    /// The gidx `g * 3 + 1` for `g` in `0..n`, in a random order.
+    fn shuffled_gidx(n: usize, state: &mut u64) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..n as u32).map(|g| g * 3 + 1).collect();
+        for i in (1..order.len()).rev() {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            order.swap(i, (*state % (i as u64 + 1)) as usize);
+        }
+        order
     }
 
     /// The gather kernel against the obvious one: sort the tagged rows
@@ -622,42 +812,168 @@ mod tests {
     fn gathered_orders_and_splits_like_a_row_sort() {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         for n in [0usize, 1, 2, 3, 17, 64, 1000] {
-            // A random permutation of gidx 0..n, scaled to leave gaps.
-            let mut order: Vec<u32> = (0..n as u32).map(|g| g * 3 + 1).collect();
-            for i in (1..order.len()).rev() {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                order.swap(i, (state % (i as u64 + 1)) as usize);
-            }
-            let tagged: Vec<TaggedRow> = order
-                .iter()
-                .map(|&g| (g, g % 5 != 0, sample_row(g)))
+            // A random permutation of gidx 0..n, scaled to leave gaps,
+            // pushed across 15 partitions in small segments; every
+            // partition mixes comparable and non-comparable rows.
+            let tagged: Vec<TaggedRow> = shuffled_gidx(n, &mut state)
+                .into_iter()
+                .map(|g| (g, g % 7 != 0, sample_row(g)))
                 .collect();
-            let mut gathered = Gathered::with_capacity(n);
+            let mut store = RowStore::new(RowStoreConfig {
+                segment_rows: 7,
+                ..RowStoreConfig::default()
+            })
+            .unwrap();
             for &(g, c, row) in &tagged {
-                gathered.push(g, c, row);
+                store.push(key_of(&row), g, c, row).unwrap();
             }
-            let mut sorted = tagged.clone();
-            sorted.sort_unstable_by_key(|t| t.0);
-            let valid: Vec<RunRow> = sorted.iter().map(|t| t.2).collect();
-            let comparable: Vec<RunRow> = sorted.iter().filter(|t| t.1).map(|t| t.2).collect();
-
-            let mut again = Gathered::with_capacity(n);
-            for &(g, c, row) in &tagged {
-                again.push(g, c, row);
-            }
-            assert_eq!(again.into_tagged(), sorted, "n = {n}");
-            let (got_valid, got_comparable) = gathered.into_split();
-            assert_eq!(got_valid.len(), valid.len());
-            assert_eq!(got_comparable.len(), comparable.len());
-            for (g, w) in got_valid
-                .iter()
-                .zip(&valid)
-                .chain(got_comparable.iter().zip(&comparable))
-            {
-                assert_rows_bit_equal(g, w);
-            }
+            assert_gathers_match_a_row_sort(
+                &mut store,
+                &tagged,
+                |_| true,
+                |_, _| true,
+                &format!("n = {n}"),
+            );
+            // A pruning filter: partitions are keyed by their rows' own
+            // (year, vendor), so key and row predicates agree.
+            let years = |year: i32| (2011..=2013).contains(&year);
+            assert_gathers_match_a_row_sort(
+                &mut store,
+                &tagged,
+                |k| years(k.year) && k.vendor != CpuVendor::Other,
+                |year, vendor| years(year) && vendor != CpuVendor::Other,
+                &format!("n = {n}, filtered"),
+            );
         }
+    }
+
+    #[test]
+    fn row_filter_rejects_rows_inside_a_matching_partition() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        // Every row under one key, whatever its own year and vendor: the
+        // key predicate keeps the partition, the row predicate splits it.
+        let key = PartKey {
+            year: 2012,
+            vendor: CpuVendor::Amd,
+        };
+        let tagged: Vec<TaggedRow> = shuffled_gidx(300, &mut state)
+            .into_iter()
+            .map(|g| (g, g % 4 != 0, sample_row(g)))
+            .collect();
+        let mut store = RowStore::new(RowStoreConfig {
+            segment_rows: 32,
+            ..RowStoreConfig::default()
+        })
+        .unwrap();
+        for &(g, c, row) in &tagged {
+            store.push(key, g, c, row).unwrap();
+        }
+        let matches_row = |year: i32, vendor: CpuVendor| year >= 2012 && vendor != CpuVendor::Intel;
+        let kept = tagged
+            .iter()
+            .filter(|t| matches_row(t.2.hw_year, t.2.vendor))
+            .count();
+        assert!(
+            kept > 0 && kept < tagged.len(),
+            "the filter splits the partition"
+        );
+        assert_gathers_match_a_row_sort(
+            &mut store,
+            &tagged,
+            |k| *k == key,
+            matches_row,
+            "one partition",
+        );
+        assert!(
+            store.query(|k| *k != key, |_, _| true).unwrap().is_empty(),
+            "pruned"
+        );
+    }
+
+    #[test]
+    fn spilled_gathers_stay_bit_exact_under_the_floor_budget() {
+        let dir =
+            std::env::temp_dir().join(format!("spec_rowstore_gather_spill_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        let tagged: Vec<TaggedRow> = shuffled_gidx(400, &mut state)
+            .into_iter()
+            .map(|g| {
+                let mut row = sample_row(g);
+                row.hw_year = 2015;
+                row.vendor = CpuVendor::Intel;
+                (g, g % 3 != 0, row)
+            })
+            .collect();
+        let mut store = RowStore::new(RowStoreConfig {
+            segment_rows: 16,
+            spill: Some((dir.clone(), 1)), // floor budget per partition
+            cleanup: true,
+        })
+        .unwrap();
+        for &(g, c, row) in &tagged {
+            store.push(key_of(&row), g, c, row).unwrap();
+        }
+        store.seal().unwrap();
+        assert!(store.segments_spilled() > 0, "tiny budget must spill");
+        let first = store.gather_split(|_| true, |_, _| true).unwrap();
+        let second = store.gather_split(|_| true, |_, _| true).unwrap();
+        assert!(store.segments_spilled() > 0, "budget still enforced");
+        for (a, b) in first
+            .0
+            .iter()
+            .zip(&second.0)
+            .chain(first.1.iter().zip(&second.1))
+        {
+            assert_rows_bit_equal(a, b);
+        }
+        assert_eq!(
+            (first.0.len(), first.1.len()),
+            (second.0.len(), second.1.len())
+        );
+        assert_gathers_match_a_row_sort(&mut store, &tagged, |_| true, |_, _| true, "spilled");
+        assert!(store.segments_spilled() > 0, "budget still enforced");
+        drop(store);
+        assert!(!dir.exists(), "cleanup removes the spill scratch");
+    }
+
+    #[test]
+    fn merge_tagged_interleaves_and_refuses_overlap() {
+        let tag = |g: u32| (g, g.is_multiple_of(2), sample_row(g));
+        let a: Vec<TaggedRow> = [1, 4, 6, 9].map(tag).to_vec();
+        let b: Vec<TaggedRow> = [2, 3, 10].map(tag).to_vec();
+        let years = |rows: &[RunRow]| rows.iter().map(|r| r.frac_year).collect::<Vec<_>>();
+        let want = |gs: &[u32]| {
+            gs.iter()
+                .map(|&g| sample_row(g).frac_year)
+                .collect::<Vec<_>>()
+        };
+        let payloads = [a.clone(), b.clone(), Vec::new()];
+        assert_eq!(
+            years(&merge_tagged(&payloads, Side::Valid).unwrap()),
+            want(&[1, 2, 3, 4, 6, 9, 10])
+        );
+        assert_eq!(
+            years(&merge_tagged(&payloads, Side::Comparable).unwrap()),
+            want(&[2, 4, 6, 10])
+        );
+        assert!(merge_tagged(&[], Side::Valid).unwrap().is_empty());
+        // The same rows from two payloads: every gidx would render twice.
+        assert!(merge_tagged(&[a.clone(), a.clone()], Side::Valid).is_err());
+        // One shared gidx, even on the side the merge drops.
+        assert!(merge_tagged(&[a.clone(), [tag(9)].to_vec()], Side::Comparable).is_err());
+        // A payload out of gidx order.
+        let mut unsorted = b.clone();
+        unsorted.swap(0, 1);
+        assert!(merge_tagged(&[a, unsorted], Side::Valid).is_err());
+    }
+
+    #[test]
+    fn a_gidx_stored_twice_fails_the_gather() {
+        let mut store = RowStore::new(RowStoreConfig::default()).unwrap();
+        let row = sample_row(4);
+        store.push(key_of(&row), 4, true, row).unwrap();
+        store.push(key_of(&row), 4, true, row).unwrap();
+        assert!(store.gather(Side::Valid, |_| true, |_, _| true).is_err());
     }
 }

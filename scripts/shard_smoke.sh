@@ -6,15 +6,17 @@
 # end, then byte-compares every figure/data/filtered/aggregated target
 # between the reference and the front end. Exercises the grown query
 # grammar (year ranges, vendor lists, agg=year) and its typed 4xx
-# rejections, checks the front-end /stats shard table, kills one shard
-# and asserts an uncached query degrades to a prompt 503 + Retry-After,
+# rejections, checks the front-end /stats shard table, asserts that a
+# second front end over two daemons owning the same shard answers 503 +
+# Retry-After instead of counting rows twice, kills one shard and
+# asserts an uncached query degrades to a prompt 503 + Retry-After,
 # and finishes with an out-of-core check: a single `--scale 100`
 # daemon (~101,700 reports) under `--max-resident-mb 64` must keep its
 # VmHWM below 512 MiB.
 #
 #   ./scripts/shard_smoke.sh [base-port]
 #
-# Default base port 17890 (uses base..base+3).
+# Default base port 17890 (uses base..base+5).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,6 +25,8 @@ REF_PORT=$BASE_PORT
 SHARD1_PORT=$((BASE_PORT + 1))
 SHARD2_PORT=$((BASE_PORT + 2))
 FRONT_PORT=$((BASE_PORT + 3))
+SHARD1B_PORT=$((BASE_PORT + 4))
+OVERLAP_PORT=$((BASE_PORT + 5))
 CORPUS=.ci-shard-corpus
 OUT=.ci-shard-out
 rm -rf "$CORPUS" "$OUT"
@@ -130,6 +134,29 @@ echo "$stats" | grep -q 'raw 1017' || {
   echo "$stats" >&2; exit 1
 }
 
+# Overlapping shards: a second `--shard 1/2` daemon and a front end over
+# the two `1/2` daemons. Every row they own arrives twice, so a filtered
+# query must answer 503 + Retry-After rather than render double counts.
+./target/release/spec-trends serve --data "$CORPUS" --addr "127.0.0.1:${SHARD1B_PORT}" --shard 1/2 &
+SHARD1B_PID=$!
+PIDS+=($SHARD1B_PID)
+wait_ready "$SHARD1B_PORT"
+./target/release/spec-trends serve --addr "127.0.0.1:${OVERLAP_PORT}" \
+  --fan-out "127.0.0.1:${SHARD1_PORT},127.0.0.1:${SHARD1B_PORT}" &
+OVERLAP_PID=$!
+PIDS+=($OVERLAP_PID)
+wait_ready "$OVERLAP_PORT"
+headers="$(curl -s -D - -o /dev/null --max-time 10 -H 'Connection: close' \
+  "http://127.0.0.1:${OVERLAP_PORT}/data/2?vendor=amd" || true)"
+echo "$headers" | grep -q '^HTTP/1.1 503' || {
+  echo "shard_smoke: expected 503 from overlapping shards, got:" >&2
+  echo "$headers" >&2; exit 1
+}
+echo "$headers" | grep -qi '^Retry-After:' || {
+  echo "shard_smoke: overlapping-shard 503 missing Retry-After" >&2
+  echo "$headers" >&2; exit 1
+}
+
 # Kill one shard: an uncached scatter query must degrade to a prompt
 # 503 + Retry-After (bounded by the request deadline), never a hang.
 kill "$SHARD2_PID"
@@ -159,8 +186,10 @@ cmp -s "$OUT/ref.7" "$OUT/front.cached" || {
 # below rebinds the reference port.
 qget "$REF/shutdown" > /dev/null
 qget "$FRONT/shutdown" > /dev/null
+qget "http://127.0.0.1:${OVERLAP_PORT}/shutdown" > /dev/null
 qget "http://127.0.0.1:${SHARD1_PORT}/shutdown" > /dev/null
-wait "$REF_PID" "$FRONT_PID" "$SHARD1_PID" 2>/dev/null || true
+qget "http://127.0.0.1:${SHARD1B_PORT}/shutdown" > /dev/null
+wait "$REF_PID" "$FRONT_PID" "$OVERLAP_PID" "$SHARD1_PID" "$SHARD1B_PID" 2>/dev/null || true
 
 # --- out-of-core ×100 ------------------------------------------------
 # A single daemon streams the ×100 synthetic corpus (~101,700 reports)
@@ -191,4 +220,4 @@ wait "$X100_PID" 2>/dev/null || true
 trap - EXIT
 cleanup
 rm -rf "$CORPUS" "$OUT"
-echo "shard_smoke: OK (2-shard fan-out byte-identical, typed 400s, dead shard -> 503, x100 VmHWM ${vmhwm_kb} kB < 512 MiB)"
+echo "shard_smoke: OK (2-shard fan-out byte-identical, typed 400s, overlapping shards -> 503, dead shard -> 503, x100 VmHWM ${vmhwm_kb} kB < 512 MiB)"

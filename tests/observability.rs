@@ -305,12 +305,31 @@ fn request_children(spans: &[obs::SpanRecord], path: &str) -> Vec<&'static str> 
 fn serve_misses_record_one_span_per_phase() {
     use spec_power_trends::analysis::{ServeConfig, Server, ShardSpec};
     use spec_power_trends::format::write_run;
-    use spec_power_trends::model::linear_test_run;
+    use spec_power_trends::model::{linear_test_run, YearMonth};
 
     let _guard = obs_session(true);
+    // Hardware years 2010, 2011 and 2012 in turn.
     let texts: Vec<(Option<String>, String)> = (1..=12)
-        .map(|i| (None, write_run(&linear_test_run(i, 1e6, 60.0, 300.0))))
+        .map(|i| {
+            let mut run = linear_test_run(i, 1e6, 60.0, 300.0);
+            run.dates.hw_available = YearMonth::new(2010 + (i % 3) as i32, 6).expect("month");
+            (None, write_run(&run))
+        })
         .collect();
+    // The local miss below reads the comparable rows of 2011: the
+    // cascade's count over just those reports.
+    let selected = {
+        let of_2011 = texts
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| (i + 1) % 3 == 1)
+            .map(|(_, t)| t.clone())
+            .collect();
+        let mut driver =
+            PipelineDriver::new(CorpusSource::Memory(of_2011), common::fast_settings(), 3);
+        driver.comparable().expect("cascade").indices.len()
+    };
+    assert!(selected > 0, "the filter selects rows");
     let config = |texts: Vec<(Option<String>, String)>| {
         let mut config = ServeConfig::new(CorpusSource::Memory(texts));
         config.addr = "127.0.0.1:0".to_string();
@@ -325,7 +344,10 @@ fn serve_misses_record_one_span_per_phase() {
     front_config.fan_out = vec![shard.addr().to_string()];
     let front = Server::start(front_config).expect("front end");
 
-    assert_eq!(get_status(local.addr(), "/figures/2?vendor=intel"), 200);
+    assert_eq!(
+        get_status(local.addr(), "/figures/2?year=2011&vendor=intel"),
+        200
+    );
     assert_eq!(get_status(front.addr(), "/figures/3?vendor=intel"), 200);
     front.shutdown();
     shard.shutdown();
@@ -336,6 +358,36 @@ fn serve_misses_record_one_span_per_phase() {
         request_children(&spans, "/figures/2"),
         ["serve.miss.rows", "serve.miss.reduce", "serve.miss.render"],
         "local miss phases"
+    );
+    let rows_span = spans
+        .iter()
+        .find(|s| s.name == "serve.miss.rows")
+        .expect("serve.miss.rows span");
+    let field = |name: &str| {
+        rows_span
+            .fields
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| v.clone())
+    };
+    assert!(
+        matches!(field("rows"), Some(FieldValue::U64(n)) if n == selected as u64),
+        "serve.miss.rows places the {selected} selected rows: {:?}",
+        rows_span.fields
+    );
+    assert!(
+        matches!(field("side"), Some(FieldValue::Str(s)) if s == "comparable"),
+        "{:?}",
+        rows_span.fields
+    );
+    let merge_span = spans
+        .iter()
+        .find(|s| s.name == "serve.fanout.merge")
+        .expect("serve.fanout.merge span");
+    assert!(
+        merge_span.fields.iter().any(|(k, _)| *k == "rows"),
+        "{:?}",
+        merge_span.fields
     );
     assert_eq!(
         request_children(&spans, "/figures/3"),
