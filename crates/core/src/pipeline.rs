@@ -9,12 +9,16 @@
 //! ([`stage1_validate_inputs_indexed`]) per chunk on a worker, lets the
 //! caller finish each chunk there (stage 2 via [`stage2_split`], then
 //! runs, feature arenas or routed rows), and merges the per-chunk
-//! [`FilterReport`]s **in chunk order**. [`load_from_texts_parallel`],
-//! the stage graph's Validate stage and both streaming drivers
-//! ([`crate::stream`]) are continuations of that kernel. Because every
-//! count lives in a `BTreeMap` and the merge is ordered concatenation,
-//! each result is identical to the sequential [`load_from_texts`] for
-//! every thread count.
+//! [`FilterReport`]s **in chunk order**. Stage 1 also yields each input's
+//! (year, vendor) partition key from the same walk that parses it
+//! ([`crate::stage::part_key_of_parsed`]); only a text that is not a
+//! report is scanned for one ([`crate::stage::part_key_of_text`]), so the
+//! streaming drivers route a report without a second header walk.
+//! [`load_from_texts_parallel`], the stage graph's Validate stage and both
+//! streaming drivers ([`crate::stream`]) are continuations of that
+//! kernel. Because every count lives in a `BTreeMap` and the merge is
+//! ordered concatenation, each result is identical to the sequential
+//! [`load_from_texts`] for every thread count.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -27,7 +31,7 @@ use spec_model::RunResult;
 use spec_obs as obs;
 use spec_vfs::{FileStat, Vfs};
 
-use crate::stage::{part_key_of_text, PartKey};
+use crate::stage::{part_key_of_parsed, part_key_of_text, PartKey};
 
 /// One raw corpus input: either the report text, or the record that the
 /// input could not be read.
@@ -239,19 +243,13 @@ impl AnalysisSet {
 
 /// One corpus item the cascade consumes: a bare report text (`String`,
 /// `&str`) or an `(origin, text)` / `(origin, input)` pair. The cascade
-/// borrows each item, so no origin or text is copied on the way in.
+/// borrows each item, so no origin or text is copied on the way in. An
+/// item's (year, vendor) partition key is not asked of the item: the
+/// cascade's stage 1 takes it from the item's parse
+/// ([`crate::stage::part_key_of_parsed`]).
 pub trait CascadeInput: Sync {
     /// The item's origin (file name, when known) and borrowed input.
     fn input(&self) -> (Option<&str>, RawInputRef<'_>);
-
-    /// The item's (year, vendor) partition; unreadable inputs go to
-    /// [`PartKey::UNKNOWN`].
-    fn part_key(&self) -> PartKey {
-        match self.input().1 {
-            RawInputRef::Text(text) => part_key_of_text(text),
-            RawInputRef::IoError(_) => PartKey::UNKNOWN,
-        }
-    }
 }
 
 impl CascadeInput for String {
@@ -308,9 +306,25 @@ pub fn stage1_validate_inputs_indexed<'a, I>(items: I) -> (Vec<RunResult>, Filte
 where
     I: IntoIterator<Item = (Option<&'a str>, RawInputRef<'a>)>,
 {
+    let chunk = stage1_chunk(0, items);
+    (chunk.valid, chunk.report, chunk.item_index)
+}
+
+/// The one stage-1 loop: [`stage1_validate_inputs_indexed`] over inputs
+/// that start at position `start` of a larger slice, also keying every
+/// input with its partition. A report that parses is keyed from its parse
+/// ([`part_key_of_parsed`]), so its header lines are walked once; a text
+/// that is not a report is scanned ([`part_key_of_text`]), since its
+/// headers may still name a year and a vendor; an unreadable input goes
+/// to [`PartKey::UNKNOWN`].
+fn stage1_chunk<'a, I>(start: usize, items: I) -> Stage1Chunk
+where
+    I: IntoIterator<Item = (Option<&'a str>, RawInputRef<'a>)>,
+{
     let mut report = FilterReport::default();
     let mut valid = Vec::new();
     let mut item_index = Vec::new();
+    let mut keys = Vec::new();
 
     for (origin, input) in items {
         let index = report.raw;
@@ -318,6 +332,7 @@ where
         let text = match input {
             RawInputRef::Text(t) => t,
             RawInputRef::IoError(detail) => {
+                keys.push(PartKey::UNKNOWN);
                 report.not_reports += 1;
                 report.parse_failures.push(ParseFailureRecord {
                     index,
@@ -332,6 +347,7 @@ where
         let parsed = match parse_run_interned_diagnosed(text) {
             Ok(p) => p,
             Err(failure) => {
+                keys.push(part_key_of_text(text));
                 report.not_reports += 1;
                 report.parse_failures.push(ParseFailureRecord {
                     index,
@@ -341,6 +357,7 @@ where
                 continue;
             }
         };
+        keys.push(part_key_of_parsed(&parsed));
         match validate_interned(&parsed) {
             Ok(run) => {
                 valid.push(run);
@@ -368,7 +385,13 @@ where
         obs::set_gauge("ingest.interned_syms", interner.symbols as i64);
         obs::set_gauge("ingest.alloc_bytes_saved", interner.bytes_saved as i64);
     }
-    (valid, report, item_index)
+    Stage1Chunk {
+        start,
+        valid,
+        report,
+        item_index,
+        keys,
+    }
 }
 
 /// Stage 2 of the cascade: the §II comparability filters over the valid
@@ -400,10 +423,8 @@ pub(crate) fn split_report(report: &mut FilterReport, valid: &[RunResult]) -> Ve
 }
 
 /// One pool chunk after stage 1, handed to a [`cascade`] continuation.
-pub(crate) struct Stage1Chunk<'a, T> {
-    /// The chunk's inputs.
-    pub(crate) items: &'a [T],
-    /// Position of `items[0]` in the whole slice.
+pub(crate) struct Stage1Chunk {
+    /// Position of the chunk's first input in the whole slice.
     pub(crate) start: usize,
     /// Stage-1 survivors, in input order.
     pub(crate) valid: Vec<RunResult>,
@@ -411,6 +432,9 @@ pub(crate) struct Stage1Chunk<'a, T> {
     pub(crate) report: FilterReport,
     /// `item_index[j]`: the chunk-local input index of `valid[j]`.
     pub(crate) item_index: Vec<u32>,
+    /// `keys[i]`: the (year, vendor) partition of the chunk's `i`-th
+    /// input, taken from its parse (see [`stage1_chunk`]).
+    pub(crate) keys: Vec<PartKey>,
 }
 
 /// The sharded §II cascade — the one place a corpus is split across the
@@ -428,7 +452,7 @@ pub(crate) fn cascade<T, R, F>(items: &[T], shard_spans: bool, finish: F) -> (Fi
 where
     T: CascadeInput,
     R: Send,
-    F: Fn(Stage1Chunk<'_, T>) -> (FilterReport, R) + Sync,
+    F: Fn(Stage1Chunk) -> (FilterReport, R) + Sync,
 {
     let ranges = tinypool::run_chunks(items.len(), |_| {});
     let chunks = tinypool::parallel_map(&ranges, |range| {
@@ -442,15 +466,10 @@ where
             sp
         });
         let slice = &items[range.clone()];
-        let (valid, report, item_index) =
-            stage1_validate_inputs_indexed(slice.iter().map(CascadeInput::input));
-        finish(Stage1Chunk {
-            items: slice,
-            start: range.start,
-            valid,
-            report,
-            item_index,
-        })
+        finish(stage1_chunk(
+            range.start,
+            slice.iter().map(CascadeInput::input),
+        ))
     });
     let mut report = FilterReport::default();
     let outputs = chunks

@@ -42,7 +42,7 @@ pub use codec::{decode_from_slice, encode_to_vec, Codec, CodecError, Reader, Wri
 pub use driver::{CorpusSource, PipelineDriver, StageStats};
 pub use manifest::{audit_manifest, CorpusManifest, ManifestAudit, ManifestEntry, TRUST_MARGIN_NS};
 pub use partition::{
-    part_key_of_input, part_key_of_text, shard_of, PartKey, PartitionSummary, PartitionedDriver,
+    part_key_of_input, part_key_of_parsed, part_key_of_text, shard_of, PartKey, PartitionSummary, PartitionedDriver,
     ShardSpec, TaggedRow,
 };
 pub use graph::{

@@ -11,11 +11,13 @@
 //! Split ─▶ part-rows (one cached stage per partition) ─▶ report, rows, summary
 //! ```
 //!
-//! * **Split** (always runs, cheap): materialize the corpus, assign each
-//!   input to a partition, record the global index of every input and a
-//!   content hash per partition. Keys are *partition-local* — they never
-//!   include global indices, so adding a report to partition A cannot
-//!   invalidate partition B through index shifts.
+//! * **Split** (always runs, cheap): materialize the corpus, then key and
+//!   content-digest every input in one order-preserving pass on the
+//!   `tinypool` pool, and record the global index of every input. Each
+//!   partition's content hash is folded from its members' digests when it
+//!   resolves. Keys are *partition-local* — they never include global
+//!   indices, so adding a report to partition A cannot invalidate
+//!   partition B through index shifts.
 //! * **`part-rows`** (cached, keyed on the partition's content hash): the
 //!   partition's inputs run through [`StreamRows`] — the sharded cascade
 //!   kernel the streaming serve fill uses — and the artifact keeps the
@@ -37,11 +39,12 @@ use std::convert::Infallible;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use spec_format::ParsedRunRef;
 use spec_model::CpuVendor;
 use spec_obs as obs;
 use spec_vfs::Vfs;
 
-use super::artifact::corpus_fingerprint;
+use super::artifact::{fold_fingerprint, input_digest};
 use super::cache::{ArtifactCache, ContentHasher, Hash128};
 use super::codec::encode_to_vec;
 use super::driver::{CorpusSource, StageStats};
@@ -52,9 +55,11 @@ use crate::stream::StreamRows;
 
 /// A partition of the corpus: hardware-availability year × CPU vendor.
 ///
-/// Derived from the raw report text *before* parsing (see
-/// [`part_key_of_text`]) so the Split stage stays cheap; inputs whose
-/// header lines are missing or unparseable land in [`PartKey::UNKNOWN`].
+/// The Split stage derives it from the raw report text *before* parsing
+/// ([`part_key_of_text`]) so it stays cheap; the cascade's stage 1 takes it
+/// from the parse ([`part_key_of_parsed`]), scanning only texts that are not
+/// reports. Inputs whose header lines are missing or unparseable land in
+/// [`PartKey::UNKNOWN`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PartKey {
     /// Hardware-availability year (`-1` when unknown).
@@ -130,6 +135,19 @@ pub fn part_key_of_text(text: &str) -> PartKey {
         }
     }
     PartKey { year, vendor }
+}
+
+/// The partition key of a report the parser accepted: the year of its
+/// final `Hardware Availability` value (`-1` when ambiguous or missing)
+/// and the vendor classified from its final `CPU Name`. Stage 1 of the
+/// cascade keys every report it parses with this, so a parsed report is
+/// walked once; the `part_key_agreement` proptest pins it equal to
+/// [`part_key_of_text`] over the same text.
+pub fn part_key_of_parsed(run: &ParsedRunRef) -> PartKey {
+    PartKey {
+        year: run.hw_available.ok().map_or(-1, |d| d.year()),
+        vendor: CpuVendor::classify(run.cpu_name.map_or("", |s| s.resolve())),
+    }
 }
 
 /// Partition key of one raw input; unreadable inputs go to
@@ -226,16 +244,25 @@ pub type TaggedRow = (u32, bool, RunRow);
 type PartArtifact = (FilterReport, Vec<TaggedRow>);
 
 /// One partition as produced by the Split stage.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct Partition {
     /// The partition's inputs, in global corpus order.
     items: Vec<(Option<String>, RawInput)>,
     /// Global corpus index of each input.
     gidx: Vec<u32>,
-    /// [`corpus_fingerprint`] of the inputs — the partition-local cache
-    /// key root. Global indices are deliberately excluded so insertions
-    /// elsewhere in the corpus cannot invalidate this partition.
-    hash: Hash128,
+    /// Content digest of each input, taken in the Split's pooled pass.
+    digests: Vec<(u8, Hash128)>,
+}
+
+impl Partition {
+    /// [`super::artifact::corpus_fingerprint`] of the inputs — the
+    /// partition-local cache key root. Global indices are deliberately
+    /// excluded so insertions elsewhere in the corpus cannot invalidate
+    /// this partition.
+    fn fingerprint(&self) -> Hash128 {
+        let origins = self.items.iter().map(|(origin, _)| origin.as_deref());
+        fold_fingerprint(self.items.len(), origins.zip(self.digests.iter().copied()))
+    }
 }
 
 /// Per-partition cascade summary for stats output and the serve API.
@@ -277,7 +304,7 @@ fn resolve_partition(
     part: &Partition,
 ) -> (PartArtifact, bool) {
     let label = key.label();
-    let cache_key = part_rows_key(&label, part.hash);
+    let cache_key = part_rows_key(&label, part.fingerprint());
     let mut sp = obs::span(PART_STAGE);
     if let Some(cache) = cache {
         if let Some((artifact, _)) = cache.load::<PartArtifact>(&cache_key) {
@@ -396,22 +423,26 @@ impl PartitionedDriver {
         // parsing, and it is what detects changed inputs.
         let corpus = self.source.materialize(&*self.vfs)?;
         let total = corpus.items.len();
-        let mut map: BTreeMap<PartKey, Partition> = BTreeMap::new();
-        for (g, (origin, input)) in corpus.items.into_iter().enumerate() {
-            let key = part_key_of_input(&input);
-            let part = map.entry(key).or_insert_with(|| Partition {
-                items: Vec::new(),
-                gidx: Vec::new(),
-                hash: Hash128(0),
+        // Key every input on the pool, and digest the ones this driver
+        // keeps for the partition fingerprints; a shard skips hashing the
+        // rest. `parallel_map` preserves order, so the global indices
+        // below are the corpus order.
+        let shard = self.shard;
+        let routed: Vec<(PartKey, Option<(u8, Hash128)>)> =
+            tinypool::parallel_map(&corpus.items, |(_, input)| {
+                let key = part_key_of_input(input);
+                let owned = shard.is_none_or(|shard| shard.owns(&key));
+                (key, owned.then(|| input_digest(input)))
             });
+        let mut map: BTreeMap<PartKey, Partition> = BTreeMap::new();
+        for (g, ((origin, input), (key, digest))) in
+            corpus.items.into_iter().zip(routed).enumerate()
+        {
+            let Some(digest) = digest else { continue };
+            let part = map.entry(key).or_default();
             part.gidx.push(g as u32);
             part.items.push((origin, input));
-        }
-        if let Some(shard) = self.shard {
-            map.retain(|key, _| shard.owns(key));
-        }
-        for part in map.values_mut() {
-            part.hash = corpus_fingerprint(&part.items);
+            part.digests.push(digest);
         }
         let parts: Vec<(PartKey, Partition)> = map.into_iter().collect();
         if obs::enabled() {

@@ -7,7 +7,9 @@
 //! streaming core: each batch goes through the pipeline's sharded cascade
 //! kernel, where every chunk runs stage 1 and stage 2 on a worker, routes
 //! each input to its (year, vendor) partition and counts it there; the
-//! driver then keeps only its projection of the chunk.
+//! driver then keeps only its projection of the chunk. The partition key
+//! comes out of stage 1 with the parse, so routing costs no second walk
+//! over a report's header lines.
 //!
 //! * [`StreamIngest`] renders each chunk's survivors into segment-sized
 //!   feature frames (a private *segment arena*) and adopts the arenas into
@@ -75,9 +77,12 @@ impl Default for StreamConfig {
 }
 
 /// Per-(year, vendor) partition cascade counts accumulated by the
-/// streaming drivers. The same key derivation as the partitioned stage
-/// graph ([`crate::stage::part_key_of_text`]), so a streamed corpus can
-/// be checked against
+/// streaming drivers. Stage 1 keys a report from its parse
+/// ([`crate::stage::part_key_of_parsed`]) and a non-report by the header
+/// scan the partitioned stage graph's Split uses
+/// ([`crate::stage::part_key_of_text`]); the two agree on every report
+/// (the `part_key_agreement` proptest), so a streamed corpus can be
+/// checked against
 /// [`crate::stage::PartitionedDriver::partition_summary`]
 /// partition-for-partition.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -119,10 +124,11 @@ struct StreamCore {
 
 impl StreamCore {
     /// Cascade one batch through the sharded kernel. Each chunk runs
-    /// stage 2, counts its inputs per partition (routing is per input, so
-    /// chunk and batch merging stays associative) and is projected by
-    /// `project` on its worker; the projections come back in chunk order,
-    /// with the report and counts already merged.
+    /// stage 2, counts its inputs per partition under the keys stage 1
+    /// took from their parse (routing is per input, so chunk and batch
+    /// merging stays associative) and is projected by `project` on its
+    /// worker; the projections come back in chunk order, with the report
+    /// and counts already merged.
     fn push<T, R>(&mut self, items: &[T], project: impl Fn(SplitChunk) -> R + Sync) -> Vec<R>
     where
         T: CascadeInput,
@@ -131,9 +137,9 @@ impl StreamCore {
         let (report, chunks) = cascade(items, false, |chunk| {
             let mut report = chunk.report;
             let indices = split_report(&mut report, &chunk.valid);
-            let keys: Vec<PartKey> = chunk.items.iter().map(CascadeInput::part_key).collect();
+            let keys = &chunk.keys;
             let mut partitions: BTreeMap<PartKey, StreamPartitionCounts> = BTreeMap::new();
-            for key in &keys {
+            for key in keys {
                 partitions.entry(*key).or_default().raw += 1;
             }
             let mut comparable = vec![false; chunk.valid.len()];

@@ -11,7 +11,8 @@
 
 use spec_analysis::figures::common::{extract_rows, RunRow};
 use spec_analysis::stage::{
-    assemble_set, ComparableStage, CorpusArtifact, PartKey, Stage, ValidateStage,
+    assemble_set, part_key_of_text, ComparableStage, CorpusArtifact, PartKey, Stage,
+    ValidateStage,
 };
 use spec_analysis::stream::{StreamConfig, StreamIngest, StreamRows};
 use spec_analysis::{
@@ -154,7 +155,11 @@ fn check_every_path<T: CascadeInput>(shape: &str, items: &[T], corpus: CorpusArt
                 assert_eq!(stream.report(), &want.report, "{shape} rows, {at}");
                 tagged.sort_unstable_by_key(|t| t.1);
                 for (key, gidx, _, _) in &tagged {
-                    assert_eq!(*key, items[*gidx as usize].part_key(), "{shape} rows, {at}");
+                    let scanned = match items[*gidx as usize].input().1 {
+                        RawInputRef::Text(text) => part_key_of_text(text),
+                        RawInputRef::IoError(_) => PartKey::UNKNOWN,
+                    };
+                    assert_eq!(*key, scanned, "{shape} rows, {at}");
                 }
                 let rows: Vec<RunRow> = tagged.iter().map(|t| t.3).collect();
                 let comp_rows: Vec<RunRow> = tagged.iter().filter(|t| t.2).map(|t| t.3).collect();

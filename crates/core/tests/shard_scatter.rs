@@ -7,9 +7,11 @@
 //! snapshots alike — and compares every figure, CSV, filtered and
 //! aggregated response byte-for-byte against a single-process server
 //! hosting the same corpus. Shard assignment is a pure function of the
-//! partition key, the gathered rows are re-sorted by global index before
-//! the reduce, and the reduces themselves are the monolithic code paths —
-//! so any divergence is a real merge bug, not float noise.
+//! partition key, the front end k-way merges the shards' payloads (each
+//! already ascending by global index) into global order before the
+//! reduce — answering 503 when two shards return the same row — and the
+//! reduces themselves are the monolithic code paths — so any divergence
+//! is a real merge bug, not float noise.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
