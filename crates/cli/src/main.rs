@@ -61,10 +61,11 @@
 //! Without `--data`, commands operate on the built-in synthetic dataset
 //! (deterministic in `--seed`).
 //!
-//! `--cache-dir DIR` attaches a content-addressed artifact cache: every
-//! pipeline stage's output is persisted under a key derived from the code
-//! version and its inputs, so `figures` after `analyze` re-parses nothing
-//! and writes byte-identical output from the cached artifacts. With
+//! `--cache-dir DIR` attaches an artifact cache: every pipeline stage's
+//! output is persisted under a key derived from the code version and the
+//! run's inputs (the corpus, seed and settings), never from another
+//! cached output, so `figures` after `analyze` reads only the rendered
+//! figures' entry, re-parses nothing and writes byte-identical output. With
 //! `--data`, the cache also holds a stat manifest of the report
 //! directory, so a warm run stats the reports instead of reading them.
 //!
@@ -111,9 +112,10 @@ fn usage() -> ExitCode {
          \x20             segments spill, checksummed, to a temp directory and\n\
          \x20             reload on demand, so peak memory stays near M plus one\n\
          \x20             batch regardless of corpus size.\n\
-         --cache-dir DIR  content-addressed artifact cache; warm runs skip every\n\
-         \x20               stage whose inputs are unchanged (figures after analyze\n\
-         \x20               re-parses nothing and is byte-identical). Corrupt or\n\
+         --cache-dir DIR  artifact cache keyed by the run's inputs (corpus, seed,\n\
+         \x20               settings); a warm run loads only the outputs it needs\n\
+         \x20               (figures after analyze reads one entry, re-parses\n\
+         \x20               nothing and is byte-identical). Corrupt or\n\
          \x20               torn entries are quarantined and recomputed; `doctor`\n\
          \x20               audits a cache directory offline (with --data it\n\
          \x20               also re-hashes that directory's stat manifest).\n\
@@ -126,7 +128,7 @@ fn usage() -> ExitCode {
          \x20               SPEC_TRENDS_TRACE=1 enables the same instrumentation\n\
          \x20               without a flag; `stats` prints the metrics table.\n\
          --addr HOST:PORT  (serve) bind address, default 127.0.0.1:7878.\n\
-         --poll-ms N   (serve) corpus-watch poll interval, default 500.\n\
+         --poll-ms N   (serve) corpus-watch poll interval in ms, 10..=1000, default 500.\n\
          --shard I/N   (serve) host only the partitions a deterministic hash\n\
          \x20             assigns to shard I of N (one-based). Shards answer\n\
          \x20             /shard/meta and /shard/rows for a front end.\n\
@@ -763,6 +765,9 @@ fn run_serve(args: &Args) -> spec_diag::Result<()> {
     if let Some(addr) = &args.addr {
         config.addr = addr.clone();
     }
+    if let Some(ms) = args.poll_ms {
+        config.poll_ms = ms;
+    }
     // Check before the cache directory is created: a rejected config
     // leaves nothing on disk.
     config.check(args.cache_dir.is_some())?;
@@ -771,9 +776,6 @@ fn run_serve(args: &Args) -> spec_diag::Result<()> {
     }
     if let Some(n) = args.threads {
         config.threads = n;
-    }
-    if let Some(ms) = args.poll_ms {
-        config.poll_ms = ms;
     }
     if let Some(n) = args.max_inflight {
         config.limits.max_inflight = n;

@@ -16,8 +16,8 @@
 //!   (EP score, dynamic range) extending Figure 4's analysis;
 //! * [`report`] — the full [`Study`] with a paper-vs-measured ledger and
 //!   SVG emission;
-//! * [`stage`] — the typed stage graph driving all of the above, with a
-//!   content-addressed on-disk artifact cache.
+//! * [`stage`] — the typed stage graph driving all of the above, with an
+//!   on-disk artifact cache keyed by the run's inputs.
 //!
 //! ```no_run
 //! use spec_analysis::{load_from_texts, run_study};

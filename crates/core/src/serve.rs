@@ -178,7 +178,7 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Directory to poll for corpus changes (None disables the watcher).
     pub watch: Option<PathBuf>,
-    /// Watcher poll interval.
+    /// Watcher poll interval in ms, within [`POLL_MS`].
     pub poll_ms: u64,
     /// Filesystem backend for corpus reads (chaos-injectable).
     pub vfs: Arc<dyn Vfs>,
@@ -205,6 +205,9 @@ pub struct ServeConfig {
     pub fan_out: Vec<String>,
 }
 
+/// The watcher poll intervals, in ms, that [`ServeConfig::check`] accepts.
+pub const POLL_MS: std::ops::RangeInclusive<u64> = 10..=1000;
+
 impl ServeConfig {
     /// A config with conventional defaults for `source`.
     pub fn new(source: CorpusSource) -> ServeConfig {
@@ -230,12 +233,19 @@ impl ServeConfig {
         }
     }
 
-    /// Reject combinations the daemon would silently ignore: `--shard`
-    /// with `--fan-out`, `scale > 1` in Graph mode, and an artifact cache
-    /// in Stream mode. `with_cache` says whether a cache is (or is about
-    /// to be) attached, so a caller can check before it opens one — a
-    /// rejected config then leaves nothing on disk.
+    /// Reject settings the daemon would silently ignore or change: a
+    /// `poll_ms` outside [`POLL_MS`], `--shard` with `--fan-out`,
+    /// `scale > 1` in Graph mode, and an artifact cache in Stream mode.
+    /// `with_cache` says whether a cache is (or is about to be) attached,
+    /// so a caller can check before it opens one — a rejected config then
+    /// leaves nothing on disk.
     pub fn check(&self, with_cache: bool) -> spec_diag::Result<()> {
+        if !POLL_MS.contains(&self.poll_ms) {
+            return Err(TrendsError::config(
+                "serve",
+                format!("--poll-ms {} is outside {POLL_MS:?}", self.poll_ms),
+            ));
+        }
         if self.shard.is_some() && !self.fan_out.is_empty() {
             return Err(TrendsError::config(
                 "serve",
@@ -1319,7 +1329,7 @@ fn watcher_loop(
     dir: &std::path::Path,
     mut last: Vec<(PathBuf, Option<FileStat>)>,
 ) {
-    let step = Duration::from_millis(config.poll_ms.clamp(10, 1000));
+    let step = Duration::from_millis(config.poll_ms);
     while !shared.draining() {
         std::thread::sleep(step);
         let next = dir_fingerprint(dir);
@@ -1392,7 +1402,7 @@ fn fanout_poll_meta(shared: &Shared) {
 /// The fan-out front-end's watcher-slot thread: keep the shard census
 /// fresh so dead shards surface in `/stats` within a poll interval.
 fn fanout_meta_loop(shared: &Shared, poll_ms: u64) {
-    let step = Duration::from_millis(poll_ms.clamp(10, 1000));
+    let step = Duration::from_millis(poll_ms);
     while !shared.draining() {
         std::thread::sleep(step);
         fanout_poll_meta(shared);
@@ -2291,6 +2301,22 @@ mod tests {
         let err = start_error(config);
         assert_eq!(err.kind.category(), "config", "{err}");
         assert!(err.to_string().contains("scale"), "{err}");
+    }
+
+    #[test]
+    fn poll_ms_outside_its_bound_is_rejected() {
+        for ms in [5, 5000] {
+            let mut config = test_config(6);
+            config.poll_ms = ms;
+            let err = config.check(false).expect_err("outside the bound");
+            assert_eq!(err.kind.category(), "config", "{err}");
+            assert!(err.to_string().contains("10..=1000"), "{err}");
+        }
+        for ms in [10, 1000] {
+            let mut config = test_config(6);
+            config.poll_ms = ms;
+            config.check(false).expect("inside the bound");
+        }
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Content-addressed, self-healing on-disk artifact cache.
+//! Self-healing on-disk artifact cache.
 //!
 //! Every stage output is stored in one file under the cache root, named by
 //! the hex of its *key* — a [`content_hash`] over (code version, stage id,
-//! upstream artifact content hashes, stage parameters). The entry's header
-//! carries the *content hash* of the payload, and every read verifies the
-//! **full payload** against it ([`ArtifactCache::verified_hash`]), not
-//! just the 20-byte header, so a torn or bit-rotted entry can never
-//! satisfy a warm run. Both hashes are [`spec_vfs::checksum`]'s
-//! word-at-a-time [`ContentHasher`], which runs at memory speed, so the
-//! full-payload check costs little next to reading the file. A verified
-//! payload is decoded in place from the read buffer, never copied.
+//! the keys of its upstream stages, stage parameters), rooted at the
+//! corpus key, so a key is derived from the run's inputs and never from a
+//! cached payload. The entry's header carries the *content hash* of the
+//! payload, and every read verifies the **full payload** against it
+//! before any byte is decoded ([`ArtifactCache::load`]), not just the
+//! 20-byte header, so a torn or bit-rotted entry can never satisfy a warm
+//! run. Both hashes are [`spec_vfs::checksum`]'s word-at-a-time
+//! [`ContentHasher`], which runs at memory speed, so the full-payload
+//! check costs little next to reading the file. A verified payload is
+//! decoded in place from the read buffer, never copied.
 //!
 //! Entry layout: `b"SPT2"` magic ‖ 16-byte content hash ‖ codec payload.
 //! (`SPT1` entries carried FNV-1a-128 checksums; they are quarantined as
@@ -30,7 +32,8 @@
 //!
 //! All disk access goes through an injectable [`spec_vfs::Vfs`], so the
 //! chaos suite can schedule EIO/ENOSPC/torn-write faults against every one
-//! of these paths. `spec-trends doctor` exposes [`ArtifactCache::fsck`].
+//! of these paths. `spec-trends doctor` exposes [`ArtifactCache::fsck`],
+//! which verifies entries that no warm run reads.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -114,10 +117,10 @@ impl FsckReport {
     }
 }
 
-/// Verify an entry's magic, header and full-payload checksum, returning
-/// the content hash from its header, or why it failed. Shared by the load
-/// path and `fsck` so both quarantine with identical reasons.
-fn verify_entry(bytes: &[u8]) -> Result<Hash128, String> {
+/// Verify an entry's magic, header and full-payload checksum, or say why
+/// it failed. Shared by the load path and `fsck` so both quarantine with
+/// identical reasons.
+fn verify_entry(bytes: &[u8]) -> Result<(), String> {
     if bytes.len() < HEADER_LEN {
         return Err(format!(
             "truncated header: {} of {HEADER_LEN} bytes",
@@ -139,7 +142,7 @@ fn verify_entry(bytes: &[u8]) -> Result<Hash128, String> {
     if content_hash(&bytes[HEADER_LEN..]) != hash {
         return Err("payload checksum mismatch (torn write or bit rot)".to_string());
     }
-    Ok(hash)
+    Ok(())
 }
 
 /// The on-disk artifact store rooted at `--cache-dir`.
@@ -259,12 +262,11 @@ impl ArtifactCache {
         swept
     }
 
-    /// Read and fully verify an entry, returning its content hash and the
-    /// whole entry file; the payload is `bytes[HEADER_LEN..]`, borrowed in
-    /// place rather than moved to the front of the buffer. Misses,
-    /// unreadable files (degradation) and quarantined corruption all read
-    /// as `None`.
-    fn read_entry(&self, key: &Hash128) -> Option<(Hash128, Vec<u8>)> {
+    /// Read and fully verify an entry, returning the whole entry file; the
+    /// payload is `bytes[HEADER_LEN..]`, borrowed in place rather than
+    /// moved to the front of the buffer. Misses, unreadable files
+    /// (degradation) and quarantined corruption all read as `None`.
+    fn read_entry(&self, key: &Hash128) -> Option<Vec<u8>> {
         let path = self.entry_path(key);
         let bytes = match self.vfs.read_verified(&path) {
             Ok(b) => b,
@@ -289,9 +291,9 @@ impl ArtifactCache {
             }
         };
         match verify_entry(&bytes) {
-            Ok(hash) => {
+            Ok(()) => {
                 obs::count("cache.hit", 1);
-                Some((hash, bytes))
+                Some(bytes)
             }
             Err(reason) => {
                 self.quarantine(&path, &reason);
@@ -301,20 +303,13 @@ impl ArtifactCache {
         }
     }
 
-    /// The payload's content hash, after verifying the **entire payload**
-    /// against the header checksum (not just peeking the header). Enough
-    /// to derive downstream stage keys without decoding. `None` on miss,
-    /// unreadable entry, or (quarantined) corruption.
-    pub fn verified_hash(&self, key: &Hash128) -> Option<Hash128> {
-        self.read_entry(key).map(|(hash, _)| hash)
-    }
-
-    /// Load and decode an entry. `None` on miss or any defect — corrupt
+    /// Load and decode an entry, after verifying the **entire payload**
+    /// against the header checksum. `None` on miss or any defect — corrupt
     /// and undecodable entries are quarantined and the caller recomputes.
-    pub fn load<T: Codec>(&self, key: &Hash128) -> Option<(T, Hash128)> {
-        let (hash, bytes) = self.read_entry(key)?;
+    pub fn load<T: Codec>(&self, key: &Hash128) -> Option<T> {
+        let bytes = self.read_entry(key)?;
         match decode_from_slice::<T>(&bytes[HEADER_LEN..]) {
-            Ok(value) => Some((value, hash)),
+            Ok(value) => Some(value),
             Err(e) => {
                 // Checksum-valid but undecodable: wrong artifact type or
                 // version skew that slipped the key. Quarantine so the
@@ -329,19 +324,19 @@ impl ArtifactCache {
         }
     }
 
-    /// Encode and store an artifact under `key`; returns its content hash.
+    /// Encode and store an artifact under `key`.
     /// Crash-durable: temp file → fsync → read-back verification → rename
     /// → parent-dir fsync. A failed store (ENOSPC, EIO, torn write) is
     /// counted in [`CacheHealth`] and otherwise ignored — the pipeline
     /// continues uncached rather than aborting.
-    pub fn store<T: Codec>(&self, key: &Hash128, value: &T) -> Hash128 {
-        self.store_encoded(key, &encode_to_vec(value))
+    pub fn store<T: Codec>(&self, key: &Hash128, value: &T) {
+        self.store_encoded(key, &encode_to_vec(value));
     }
 
     /// [`Self::store`] for an already-encoded payload. The driver encodes
-    /// each artifact exactly once (for sizing and hashing) and hands the
-    /// bytes here, so instrumentation never doubles the encode cost.
-    pub fn store_encoded(&self, key: &Hash128, payload: &[u8]) -> Hash128 {
+    /// each artifact exactly once (for storing and span sizing) and hands
+    /// the bytes here, so instrumentation never doubles the encode cost.
+    pub fn store_encoded(&self, key: &Hash128, payload: &[u8]) {
         let hash = content_hash(payload);
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         bytes.extend_from_slice(MAGIC);
@@ -356,7 +351,6 @@ impl ArtifactCache {
             obs::count("cache.store", 1);
             obs::count("cache.store_bytes", payload.len() as u64);
         }
-        hash
     }
 
     /// Number of entries currently stored (for tests and `explain`).
@@ -407,7 +401,7 @@ impl ArtifactCache {
             }
             match cache.vfs.read_verified(&path) {
                 Ok(bytes) => match verify_entry(&bytes) {
-                    Ok(_) => report.healthy += 1,
+                    Ok(()) => report.healthy += 1,
                     Err(reason) => {
                         cache.quarantine(&path, &reason);
                         report.quarantined.push((name, reason));
@@ -457,15 +451,14 @@ mod tests {
     fn store_load_verify_roundtrip() {
         let cache = tmp_cache("roundtrip");
         let key = content_hash(b"stage-key");
-        assert_eq!(cache.verified_hash(&key), None);
         assert!(cache.load::<Vec<u32>>(&key).is_none());
 
         let value: Vec<u32> = vec![1, 2, 3];
-        let stored_hash = cache.store(&key, &value);
-        assert_eq!(cache.verified_hash(&key), Some(stored_hash));
-        let (loaded, loaded_hash) = cache.load::<Vec<u32>>(&key).unwrap();
-        assert_eq!(loaded, value);
-        assert_eq!(loaded_hash, stored_hash);
+        cache.store(&key, &value);
+        assert_eq!(cache.load::<Vec<u32>>(&key), Some(value.clone()));
+        // The header carries the payload's content hash.
+        let entry = std::fs::read(cache.entry_path(&key)).unwrap();
+        assert_eq!(&entry[4..HEADER_LEN], &content_hash(&encode_to_vec(&value)).to_bytes());
         assert_eq!(cache.len().unwrap(), 1);
         assert!(cache.health().is_clean());
         cleanup(&cache);
@@ -494,11 +487,11 @@ mod tests {
         assert!(reason.contains("checksum mismatch"), "{reason}");
         assert_eq!(cache.health().quarantined, 1);
 
-        // Bad magic → quarantined likewise, for both load and verify.
+        // Bad magic → quarantined likewise.
         cache.store(&key, &vec![7u32]);
         vfs.write(&path, b"JUNKxxxxxxxxxxxxxxxxxxxx").expect("bad magic");
         assert!(cache.load::<Vec<u32>>(&key).is_none());
-        assert_eq!(cache.verified_hash(&key), None);
+        assert_eq!(cache.health().quarantined, 2);
 
         // Recompute path: store overwrites, entry healthy again.
         cache.store(&key, &vec![7u32]);
@@ -518,7 +511,7 @@ mod tests {
         let bytes = vfs.read_verified(&path).expect("entry readable");
         assert!(bytes.len() > HEADER_LEN + 4);
         vfs.write(&path, &bytes[..HEADER_LEN + 4]).expect("tear");
-        assert_eq!(cache.verified_hash(&key), None, "torn entry must not verify");
+        assert!(cache.load::<Vec<u32>>(&key).is_none(), "torn entry must not verify");
         assert!(cache
             .quarantine_dir()
             .join(format!("{}.art", key.hex()))
@@ -588,13 +581,8 @@ mod tests {
         );
         let cache = ArtifactCache::open_with(&dir, fault).unwrap();
         let key = content_hash(b"k");
-        let hash = cache.store(&key, &vec![1u32]);
+        cache.store(&key, &vec![1u32]);
         assert_eq!(cache.health().write_errors, 1, "ENOSPC absorbed");
-        assert_eq!(
-            hash,
-            content_hash(&encode_to_vec(&vec![1u32])),
-            "hash still exact"
-        );
         assert!(cache.load::<Vec<u32>>(&key).is_none(), "nothing stored");
         // A later store on a healthy disk succeeds.
         cache.store(&key, &vec![1u32]);

@@ -1,22 +1,22 @@
 //! The pipeline driver: walks the stage DAG, memoizes artifacts in memory,
-//! and (when a cache is attached) persists every stage output under a
-//! content-addressed key.
+//! and (when a cache is attached) persists every stage output under a key
+//! derived from the run's inputs.
 //!
-//! A stage's key is `content_hash(code version ‖ stage name ‖ upstream
-//! content hashes ‖ parameters)`. On a warm run the driver resolves
-//! upstream keys through checksum-verified
-//! [`ArtifactCache::verified_hash`] reads, so
-//! e.g. `figures` after `analyze` decodes exactly one artifact (the
-//! rendered SVGs) and re-parses **nothing** — asserted by the
-//! stage-invocation counters in [`StageStats`].
+//! A stage's key is `content_hash(code version ‖ stage name ‖ key of each
+//! stage in [`StageId::deps`] ‖ parameters)`, rooted at the corpus key.
+//! Deriving a key reads no cache entry, so
+//! a warm run reads only the entries it needs as values: `figures` after
+//! `analyze` loads exactly one artifact (the rendered SVGs) and re-parses
+//! **nothing** — asserted by the stage-invocation counters in
+//! [`StageStats`].
 //!
-//! A directory corpus's hash comes from a stat scan against its manifest
+//! A directory corpus's key comes from a stat scan against its manifest
 //! ([`super::manifest`]): a warm run stats every report file, reads only
 //! those whose stat changed, and reads the rest only when Validate must
-//! execute. What it then reads must fingerprint to the hash the run's
-//! keys were derived from; if an edit landed in between, the run fails
-//! with a typed `ingest` error instead of storing an artifact under a key
-//! whose content it did not read, and the next run reads the edit.
+//! execute. What it then reads must fingerprint to the key the run's
+//! stage keys were derived from; if an edit landed in between, the run
+//! fails with a typed `ingest` error instead of storing an artifact under
+//! a key whose content it did not read, and the next run reads the edit.
 //!
 //! Cache faults never abort a run: a corrupt or unreadable entry reads as
 //! a miss (and is quarantined), a failed store is skipped, and the stage
@@ -38,7 +38,7 @@ use super::artifact::{
     assemble_set, corpus_fingerprint, ComparableArtifact, CorpusArtifact, DeriveArtifact,
     FilesArtifact, ValidateArtifact,
 };
-use super::cache::{content_hash, ArtifactCache, ContentHasher, Hash128};
+use super::cache::{ArtifactCache, ContentHasher, Hash128};
 use super::codec::{encode_to_vec, Codec};
 use super::graph::{
     ComparableStage, DeriveStage, ExportDataStage, ExportFiguresStage, Fig1Stage, Fig2Stage,
@@ -58,7 +58,7 @@ pub enum CorpusSource {
     /// config, so its cache key needs no file reads at all.
     Synthetic(SynthConfig),
     /// A directory of `*.txt` report files (read in sorted order). Each
-    /// file's content hash feeds the corpus hash, so edits to the
+    /// file's content hash feeds the corpus key, so edits to the
     /// directory invalidate downstream artifacts automatically. With a
     /// cache attached, [`PipelineDriver`] records a stat manifest of the
     /// directory ([`super::manifest`]); a later run stats each file and
@@ -116,12 +116,13 @@ pub struct PipelineDriver {
     vfs: Arc<dyn Vfs>,
     cache: Option<ArtifactCache>,
     stats: BTreeMap<StageId, StageStats>,
-    hashes: BTreeMap<StageId, Hash128>,
+    /// The key every stage key is rooted at, once derived.
+    corpus_key: Option<Hash128>,
     /// Encoded artifact sizes for executed stages; feeds the per-span
     /// `in_bytes`/`out_bytes` fields (only populated while tracing).
     sizes: BTreeMap<StageId, usize>,
     corpus: Option<Rc<CorpusArtifact>>,
-    /// A directory corpus whose hash came (partly) from its manifest,
+    /// A directory corpus whose key came (partly) from its manifest,
     /// until Validate needs the texts.
     scan: Option<DirScan>,
     validate: Option<Rc<ValidateArtifact>>,
@@ -148,7 +149,7 @@ impl PipelineDriver {
             vfs: spec_vfs::default_vfs(),
             cache: None,
             stats: BTreeMap::new(),
-            hashes: BTreeMap::new(),
+            corpus_key: None,
             sizes: BTreeMap::new(),
             corpus: None,
             scan: None,
@@ -219,43 +220,23 @@ impl PipelineDriver {
         }
     }
 
-    /// Run a stage's compute function, encode its output once, and
-    /// store/hash the encoded payload. Every stage execution but the leaf
-    /// batch (see [`Self::resolve_leaves`]) flows through here: `sp` is the
-    /// stage span opened by the `resolve_*` caller (before upstream
-    /// resolution, so dependency spans already nest inside it); on exit it
-    /// carries the stage name, input/output artifact sizes and the computed
-    /// outcome, and the per-stage `executed` counter lands in the metrics
-    /// registry.
-    fn compute_stage<T: Codec>(
-        &mut self,
-        id: StageId,
-        key: Hash128,
-        mut sp: obs::Span,
-        compute: impl FnOnce(&mut PipelineDriver) -> spec_diag::Result<T>,
-    ) -> spec_diag::Result<(T, Hash128)> {
-        let value = compute(self)?;
-        let payload = encode_to_vec(&value);
-        let h = self.store_stage(id, &key, &payload);
-        if obs::enabled() {
-            record_stage_span(&mut sp, self.in_bytes(id), payload.len());
-        }
-        Ok((value, h))
+    /// Whether an executed stage's output is encoded: to store it, or to
+    /// size its span while tracing. An uncached, untraced run skips it.
+    fn encodes(&self) -> bool {
+        self.cache.is_some() || obs::enabled()
     }
 
-    /// Store an executed stage's encoded output under `key` (or only hash
-    /// it when no cache is attached) and count the execution.
-    fn store_stage(&mut self, id: StageId, key: &Hash128, payload: &[u8]) -> Hash128 {
-        let h = match &self.cache {
-            Some(cache) => cache.store_encoded(key, payload),
-            None => content_hash(payload),
-        };
+    /// Store an executed stage's encoded output under `key` (when a cache
+    /// is attached) and count the execution.
+    fn store_stage(&mut self, id: StageId, key: &Hash128, payload: Option<&[u8]>) {
+        if let (Some(cache), Some(payload)) = (&self.cache, payload) {
+            cache.store_encoded(key, payload);
+        }
         self.stat_mut(id).executed += 1;
         if obs::enabled() {
-            self.sizes.insert(id, payload.len());
+            self.sizes.insert(id, payload.map_or(0, <[u8]>::len));
             obs::count(&format!("stage.{}.executed", id.name()), 1);
         }
-        h
     }
 
     /// Encoded size of `id`'s executed dependencies (tracing only).
@@ -267,56 +248,45 @@ impl PipelineDriver {
             .sum()
     }
 
-    fn stage_key(&self, id: StageId, deps: &[Hash128], salt: &[u8]) -> Hash128 {
+    /// Stage `id`'s cache key: `content_hash(code version ‖ stage name ‖
+    /// key of each stage in id.deps() ‖ parameters)`. The seed and
+    /// [`Settings`] are Derive's parameters; no other stage has any. The
+    /// recursion bottoms out at Ingest, whose key is the corpus key. Only
+    /// inputs feed a key, so deriving one reads no cache entry.
+    fn key(&mut self, id: StageId) -> spec_diag::Result<Hash128> {
+        if id == StageId::Ingest {
+            return self.corpus_key();
+        }
         let mut h = ContentHasher::new();
         h.update_field(CODE_VERSION.as_bytes());
         h.update_field(id.name().as_bytes());
-        for dep in deps {
-            h.update_field(&dep.to_bytes());
+        for &dep in id.deps() {
+            h.update_field(&self.key(dep)?.to_bytes());
         }
-        h.update_field(salt);
-        h.finish()
+        let mut params = Vec::new();
+        if id == StageId::Derive {
+            params.extend_from_slice(&self.seed.to_le_bytes());
+            // Settings has no stable binary layout of its own; its Debug
+            // rendering covers every field and only changes when the
+            // struct does, which is exactly when old artifacts must go.
+            params.extend_from_slice(format!("{:?}", self.settings).as_bytes());
+        }
+        h.update_field(&params);
+        Ok(h.finish())
     }
 
-    /// Resolve a stage's content hash as cheaply as possible: memo → cache
-    /// header peek → compute (and store).
+    /// Resolve a stage's artifact: memo → cache load → compute (and store).
     ///
-    /// The stage span opens *before* `key_fn` runs, and key derivation is
+    /// The stage span opens before the stage computes, and computing is
     /// what resolves upstream stages — so dependency spans nest inside
     /// their dependent's span and the trace mirrors the stage graph. A
-    /// memo or cache hit cancels the span: only executed stages appear.
-    fn resolve_hash<T: Codec>(
+    /// cache hit cancels the span: only executed stages appear. On exit an
+    /// executed stage's span carries its name, input/output artifact sizes
+    /// and the computed outcome, and the per-stage `executed` counter lands
+    /// in the metrics registry.
+    fn resolve<T: Codec>(
         &mut self,
         id: StageId,
-        key_fn: impl FnOnce(&mut PipelineDriver) -> spec_diag::Result<Hash128>,
-        slot: fn(&mut PipelineDriver) -> &mut Option<Rc<T>>,
-        compute: impl FnOnce(&mut PipelineDriver) -> spec_diag::Result<T>,
-    ) -> spec_diag::Result<Hash128> {
-        if let Some(&h) = self.hashes.get(&id) {
-            return Ok(h);
-        }
-        let mut sp = obs::span(id.name());
-        let key = key_fn(self)?;
-        if let Some(cache) = &self.cache {
-            if let Some(h) = cache.verified_hash(&key) {
-                sp.cancel();
-                self.note_cache_hit(id);
-                self.hashes.insert(id, h);
-                return Ok(h);
-            }
-        }
-        let (value, h) = self.compute_stage(id, key, sp, compute)?;
-        self.hashes.insert(id, h);
-        *slot(self) = Some(Rc::new(value));
-        Ok(h)
-    }
-
-    /// Resolve a stage's artifact value: memo → cache decode → compute
-    /// (and store). Same span discipline as [`Self::resolve_hash`].
-    fn resolve_value<T: Codec>(
-        &mut self,
-        id: StageId,
-        key_fn: impl FnOnce(&mut PipelineDriver) -> spec_diag::Result<Hash128>,
         slot: fn(&mut PipelineDriver) -> &mut Option<Rc<T>>,
         compute: impl FnOnce(&mut PipelineDriver) -> spec_diag::Result<T>,
     ) -> spec_diag::Result<Rc<T>> {
@@ -324,21 +294,23 @@ impl PipelineDriver {
             return Ok(v);
         }
         let mut sp = obs::span(id.name());
-        let key = key_fn(self)?;
-        if let Some(cache) = self.cache.clone() {
-            if let Some((value, h)) = cache.load::<T>(&key) {
+        let key = self.key(id)?;
+        let value = match self.cache.as_ref().and_then(|cache| cache.load::<T>(&key)) {
+            Some(value) => {
                 sp.cancel();
-                if !self.hashes.contains_key(&id) {
-                    self.note_cache_hit(id);
-                }
-                self.hashes.insert(id, h);
-                let rc = Rc::new(value);
-                *slot(self) = Some(rc.clone());
-                return Ok(rc);
+                self.note_cache_hit(id);
+                value
             }
-        }
-        let (value, h) = self.compute_stage(id, key, sp, compute)?;
-        self.hashes.insert(id, h);
+            None => {
+                let value = compute(self)?;
+                let payload = self.encodes().then(|| encode_to_vec(&value));
+                self.store_stage(id, &key, payload.as_deref());
+                if obs::enabled() {
+                    record_stage_span(&mut sp, self.in_bytes(id), payload.map_or(0, |p| p.len()));
+                }
+                value
+            }
+        };
         let rc = Rc::new(value);
         *slot(self) = Some(rc.clone());
         Ok(rc)
@@ -346,54 +318,31 @@ impl PipelineDriver {
 
     // ------------------------------------------------------------ ingest --
 
-    fn synthetic_corpus_key(&self, config: &SynthConfig) -> Hash128 {
-        let mut h = ContentHasher::new();
-        h.update_field(CODE_VERSION.as_bytes());
-        h.update_field(StageId::Ingest.name().as_bytes());
-        h.update_field(b"synthetic");
-        h.update_field(&config.seed.to_le_bytes());
-        // Settings has no stable binary layout of its own; its Debug
-        // rendering covers every field and only changes when the struct
-        // does, which is exactly when old artifacts must be invalidated.
-        h.update_field(format!("{:?}", config.settings).as_bytes());
-        h.finish()
-    }
-
-    /// Content hash of the corpus, computed as cheaply as the source
-    /// allows: a key for the synthetic corpus, the texts' fingerprint for
-    /// an in-memory one, and a manifest scan for a directory.
-    fn corpus_hash(&mut self) -> spec_diag::Result<Hash128> {
-        if let Some(&h) = self.hashes.get(&StageId::Ingest) {
-            return Ok(h);
+    /// The key every stage key is rooted at, derived as cheaply as the
+    /// source allows: [`synthetic_corpus_key`] for the synthetic corpus
+    /// (nothing generated), [`corpus_fingerprint`] for an in-memory one,
+    /// and a manifest stat scan for a directory.
+    fn corpus_key(&mut self) -> spec_diag::Result<Hash128> {
+        if let Some(k) = self.corpus_key {
+            return Ok(k);
         }
-        match &self.source {
-            CorpusSource::Synthetic(config) => {
-                let key_config = config.clone();
-                self.resolve_hash(
-                    StageId::Ingest,
-                    move |me| Ok(me.synthetic_corpus_key(&key_config)),
-                    |me| &mut me.corpus,
-                    |me| me.source.materialize(&*me.vfs),
-                )
-            }
+        let key = match &self.source {
+            CorpusSource::Synthetic(config) => synthetic_corpus_key(config),
             CorpusSource::Memory(_) => {
                 // Already read: no span, nothing counted as executed.
                 let artifact = self.source.materialize(&*self.vfs)?;
                 let h = corpus_fingerprint(&artifact.items);
-                self.hashes.insert(StageId::Ingest, h);
                 self.corpus = Some(Rc::new(artifact));
-                Ok(h)
+                h
             }
             CorpusSource::Dir(dir) => {
                 let mut sp = obs::span(StageId::Ingest.name());
                 let manifest = self
                     .cache
                     .as_ref()
-                    .and_then(|cache| cache.load::<CorpusManifest>(&CorpusManifest::key(dir)))
-                    .map(|(manifest, _)| manifest);
+                    .and_then(|cache| cache.load::<CorpusManifest>(&CorpusManifest::key(dir)));
                 let scan = DirScan::run(&*self.vfs, dir, manifest.as_ref())?;
                 let h = scan.fingerprint();
-                self.hashes.insert(StageId::Ingest, h);
                 if scan.reads() > 0 {
                     self.note_ingest(&mut sp, &scan);
                     self.store_manifest(&scan);
@@ -405,9 +354,11 @@ impl PipelineDriver {
                 } else {
                     self.scan = Some(scan);
                 }
-                Ok(h)
+                h
             }
-        }
+        };
+        self.corpus_key = Some(key);
+        Ok(key)
     }
 
     /// Count a directory ingest that read files (once per driver) and
@@ -444,40 +395,33 @@ impl PipelineDriver {
         if let Some(c) = &self.corpus {
             return Ok(c.clone());
         }
-        match &self.source {
-            CorpusSource::Synthetic(config) => {
-                let key_config = config.clone();
-                self.resolve_value(
-                    StageId::Ingest,
-                    move |me| Ok(me.synthetic_corpus_key(&key_config)),
-                    |me| &mut me.corpus,
-                    |me| me.source.materialize(&*me.vfs),
-                )
-            }
-            CorpusSource::Memory(_) | CorpusSource::Dir(_) => {
-                let h = self.corpus_hash()?;
-                match &self.corpus {
-                    Some(c) => Ok(c.clone()),
-                    None => self.read_scanned(h),
-                }
-            }
+        if let CorpusSource::Synthetic(_) = self.source {
+            return self.resolve(StageId::Ingest, |me| &mut me.corpus, |me| {
+                me.source.materialize(&*me.vfs)
+            });
+        }
+        let key = self.corpus_key()?;
+        match &self.corpus {
+            Some(c) => Ok(c.clone()),
+            None => self.read_scanned(key),
         }
     }
 
     /// Read the files a directory scan trusted from the manifest, which
     /// Validate needs as texts, and check that the corpus still
-    /// fingerprints to `h`, the hash the run's keys were derived from.
-    fn read_scanned(&mut self, h: Hash128) -> spec_diag::Result<Rc<CorpusArtifact>> {
+    /// fingerprints to `key`, the key the run's stage keys were derived
+    /// from.
+    fn read_scanned(&mut self, key: Hash128) -> spec_diag::Result<Rc<CorpusArtifact>> {
         let mut scan = self
             .scan
             .take()
-            .expect("corpus_hash reads or scans a dir corpus");
+            .expect("corpus_key reads or scans a dir corpus");
         let mut sp = obs::span(StageId::Ingest.name());
         let scan_read = scan.reads() > 0;
         let changed = scan.read_trusted(&*self.vfs);
         self.note_ingest(&mut sp, &scan);
-        if scan.fingerprint() != h {
-            // Keys already derived from the old hash must not receive
+        if scan.fingerprint() != key {
+            // Keys already derived from the old corpus must not receive
             // artifacts of the new content. Record what was read, so the
             // next run starts from it.
             self.store_manifest(&scan);
@@ -505,53 +449,17 @@ impl PipelineDriver {
 
     // -------------------------------------------------- cascade stages ----
 
-    fn validate_key(&mut self) -> spec_diag::Result<Hash128> {
-        let ck = self.corpus_hash()?;
-        Ok(self.stage_key(StageId::Validate, &[ck], &[]))
-    }
-
-    fn validate_hash(&mut self) -> spec_diag::Result<Hash128> {
-        if let Some(&h) = self.hashes.get(&StageId::Validate) {
-            return Ok(h);
-        }
-        self.resolve_hash(StageId::Validate, Self::validate_key, |me| &mut me.validate, |me| {
-            let corpus = me.corpus()?;
-            ValidateStage::run(&corpus)
-        })
-    }
-
     /// The Validate artifact (valid runs + stage-1 accounting).
     pub fn validate(&mut self) -> spec_diag::Result<Rc<ValidateArtifact>> {
-        if let Some(v) = &self.validate {
-            return Ok(v.clone());
-        }
-        self.resolve_value(StageId::Validate, Self::validate_key, |me| &mut me.validate, |me| {
+        self.resolve(StageId::Validate, |me| &mut me.validate, |me| {
             let corpus = me.corpus()?;
             ValidateStage::run(&corpus)
-        })
-    }
-
-    fn comparable_key(&mut self) -> spec_diag::Result<Hash128> {
-        let vh = self.validate_hash()?;
-        Ok(self.stage_key(StageId::Comparable, &[vh], &[]))
-    }
-
-    fn comparable_hash(&mut self) -> spec_diag::Result<Hash128> {
-        if let Some(&h) = self.hashes.get(&StageId::Comparable) {
-            return Ok(h);
-        }
-        self.resolve_hash(StageId::Comparable, Self::comparable_key, |me| &mut me.comparable, |me| {
-            let validate = me.validate()?;
-            ComparableStage::run(&validate)
         })
     }
 
     /// The Comparable artifact (indices + stage-2 accounting).
     pub fn comparable(&mut self) -> spec_diag::Result<Rc<ComparableArtifact>> {
-        if let Some(c) = &self.comparable {
-            return Ok(c.clone());
-        }
-        self.resolve_value(StageId::Comparable, Self::comparable_key, |me| &mut me.comparable, |me| {
+        self.resolve(StageId::Comparable, |me| &mut me.comparable, |me| {
             let validate = me.validate()?;
             ComparableStage::run(&validate)
         })
@@ -594,62 +502,32 @@ impl PipelineDriver {
 
     // ------------------------------------------------------ leaf stages ---
 
-    fn leaf_key(&mut self, id: StageId) -> spec_diag::Result<Hash128> {
-        let vh = self.validate_hash()?;
-        if id == StageId::Fig1 {
-            // Figure 1 is computed over the *valid* set only.
-            return Ok(self.stage_key(id, &[vh], &[]));
-        }
-        let ch = self.comparable_hash()?;
-        let mut salt = Vec::new();
-        if id == StageId::Derive {
-            salt.extend_from_slice(&self.seed.to_le_bytes());
-            salt.extend_from_slice(format!("{:?}", self.settings).as_bytes());
-        }
-        Ok(self.stage_key(id, &[vh, ch], &salt))
-    }
-
     /// The leaf resolver: resolve the leaf stages `ids` (given in stage
     /// order) in three steps.
     ///
-    /// 1. On the driver thread, in stage order, derive each unresolved
-    ///    leaf's key and probe the cache as `probe` says.
-    /// 2. Compute and encode the misses as one [`tinypool::map_tasks`]
-    ///    batch. Each task opens its leaf's stage span, which the pool
-    ///    parents under the caller's current span on any thread.
+    /// 1. On the driver thread, in stage order, derive each unloaded
+    ///    leaf's key and load it from the cache.
+    /// 2. Compute (and, when [`Self::encodes`], encode) the misses as one
+    ///    [`tinypool::map_tasks`] batch. Each task opens its leaf's stage
+    ///    span, which the pool parents under the caller's current span on
+    ///    any thread.
     /// 3. On the driver thread, in stage order, store each result, count
-    ///    the execution and memoize the artifact and its hash.
+    ///    the execution and memoize the artifact.
     ///
     /// Cache I/O never leaves the driver thread, so its operation sequence
     /// is the same at any thread count. One leaf resolves inline on the
     /// calling thread, and a 1-thread pool runs the whole batch inline.
-    fn resolve_leaves(&mut self, ids: &[StageId], probe: Probe) -> spec_diag::Result<()> {
+    fn resolve_leaves(&mut self, ids: &[StageId]) -> spec_diag::Result<()> {
         let mut misses: Vec<(StageId, Hash128)> = Vec::new();
         for &id in ids {
-            let memoized = match probe {
-                Probe::Hash => self.hashes.contains_key(&id),
-                Probe::Load => self.leaf_loaded(id),
-            };
-            if memoized {
+            if self.leaf_loaded(id) {
                 continue;
             }
-            let key = self.leaf_key(id)?;
-            let hit = match (&self.cache, probe) {
-                (None, _) => None,
-                (Some(cache), Probe::Hash) => cache.verified_hash(&key).map(|h| (None, h)),
-                (Some(cache), Probe::Load) => {
-                    LeafValue::load(cache, id, &key).map(|(value, h)| (Some(value), h))
-                }
-            };
-            match hit {
-                Some((value, h)) => {
-                    if !self.hashes.contains_key(&id) {
-                        self.note_cache_hit(id);
-                    }
-                    self.hashes.insert(id, h);
-                    if let Some(value) = value {
-                        self.memoize_leaf(value);
-                    }
+            let key = self.key(id)?;
+            match self.cache.as_ref().and_then(|cache| LeafValue::load(cache, id, &key)) {
+                Some(value) => {
+                    self.note_cache_hit(id);
+                    self.memoize_leaf(value);
                 }
                 None => misses.push((id, key)),
             }
@@ -675,6 +553,7 @@ impl PipelineDriver {
             settings: &self.settings,
             seed: self.seed,
         };
+        let encodes = self.encodes();
         let in_bytes: Vec<u64> = misses.iter().map(|&(id, _)| self.in_bytes(id)).collect();
         // Fig6 and Derive are the two longest leaves: queue them first.
         let mut order: Vec<usize> = (0..misses.len()).collect();
@@ -683,9 +562,9 @@ impl PipelineDriver {
             let id = misses[i].0;
             let mut sp = obs::span(id.name());
             let value = LeafValue::compute(id, &inputs)?;
-            let payload = value.encode();
+            let payload = encodes.then(|| value.encode());
             if obs::enabled() {
-                record_stage_span(&mut sp, in_bytes[i], payload.len());
+                record_stage_span(&mut sp, in_bytes[i], payload.as_ref().map_or(0, Vec::len));
             }
             Ok((value, payload))
         });
@@ -694,12 +573,23 @@ impl PipelineDriver {
 
         for ((id, key), (_, result)) in misses.into_iter().zip(computed) {
             let (value, payload) = result?;
-            let h = self.store_stage(id, &key, &payload);
-            self.hashes.insert(id, h);
+            self.store_stage(id, &key, payload.as_deref());
             self.memoize_leaf(value);
         }
         Ok(())
     }
+}
+
+/// The synthetic corpus's key: the generator's seed and settings, so
+/// nothing is generated to derive it.
+fn synthetic_corpus_key(config: &SynthConfig) -> Hash128 {
+    let mut h = ContentHasher::new();
+    h.update_field(CODE_VERSION.as_bytes());
+    h.update_field(StageId::Ingest.name().as_bytes());
+    h.update_field(b"synthetic");
+    h.update_field(&config.seed.to_le_bytes());
+    h.update_field(format!("{:?}", config.settings).as_bytes());
+    h.finish()
 }
 
 /// Fill an executed stage's span: its kind, outcome and the encoded sizes
@@ -725,18 +615,6 @@ const LEAVES: [StageId; 7] = [
     StageId::Fig6,
     StageId::Derive,
 ];
-
-/// How [`PipelineDriver::resolve_leaves`] probes the cache for a leaf that
-/// is not memoized yet.
-#[derive(Clone, Copy)]
-enum Probe {
-    /// [`ArtifactCache::verified_hash`]: the caller needs only the leaf's
-    /// content hash (an export key), and a memoized hash resolves it.
-    Hash,
-    /// [`ArtifactCache::load`]: the caller needs the artifact itself, and
-    /// only a memoized artifact resolves it.
-    Load,
-}
 
 /// What the leaf stages read, borrowed from the driver's memo slots. Only
 /// the inputs some missing leaf reads are resolved.
@@ -787,11 +665,9 @@ macro_rules! leaves {
             }
 
             /// Load and decode leaf `id`'s cache entry under `key`.
-            fn load(cache: &ArtifactCache, id: StageId, key: &Hash128) -> Option<(LeafValue, Hash128)> {
+            fn load(cache: &ArtifactCache, id: StageId, key: &Hash128) -> Option<LeafValue> {
                 match id {
-                    $(StageId::$variant => cache
-                        .load(key)
-                        .map(|(value, h)| (LeafValue::$variant(value), h)),)*
+                    $(StageId::$variant => cache.load(key).map(LeafValue::$variant),)*
                     other => unreachable!("{} is not a leaf stage", other.name()),
                 }
             }
@@ -804,7 +680,7 @@ macro_rules! leaves {
                 /// Resolved alone, on the calling thread: memo → cache
                 /// decode → compute (and store).
                 pub fn $slot(&mut self) -> spec_diag::Result<Rc<$out>> {
-                    self.resolve_leaves(&[StageId::$variant], Probe::Load)?;
+                    self.resolve_leaves(&[StageId::$variant])?;
                     Ok(self.$slot.clone().expect("a loaded leaf is memoized"))
                 }
             )*
@@ -852,7 +728,7 @@ impl PipelineDriver {
     /// artifacts it still lacks load or compute as one batch.
     pub fn study(&mut self) -> spec_diag::Result<Study> {
         let set = self.analysis_set()?;
-        self.resolve_leaves(&LEAVES, Probe::Load)?;
+        self.resolve_leaves(&LEAVES)?;
         let fig1 = self.fig1()?;
         let fig2 = self.fig2()?;
         let fig3 = self.fig3()?;
@@ -874,30 +750,21 @@ impl PipelineDriver {
         })
     }
 
-    /// An export stage's key: the Validate, Comparable and leaf hashes.
-    /// The leaves it still lacks probe as one batch and compute as pool
-    /// tasks.
-    fn export_key(&mut self, id: StageId) -> spec_diag::Result<Hash128> {
-        let mut deps = vec![self.validate_hash()?, self.comparable_hash()?];
-        self.resolve_leaves(&LEAVES, Probe::Hash)?;
-        deps.extend(LEAVES.iter().map(|leaf| self.hashes[leaf]));
-        Ok(self.stage_key(id, &deps, &[]))
-    }
-
     /// Run an export stage over borrowed stage artifacts: the valid runs
     /// in place, the memoized comparable runs and the six figures — no
-    /// [`Study`], so nothing is cloned. Artifacts resolve in the order
-    /// [`Self::study`] resolves them (Derive included, which the export
-    /// key depends on), so a partly warm cache sees the same reads.
+    /// [`Study`], so nothing is cloned. The leaves it still lacks load or
+    /// compute as one batch (Derive included, which the export key
+    /// depends on), so a cold export computes them as concurrent pool
+    /// tasks.
     fn export_with<T>(
         &mut self,
         run: impl FnOnce(ExportInputs<'_>) -> spec_diag::Result<T>,
     ) -> spec_diag::Result<T> {
         let validate = self.validate()?;
         let comparable = self.comparable_runs()?;
+        self.resolve_leaves(&LEAVES)?;
         let (fig1, fig2, fig3) = (self.fig1()?, self.fig2()?, self.fig3()?);
         let (fig4, fig5, fig6) = (self.fig4()?, self.fig5()?, self.fig6()?);
-        self.derive()?;
         run(ExportInputs {
             valid: &validate.valid,
             comparable: &comparable,
@@ -910,31 +777,19 @@ impl PipelineDriver {
         })
     }
 
-    /// The rendered figure SVGs. On a warm run this decodes one cache
-    /// entry and executes no stage at all.
+    /// The rendered figure SVGs. On a warm run this loads one cache entry
+    /// and executes no stage at all.
     pub fn export_figures(&mut self) -> spec_diag::Result<Rc<FilesArtifact>> {
-        if let Some(f) = &self.export_figures {
-            return Ok(f.clone());
-        }
-        self.resolve_value(
-            StageId::ExportFigures,
-            |me| me.export_key(StageId::ExportFigures),
-            |me| &mut me.export_figures,
-            |me| me.export_with(ExportFiguresStage::run),
-        )
+        self.resolve(StageId::ExportFigures, |me| &mut me.export_figures, |me| {
+            me.export_with(ExportFiguresStage::run)
+        })
     }
 
     /// The rendered CSV exports (same warm-run property as figures).
     pub fn export_data(&mut self) -> spec_diag::Result<Rc<FilesArtifact>> {
-        if let Some(f) = &self.export_data {
-            return Ok(f.clone());
-        }
-        self.resolve_value(
-            StageId::ExportData,
-            |me| me.export_key(StageId::ExportData),
-            |me| &mut me.export_data,
-            |me| me.export_with(ExportDataStage::run),
-        )
+        self.resolve(StageId::ExportData, |me| &mut me.export_data, |me| {
+            me.export_with(ExportDataStage::run)
+        })
     }
 
     /// Write all figure SVGs into `dir`; returns the written paths. Each
@@ -1078,15 +933,21 @@ mod tests {
         let cache = tmp_cache("one_leaf");
         let mut cold = driver(Some(cache.clone()));
         let cold_files = cold.export_figures().unwrap();
-        let fig3_key = cold.leaf_key(StageId::Fig3).unwrap();
+        let cold_study = cold.study().unwrap();
+        let fig3_key = cold.key(StageId::Fig3).unwrap();
         std::fs::remove_file(cache.entry_path(&fig3_key)).unwrap();
 
+        // The export's own entry is intact, so the missing leaf is never
+        // needed.
         let mut warm = driver(Some(cache.clone()));
         let warm_files = warm.export_figures().unwrap();
-        let mut expected = one_leaf_executed(StageId::Fig3);
-        expected.push((StageId::ExportFigures, 0, 1));
-        assert_eq!(counts(&warm), expected);
+        assert_eq!(warm.executed_total(), 0);
         assert_eq!(warm_files.files, cold_files.files);
+
+        let mut warm = driver(Some(cache.clone()));
+        let warm_study = warm.study().unwrap();
+        assert_eq!(counts(&warm), one_leaf_executed(StageId::Fig3));
+        assert_eq!(warm_study.to_markdown(), cold_study.to_markdown());
         assert!(cache.entry_path(&fig3_key).exists(), "the re-executed leaf is stored");
         let _ = std::fs::remove_dir_all(cache.root());
     }
@@ -1094,13 +955,20 @@ mod tests {
     #[test]
     fn study_after_export_figures_executes_nothing_more() {
         let cache = tmp_cache("study_after_export");
-        for mut d in [driver(None), driver(Some(cache.clone())), driver(Some(cache.clone()))] {
+        for mut d in [driver(None), driver(Some(cache.clone()))] {
             d.export_figures().unwrap();
             let before = counts(&d);
             let study = d.study().unwrap();
             assert_eq!(counts(&d), before, "study() re-executed or re-counted a stage");
             assert_eq!(study.set.comparable.len(), 20);
         }
+        // Warm: the export hit never loaded the entries study() reads, so
+        // its hits rise, but nothing executes.
+        let mut warm = driver(Some(cache.clone()));
+        warm.export_figures().unwrap();
+        let study = warm.study().unwrap();
+        assert_eq!(warm.executed_total(), 0, "study() re-executed a stage");
+        assert_eq!(study.set.comparable.len(), 20);
         let _ = std::fs::remove_dir_all(cache.root());
     }
 

@@ -71,7 +71,8 @@ impl StageId {
         }
     }
 
-    /// The stages whose artifacts feed this one's cache key.
+    /// The stages this one depends on. Their keys, not their artifacts,
+    /// feed this one's cache key (`PipelineDriver::key`).
     pub fn deps(self) -> &'static [StageId] {
         match self {
             StageId::Ingest => &[],

@@ -354,7 +354,7 @@ pub fn audit_manifest(
     dir: &Path,
 ) -> spec_diag::Result<ManifestAudit> {
     let key = CorpusManifest::key(dir);
-    let Some((mut manifest, _)) = cache.load::<CorpusManifest>(&key) else {
+    let Some(mut manifest) = cache.load::<CorpusManifest>(&key) else {
         return Ok(ManifestAudit::default());
     };
     let listed = crate::pipeline::list_report_files(vfs, dir)?;

@@ -7,16 +7,18 @@
 //!
 //! Each stage's output is a typed, codec-serializable artifact
 //! ([`artifact`]), keyed by a content hash of (code version, stage id,
-//! upstream artifact hashes, parameters) and persisted in an on-disk
-//! [`ArtifactCache`] when `--cache-dir` is given. Warm runs resolve
-//! upstream stages by verifying each entry's full-payload checksum and
-//! decode only the artifact actually requested — `figures` after `analyze`
-//! re-parses nothing, and its output is byte-identical to a cold run
-//! because export stages cache the fully rendered file contents.
+//! the keys of the stages in [`StageId::deps`], parameters) and persisted
+//! in an on-disk [`ArtifactCache`] when `--cache-dir` is given. Keys are
+//! rooted at the corpus key, so they follow from the run's inputs alone: a
+//! warm run derives every key without reading a cache entry, then loads —
+//! fully verified — only the artifacts it actually needs. `figures` after
+//! `analyze` reads one entry and re-parses nothing, and its output is
+//! byte-identical to a cold run because export stages cache the fully
+//! rendered file contents.
 //!
-//! A directory corpus is fingerprinted from a stat manifest in the same
-//! cache ([`manifest`]): a warm run stats each report file and reads only
-//! the ones whose stat changed.
+//! A directory corpus is keyed from a stat manifest in the same cache
+//! ([`manifest`]): a warm run stats each report file and reads only the
+//! ones whose stat changed.
 //!
 //! The cache is self-healing (see [`cache`]): corrupt or torn entries are
 //! quarantined and transparently recomputed, failed cache I/O degrades to
@@ -63,8 +65,10 @@ pub use graph::{
 /// of its text, so a directory corpus's stat manifest
 /// ([`manifest::CorpusManifest`]) can stand in for reading it.
 /// `/9`: the Fig6 artifact dropped its Theil–Sen field, now computed on
-/// demand by [`crate::figures::fig6::Fig6Extrapolated::robust_trend`].)
-pub const CODE_VERSION: &str = "spec-trends/stage-graph/9";
+/// demand by [`crate::figures::fig6::Fig6Extrapolated::robust_trend`].
+/// `/10`: a stage key folds its upstream stages' keys instead of their
+/// artifacts' content hashes, so keys derive from the inputs alone.)
+pub const CODE_VERSION: &str = "spec-trends/stage-graph/10";
 
 /// Write rendered `(name, content)` files into `dir` (created if needed)
 /// through `vfs`, returning the written paths in order. Each file lands

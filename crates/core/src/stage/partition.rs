@@ -307,7 +307,7 @@ fn resolve_partition(
     let cache_key = part_rows_key(&label, part.fingerprint());
     let mut sp = obs::span(PART_STAGE);
     if let Some(cache) = cache {
-        if let Some((artifact, _)) = cache.load::<PartArtifact>(&cache_key) {
+        if let Some(artifact) = cache.load::<PartArtifact>(&cache_key) {
             sp.cancel();
             if obs::enabled() {
                 obs::count("stage.part-rows.cache_hit", 1);

@@ -109,70 +109,6 @@ impl Frame {
         }
         Ok(out)
     }
-
-    /// Distinct values of a discrete column, in first-appearance order, with
-    /// their counts.
-    pub fn value_counts(&self, name: &str) -> Result<Vec<(KeyValue, usize)>> {
-        let col = self.column(name)?;
-        if col.as_f64().is_some() {
-            return Err(FrameError::TypeMismatch {
-                column: name.to_string(),
-                expected: "discrete (i64/str/bool)",
-                got: "f64",
-            });
-        }
-        let mut order: Vec<KeyValue> = Vec::new();
-        let mut counts: HashMap<KeyValue, usize> = HashMap::new();
-        for row in 0..self.n_rows() {
-            let key = col.key(row).expect("discrete column");
-            if !counts.contains_key(&key) {
-                order.push(key.clone());
-            }
-            *counts.entry(key).or_insert(0) += 1;
-        }
-        Ok(order
-            .into_iter()
-            .map(|k| {
-                let c = counts[&k];
-                (k, c)
-            })
-            .collect())
-    }
-
-    /// Per-numeric-column summary statistics as a new frame with one row
-    /// per column: count/mean/std/min/median/max.
-    pub fn describe(&self) -> Frame {
-        let mut names = Vec::new();
-        let mut count = Vec::new();
-        let mut mean = Vec::new();
-        let mut std = Vec::new();
-        let mut min = Vec::new();
-        let mut median = Vec::new();
-        let mut max = Vec::new();
-        for (name, col) in self.names().iter().zip(self.columns_iter()) {
-            let Some(values) = col.to_f64_vec() else {
-                continue;
-            };
-            let summary: tinystats::Summary = values.iter().collect();
-            names.push(name.clone());
-            count.push(summary.count() as f64);
-            mean.push(summary.mean().unwrap_or(f64::NAN));
-            std.push(summary.std_dev().unwrap_or(f64::NAN));
-            min.push(summary.min().unwrap_or(f64::NAN));
-            median.push(tinystats::median(&values).unwrap_or(f64::NAN));
-            max.push(summary.max().unwrap_or(f64::NAN));
-        }
-        Frame::from_columns([
-            ("column", Column::Str(names)),
-            ("count", Column::F64(count)),
-            ("mean", Column::F64(mean)),
-            ("std", Column::F64(std)),
-            ("min", Column::F64(min)),
-            ("median", Column::F64(median)),
-            ("max", Column::F64(max)),
-        ])
-        .expect("fresh frame")
-    }
 }
 
 #[cfg(test)]
@@ -241,38 +177,5 @@ mod tests {
         .unwrap();
         let joined = runs().left_join(&right, &["year"]).unwrap();
         assert_eq!(joined.f64s("v").unwrap()[0], 1.0);
-    }
-
-    #[test]
-    fn value_counts_in_first_appearance_order() {
-        let f = Frame::from_columns([(
-            "vendor",
-            Column::from(vec!["Intel", "AMD", "Intel", "Intel"]),
-        )])
-        .unwrap();
-        let counts = f.value_counts("vendor").unwrap();
-        assert_eq!(counts.len(), 2);
-        assert_eq!(counts[0], (KeyValue::Str("Intel".into()), 3));
-        assert_eq!(counts[1], (KeyValue::Str("AMD".into()), 1));
-        assert!(f.value_counts("missing").is_err());
-    }
-
-    #[test]
-    fn describe_covers_numeric_columns_only() {
-        let f = Frame::from_columns([
-            ("year", Column::from(vec![2007i64, 2023])),
-            ("watts", Column::from(vec![120.0, 700.0])),
-            ("vendor", Column::from(vec!["Intel", "AMD"])),
-        ])
-        .unwrap();
-        let d = f.describe();
-        assert_eq!(d.n_rows(), 2, "year and watts only");
-        let cols = d.strs("column").unwrap();
-        assert_eq!(cols, &["year".to_string(), "watts".to_string()]);
-        let means = d.f64s("mean").unwrap();
-        assert_eq!(means[0], 2015.0);
-        assert_eq!(means[1], 410.0);
-        assert_eq!(d.f64s("min").unwrap()[1], 120.0);
-        assert_eq!(d.f64s("max").unwrap()[1], 700.0);
     }
 }

@@ -12,8 +12,7 @@
 //!   sorting and vertical stacking,
 //! * group-by with parallel aggregation ([`Frame::group_by`], [`Agg`]) built
 //!   on the persistent `tinypool` work-stealing pool,
-//! * left joins, value counts and `describe()` summaries
-//!   ([`Frame::left_join`], [`Frame::value_counts`], [`Frame::describe`]),
+//! * left joins ([`Frame::left_join`]),
 //! * CSV round-tripping ([`Frame::to_csv`], [`Frame::from_csv`]).
 //!
 //! ```

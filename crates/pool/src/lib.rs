@@ -19,11 +19,11 @@
 //!   thread participates too, so a 1-thread pool degenerates to an inline
 //!   sequential loop and nested submissions cannot deadlock.
 //! * **Order-preserving contract** — [`Pool::parallel_map`] writes results
-//!   into their input slots, and [`Pool::parallel_reduce`] combines chunk
-//!   partials in chunk order. Because the chunk layout is a pure function of
-//!   the input length, every result is **bitwise identical for any thread
-//!   count** — the determinism the filter-cascade and dataset-generation
-//!   tests assert.
+//!   into their input slots, and [`Pool::run_chunks`] hands out ranges in
+//!   input order. Because the chunk layout is a pure function of the input
+//!   length, every result is **bitwise identical for any thread count** —
+//!   the determinism the filter-cascade and dataset-generation tests
+//!   assert.
 //!
 //! [`Pool::map_tasks`] is the coarse-grained variant: one chunk per item
 //! and no inline cutoff, for a handful of items that each cost
@@ -220,7 +220,7 @@ impl Drop for PoolInner {
 /// A persistent thread pool handle (cheaply cloneable).
 ///
 /// Most code should use the free functions ([`parallel_map`],
-/// [`parallel_reduce`], …) which route to the process-global pool; explicit
+/// [`run_chunks`], …) which route to the process-global pool; explicit
 /// `Pool` values exist for tests that need a specific thread count (see
 /// [`Pool::install`]).
 #[derive(Clone)]
@@ -404,40 +404,6 @@ impl Pool {
         unsafe { Vec::from_raw_parts(ptr as *mut U, len, cap) }
     }
 
-    /// Parallel fold/reduce with a deterministic combination order.
-    ///
-    /// Each chunk folds its items left-to-right from a fresh `identity()`,
-    /// and the chunk partials are combined left-to-right in chunk order.
-    /// Because chunk boundaries depend only on `items.len()`, the result is
-    /// bitwise identical for any thread count (including non-associative
-    /// floating-point folds).
-    pub fn parallel_reduce<T, A, I, F, C>(&self, items: &[T], identity: I, fold: F, combine: C) -> A
-    where
-        T: Sync,
-        A: Send,
-        I: Fn() -> A + Sync,
-        F: Fn(A, &T) -> A + Sync,
-        C: Fn(A, A) -> A,
-    {
-        let n = items.len();
-        if n == 0 {
-            return identity();
-        }
-        let chunk = chunk_for(n);
-        let partials = self.parallel_map_indexed(
-            &chunk_ranges(n, chunk),
-            |_, range: &Range<usize>| {
-                items[range.clone()]
-                    .iter()
-                    .fold(identity(), &fold)
-            },
-        );
-        partials
-            .into_iter()
-            .reduce(combine)
-            .expect("n > 0 ⇒ at least one chunk")
-    }
-
     /// Run `f` for disjoint index ranges covering `0..n`, returning the
     /// ranges used; callers that shard a slice by these ranges get a layout
     /// that depends only on `n`.
@@ -599,18 +565,6 @@ where
     with_current(|pool| pool.map_tasks(items, f))
 }
 
-/// Deterministic parallel reduce on the ambient pool.
-pub fn parallel_reduce<T, A, I, F, C>(items: &[T], identity: I, fold: F, combine: C) -> A
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    with_current(|pool| pool.parallel_reduce(items, identity, fold, combine))
-}
-
 /// Chunked parallel for-each on the ambient pool; returns the ranges used.
 pub fn run_chunks<F>(n: usize, f: F) -> Vec<Range<usize>>
 where
@@ -661,21 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_is_thread_count_invariant() {
-        // Non-associative float sum: bitwise equality across thread counts
-        // proves chunk boundaries don't depend on parallelism.
-        let items: Vec<f64> = (0..9_999).map(|i| (i as f64).sin() * 1e3).collect();
-        let reduce = |pool: &Pool| {
-            pool.parallel_reduce(&items, || 0.0f64, |acc, &x| acc + x, |a, b| a + b)
-        };
-        let one = reduce(&Pool::new(1));
-        for threads in [2, 3, 8] {
-            let got = reduce(&Pool::new(threads));
-            assert_eq!(got.to_bits(), one.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn small_input_sequential_path() {
         let items: Vec<u32> = (0..10).collect();
         let out = parallel_map(&items, |&x| x * 2);
@@ -713,10 +652,6 @@ mod tests {
         let pool = Pool::new(4);
         assert!(pool.parallel_map(&[] as &[u32], |&x| x).is_empty());
         assert!(pool.run_chunks(0, |_| {}).is_empty());
-        assert_eq!(
-            pool.parallel_reduce(&[] as &[u32], || 7u32, |a, &x| a + x, |a, b| a + b),
-            7
-        );
     }
 
     #[test]

@@ -9,6 +9,9 @@ mod common;
 use std::path::Path;
 use std::sync::Arc;
 
+use spec_power_trends::analysis::stage::{
+    decode_from_slice, Codec, FilesArtifact, StageId, ValidateArtifact,
+};
 use spec_power_trends::analysis::{ArtifactCache, CorpusSource, PipelineDriver};
 use spec_power_trends::format::write_run;
 use spec_power_trends::model::linear_test_run;
@@ -111,6 +114,80 @@ fn bit_flip_past_header_recovers() {
 #[test]
 fn truncated_at_header_recovers() {
     corruption_recovers("header", "truncated header", |bytes| bytes[..10.min(bytes.len())].to_vec());
+}
+
+/// The one cache entry whose payload decodes as a `T`.
+fn entry_holding<T: Codec>(root: &Path) -> std::path::PathBuf {
+    let mut found: Vec<_> = art_entries(root)
+        .into_iter()
+        .filter(|path| {
+            let bytes = std::fs::read(path).expect("read entry");
+            // Past the entry header: 4-byte magic, 16-byte content hash.
+            decode_from_slice::<T>(&bytes[20..]).is_ok()
+        })
+        .collect();
+    assert_eq!(found.len(), 1, "{found:?}");
+    found.remove(0)
+}
+
+/// Flip the last payload byte of the entry at `path`, leaving its header
+/// (magic and content hash) intact.
+fn rot_payload(path: &Path) {
+    let mut bytes = std::fs::read(path).expect("read entry");
+    let last = bytes.len() - 1;
+    assert!(last >= 20, "the entry has a payload");
+    bytes[last] ^= 0x40;
+    std::fs::write(path, bytes).expect("rot entry");
+}
+
+#[test]
+fn a_rotted_upstream_entry_leaves_a_warm_export_intact() {
+    let dir = tmp_dir("upstream_rot");
+    let mut cold = memory_driver().with_cache(ArtifactCache::open(&dir).expect("open cache"));
+    let figures = cold.export_figures().expect("cold figures").files.clone();
+    let data = cold.export_data().expect("cold export").files.clone();
+    let validate = entry_holding::<ValidateArtifact>(&dir);
+    rot_payload(&validate);
+
+    // The warm run's keys come from the corpus, so it never reads the
+    // rotted Validate entry: its outputs are the cold run's, byte for byte.
+    let cache = ArtifactCache::open(&dir).expect("reopen cache");
+    let mut warm = memory_driver().with_cache(cache.clone());
+    assert_eq!(warm.export_figures().expect("warm figures").files, figures);
+    assert_eq!(warm.export_data().expect("warm export").files, data);
+    assert_eq!(warm.executed_total(), 0);
+    assert!(cache.health().is_clean(), "{:?}", cache.health());
+
+    // `doctor` still finds the rot.
+    let report = ArtifactCache::fsck(&dir).expect("fsck");
+    assert_eq!(report.quarantined.len(), 1, "{report:?}");
+    let name = validate.file_name().expect("entry name").to_string_lossy();
+    assert_eq!(report.quarantined[0].0, name);
+    assert!(report.quarantined[0].1.contains("checksum mismatch"), "{report:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_rotted_export_entry_is_quarantined_and_recomputed() {
+    let dir = tmp_dir("export_rot");
+    let mut cold = memory_driver().with_cache(ArtifactCache::open(&dir).expect("open cache"));
+    let figures = cold.export_figures().expect("cold figures").files.clone();
+    let export = entry_holding::<FilesArtifact>(&dir);
+    rot_payload(&export);
+
+    let cache = ArtifactCache::open(&dir).expect("reopen cache");
+    let mut warm = memory_driver().with_cache(cache.clone());
+    assert_eq!(warm.export_figures().expect("warm figures").files, figures);
+    assert_eq!(
+        warm.stats()[&StageId::ExportFigures].executed,
+        1,
+        "the rotted export recomputes"
+    );
+    assert_eq!(warm.executed_total(), 1, "from upstream entries that hit");
+    assert_eq!(cache.health().quarantined, 1);
+    let name = export.file_name().expect("entry name");
+    assert!(cache.quarantine_dir().join(name).exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -11,7 +11,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
-use spec_power_trends::analysis::stage::{audit_manifest, CorpusManifest, TRUST_MARGIN_NS};
+use spec_power_trends::analysis::stage::{
+    audit_manifest, decode_from_slice, CorpusManifest, FilesArtifact, TRUST_MARGIN_NS,
+};
 use spec_power_trends::analysis::{ArtifactCache, CorpusSource, PipelineDriver, StageId};
 use spec_power_trends::vfs::{FaultVfs, FileStat, OpKind, RealVfs, Vfs};
 
@@ -172,6 +174,53 @@ fn warm_figures_over_an_aged_x1_directory_reads_no_report() {
 }
 
 #[test]
+fn a_warm_figures_and_export_run_reads_the_manifest_and_its_two_export_entries() {
+    let (dir, cache, files) = warm_cache("read_set");
+    let out = tmp("read_set_out");
+    let fault = Arc::new(FaultVfs::new(Arc::new(RealVfs)));
+    let mut warm = driver(&dir)
+        .with_cache(ArtifactCache::open_with(&cache, fault.clone()).expect("cache"))
+        .with_vfs(fault.clone());
+    warm.write_figures(&out).expect("warm figures");
+    warm.write_data(&out).expect("warm export");
+    assert_eq!(warm.executed_total(), 0);
+
+    let ops = |op: OpKind, under: &Path| -> Vec<PathBuf> {
+        let mut paths: Vec<PathBuf> = fault
+            .trace()
+            .into_iter()
+            .filter(|t| t.op == op && t.path.starts_with(under))
+            .map(|t| t.path)
+            .collect();
+        paths.sort();
+        paths
+    };
+    assert_eq!(ops(OpKind::Stat, &dir), files, "one stat per report");
+    assert!(ops(OpKind::Read, &dir).is_empty(), "a warm run read a report");
+
+    let entries = ops(OpKind::Read, &cache);
+    let manifest = cache.join(format!("{}.art", CorpusManifest::key(&dir).hex()));
+    assert_eq!(entries.len(), 3, "{entries:?}");
+    assert!(entries.contains(&manifest), "{entries:?}");
+    // The other two are the export entries: 12 SVGs and 9 CSVs.
+    let mut exported: Vec<usize> = entries
+        .iter()
+        .filter(|path| **path != manifest)
+        .map(|path| {
+            let bytes = std::fs::read(path).expect("entry");
+            // Past the entry header: 4-byte magic, 16-byte content hash.
+            decode_from_slice::<FilesArtifact>(&bytes[20..])
+                .expect("an export entry")
+                .files
+                .len()
+        })
+        .collect();
+    exported.sort_unstable();
+    assert_eq!(exported, vec![9, 12]);
+    cleanup(&[&dir, &cache, &out]);
+}
+
+#[test]
 fn an_edit_is_read_and_re_validated() {
     let (dir, cache, files) = warm_cache("edit");
     std::fs::write(&files[3], "not a report any more\n").expect("edit");
@@ -204,8 +253,7 @@ fn a_same_size_edit_inside_the_trust_margin_is_read() {
     let manifest = ArtifactCache::open(&cache)
         .expect("cache")
         .load::<CorpusManifest>(&CorpusManifest::key(&dir))
-        .expect("the cold run recorded a manifest")
-        .0;
+        .expect("the cold run recorded a manifest");
     let victim = manifest.get("r0005.txt").expect("recorded").clone();
     assert!(victim.stat.mtime_ns >= manifest.cutoff_ns - TRUST_MARGIN_NS);
 

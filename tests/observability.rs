@@ -252,9 +252,17 @@ fn warm_cache_run_reports_hits_and_zero_executions() {
             "{key} disagrees with driver stats"
         );
     }
-    assert!(
-        warm.stats().get(&StageId::Validate).is_some_and(|s| s.hits >= 1),
-        "validate must be served from cache"
+    for id in [StageId::ExportFigures, StageId::ExportData] {
+        assert!(
+            warm.stats().get(&id).is_some_and(|s| s.hits == 1),
+            "{} must be served from cache",
+            id.name()
+        );
+    }
+    assert_eq!(
+        warm.stats().get(&StageId::Validate),
+        None,
+        "validate must not be read"
     );
     assert!(snap.counters.get("cache.hit").copied().unwrap_or(0) > 0);
     assert_eq!(snap.counters.get("cache.miss"), None, "warm run must not miss");

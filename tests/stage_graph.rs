@@ -5,7 +5,7 @@
 
 mod common;
 
-use spec_power_trends::analysis::stage::StageId;
+use spec_power_trends::analysis::stage::{decode_from_slice, FilesArtifact, StageId};
 use spec_power_trends::analysis::{ArtifactCache, CorpusSource, PipelineDriver};
 use spec_power_trends::format::{ComparabilityIssue, ValidityIssue};
 use spec_power_trends::synth::SynthConfig;
@@ -95,6 +95,41 @@ fn warm_figures_run_reparses_nothing_and_is_byte_identical() {
     // Byte-identical output, not just value-equal.
     assert_eq!(warm_figs.files, cold_figs.files);
     assert_eq!(warm_data.files, cold_data.files);
+
+    let _ = std::fs::remove_dir_all(cache.root());
+}
+
+#[test]
+fn warm_synthetic_export_reads_only_the_two_export_entries() {
+    use std::sync::Arc;
+
+    use spec_power_trends::vfs::{FaultVfs, OpKind, RealVfs};
+
+    let cache = tmp_cache("warm_read_set");
+    let mut cold = synthetic_driver(Some(cache.clone()));
+    let cold_figs = cold.export_figures().unwrap();
+    let cold_data = cold.export_data().unwrap();
+
+    let fault = Arc::new(FaultVfs::new(Arc::new(RealVfs)));
+    let traced = ArtifactCache::open_with(cache.root(), fault.clone()).unwrap();
+    let mut warm = synthetic_driver(Some(traced));
+    assert_eq!(warm.export_figures().unwrap().files, cold_figs.files);
+    assert_eq!(warm.export_data().unwrap().files, cold_data.files);
+    assert_eq!(warm.executed_total(), 0);
+
+    let reads: Vec<_> = fault
+        .trace()
+        .into_iter()
+        .filter(|t| t.op == OpKind::Read)
+        .map(|t| t.path)
+        .collect();
+    assert_eq!(reads.len(), 2, "{reads:?}");
+    for (path, n_files) in reads.iter().zip([12, 9]) {
+        let bytes = std::fs::read(path).unwrap();
+        // Past the entry header: 4-byte magic, 16-byte content hash.
+        let files = decode_from_slice::<FilesArtifact>(&bytes[20..]).expect("an export entry");
+        assert_eq!(files.files.len(), n_files, "{}", path.display());
+    }
 
     let _ = std::fs::remove_dir_all(cache.root());
 }
