@@ -16,7 +16,7 @@ use crate::report::Study;
 /// own fields (`Study::export_inputs`); the pipeline driver lends its
 /// memoized stage artifacts, so exporting copies no run.
 #[derive(Clone, Copy)]
-pub struct ExportInputs<'a> {
+pub(crate) struct ExportInputs<'a> {
     /// The §II valid set.
     pub valid: &'a [RunResult],
     /// The §II comparable set.
@@ -177,7 +177,7 @@ pub(crate) fn data_files(inputs: ExportInputs<'_>) -> Vec<(String, String)> {
 
 /// Build the per-year summary table (one row per year): run counts, mean
 /// per-socket power, mean idle fraction, median overall efficiency.
-pub fn yearly_summary(study: &Study) -> Frame {
+pub(crate) fn yearly_summary(study: &Study) -> Frame {
     yearly_summary_of(&study.set.comparable)
 }
 
@@ -201,7 +201,7 @@ pub(crate) fn yearly_summary_of(comparable: &[RunResult]) -> Frame {
 }
 
 /// Markdown rendering of [`yearly_summary`].
-pub fn yearly_summary_markdown(study: &Study) -> String {
+pub(crate) fn yearly_summary_markdown(study: &Study) -> String {
     let summary = yearly_summary(study);
     let mut out = String::new();
     out.push_str("| year | runs | W/socket | idle fraction | median ssj_ops/W | extrap. quotient |\n");
@@ -322,7 +322,7 @@ impl Study {
     /// Render the processed data behind every figure in memory as
     /// `(file name, CSV text)` pairs, in the order [`Self::write_data`]
     /// writes them.
-    pub fn data_files(&self) -> Vec<(String, String)> {
+    pub(crate) fn data_files(&self) -> Vec<(String, String)> {
         data_files(self.export_inputs())
     }
 

@@ -6,36 +6,8 @@
 use spec_model::{LoadLevel, RunResult};
 use tinyframe::{Column, Frame, SegFrame};
 
-/// Column names produced by [`runs_to_frame`], in order.
-pub const FEATURE_COLUMNS: [&str; 24] = [
-    "id",
-    "year",
-    "frac_year",
-    "vendor",
-    "os_family",
-    "nodes",
-    "chips",
-    "cores_per_chip",
-    "total_cores",
-    "total_threads",
-    "nominal_ghz",
-    "boost_ghz",
-    "tdp_w",
-    "memory_gb",
-    "dimms",
-    "psu_w",
-    "jvm_instances",
-    "full_power_w",
-    "per_socket_w",
-    "idle_w",
-    "idle_fraction",
-    "overall_eff",
-    "extrap_idle_w",
-    "extrap_quotient",
-];
-
-/// Build the feature frame. Adds four extra columns `rel_eff_60` …
-/// `rel_eff_90` beyond [`FEATURE_COLUMNS`].
+/// Build the feature frame: 24 per-run columns (`id`, `year`, …,
+/// `extrap_quotient`) followed by `rel_eff_60` … `rel_eff_90`.
 pub fn runs_to_frame(runs: &[RunResult]) -> Frame {
     let n = runs.len();
     let mut id = Vec::with_capacity(n);
@@ -149,7 +121,7 @@ pub fn runs_to_frame(runs: &[RunResult]) -> Frame {
 /// `segment_rows` granularity) and the merge splices them in shard order,
 /// so row order — and therefore every downstream aggregate — is identical
 /// to `runs_to_frame(runs)` for any thread count.
-pub fn runs_to_seg_frame(runs: &[RunResult], segment_rows: usize) -> SegFrame {
+pub(crate) fn runs_to_seg_frame(runs: &[RunResult], segment_rows: usize) -> SegFrame {
     let segment_rows = segment_rows.max(1);
     let mut seg = SegFrame::new(segment_rows);
     if runs.is_empty() {
@@ -173,6 +145,34 @@ pub fn runs_to_seg_frame(runs: &[RunResult], segment_rows: usize) -> SegFrame {
 mod tests {
     use super::*;
     use spec_model::linear_test_run;
+
+    /// The columns [`runs_to_frame`] writes before the four `rel_eff_*`.
+    const FEATURE_COLUMNS: [&str; 24] = [
+        "id",
+        "year",
+        "frac_year",
+        "vendor",
+        "os_family",
+        "nodes",
+        "chips",
+        "cores_per_chip",
+        "total_cores",
+        "total_threads",
+        "nominal_ghz",
+        "boost_ghz",
+        "tdp_w",
+        "memory_gb",
+        "dimms",
+        "psu_w",
+        "jvm_instances",
+        "full_power_w",
+        "per_socket_w",
+        "idle_w",
+        "idle_fraction",
+        "overall_eff",
+        "extrap_idle_w",
+        "extrap_quotient",
+    ];
 
     #[test]
     fn frame_shape() {

@@ -15,7 +15,7 @@ use spec_model::{CpuVendor, LoadLevel, OsFamily, RunResult};
 use tinystats::mean_by_key;
 
 /// The tracked Figure 1 feature shares, in bit order of [`RunRow::features`].
-pub const FEATURES: [&str; 8] = [
+pub(crate) const FEATURES: [&str; 8] = [
     "AMD",
     "Intel",
     "Windows",
@@ -27,13 +27,11 @@ pub const FEATURES: [&str; 8] = [
 ];
 
 /// Bit indices into [`RunRow::features`] for the shares the §II text quotes.
-pub const FEATURE_AMD: usize = 0;
-/// Intel share bit.
-pub const FEATURE_INTEL: usize = 1;
+pub(crate) const FEATURE_AMD: usize = 0;
 /// Windows share bit.
-pub const FEATURE_WINDOWS: usize = 2;
+pub(crate) const FEATURE_WINDOWS: usize = 2;
 /// Linux share bit.
-pub const FEATURE_LINUX: usize = 3;
+pub(crate) const FEATURE_LINUX: usize = 3;
 
 fn feature_holds(run: &RunResult, feature: &str) -> bool {
     match feature {
@@ -88,7 +86,7 @@ pub struct RunRow {
 
 impl RunRow {
     /// Whether feature bit `i` (see [`FEATURES`]) holds for this run.
-    pub fn has_feature(&self, i: usize) -> bool {
+    pub(crate) fn has_feature(&self, i: usize) -> bool {
         self.features & (1u8 << i) != 0
     }
 
@@ -105,7 +103,7 @@ impl RunRow {
 }
 
 /// Extract one run's figure metrics.
-pub fn extract_row(run: &RunResult) -> RunRow {
+pub(crate) fn extract_row(run: &RunResult) -> RunRow {
     let mut features = 0u8;
     for (i, feature) in FEATURES.iter().enumerate() {
         if feature_holds(run, feature) {
@@ -137,7 +135,7 @@ pub fn extract_rows(runs: &[RunResult]) -> Vec<RunRow> {
 }
 
 /// Paper-consistent colours: Intel blue, AMD vermillion.
-pub fn vendor_color(vendor: CpuVendor) -> &'static str {
+pub(crate) fn vendor_color(vendor: CpuVendor) -> &'static str {
     match vendor {
         CpuVendor::Intel => tinyplot::PALETTE[0],
         CpuVendor::Amd => tinyplot::PALETTE[1],
@@ -149,7 +147,7 @@ pub fn vendor_color(vendor: CpuVendor) -> &'static str {
 pub const VENDORS: [CpuVendor; 2] = [CpuVendor::Intel, CpuVendor::Amd];
 
 /// Scatter points `(fractional hardware year, metric)` for one vendor.
-pub fn vendor_scatter<F>(rows: &[RunRow], vendor: CpuVendor, metric: F) -> Vec<(f64, f64)>
+pub(crate) fn vendor_scatter<F>(rows: &[RunRow], vendor: CpuVendor, metric: F) -> Vec<(f64, f64)>
 where
     F: Fn(&RunRow) -> Option<f64>,
 {
@@ -161,7 +159,11 @@ where
 }
 
 /// Yearly means `(year, mean metric)` for one vendor (year centre on x).
-pub fn vendor_yearly_mean<F>(rows: &[RunRow], vendor: CpuVendor, metric: F) -> Vec<(i32, f64)>
+pub(crate) fn vendor_yearly_mean<F>(
+    rows: &[RunRow],
+    vendor: CpuVendor,
+    metric: F,
+) -> Vec<(i32, f64)>
 where
     F: Fn(&RunRow) -> Option<f64>,
 {
@@ -174,7 +176,7 @@ where
 }
 
 /// Yearly means over all rows regardless of vendor.
-pub fn yearly_mean<F>(rows: &[RunRow], metric: F) -> Vec<(i32, f64)>
+pub(crate) fn yearly_mean<F>(rows: &[RunRow], metric: F) -> Vec<(i32, f64)>
 where
     F: Fn(&RunRow) -> Option<f64>,
 {
@@ -200,7 +202,7 @@ where
 }
 
 /// Year-centred line points from `(year, value)` pairs.
-pub fn year_line(points: &[(i32, f64)]) -> Vec<(f64, f64)> {
+pub(crate) fn year_line(points: &[(i32, f64)]) -> Vec<(f64, f64)> {
     points.iter().map(|&(y, v)| (y as f64 + 0.5, v)).collect()
 }
 
@@ -249,7 +251,8 @@ mod tests {
         let row = extract_row(&run);
         assert_eq!(row.hw_year, run.hw_year());
         assert_eq!(row.vendor, CpuVendor::Intel);
-        assert!(row.has_feature(FEATURE_INTEL));
+        let intel = FEATURES.iter().position(|f| *f == "Intel").unwrap();
+        assert!(row.has_feature(intel));
         assert!(!row.has_feature(FEATURE_AMD));
         assert_eq!(row.overall, run.overall_efficiency().value());
         assert_eq!(row.idle_fraction, run.idle_fraction());

@@ -10,7 +10,7 @@ use super::common::{
     extract_rows, RunRow, FEATURE_AMD, FEATURE_LINUX, FEATURE_WINDOWS,
 };
 
-pub use super::common::FEATURES;
+pub(crate) use super::common::FEATURES;
 
 /// Figure 1 data.
 #[derive(Clone, Debug)]
@@ -123,7 +123,7 @@ impl Fig1Features {
     }
 
     /// The submissions-per-year bar chart (Figure 1 top strip).
-    pub fn counts_chart(&self) -> Chart {
+    pub(crate) fn counts_chart(&self) -> Chart {
         let mut chart = Chart::new(
             "Valid submissions per hardware-availability year",
             "year",

@@ -82,7 +82,7 @@ impl Fig3Efficiency {
     /// Render the figure with a logarithmic y axis — efficiency grows
     /// exponentially over 16 years, so the log view shows the trend as a
     /// line (and makes the AMD/Intel gap readable across eras).
-    pub fn chart_log(&self) -> Chart {
+    pub(crate) fn chart_log(&self) -> Chart {
         let mut chart = self.chart();
         chart.log_y();
         chart.title = "Figure 3: overall efficiency trend (log scale)".into();

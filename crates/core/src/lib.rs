@@ -46,8 +46,7 @@ pub mod stream;
 pub mod table1;
 
 pub use correlation::{explore, IdleCorrelationReport, VendorStats};
-pub use export::{yearly_summary, yearly_summary_markdown};
-pub use features::{runs_to_frame, runs_to_seg_frame, FEATURE_COLUMNS};
+pub use features::runs_to_frame;
 pub use pipeline::{
     list_report_files, load_from_dir, load_from_dir_vfs, load_from_texts, load_from_texts_parallel,
     read_inputs_shared, stage1_validate_inputs_indexed, stage2_split, AnalysisSet, CascadeInput,
@@ -57,7 +56,7 @@ pub use stage::{
     ArtifactCache, CacheHealth, CorpusSource, FsckReport, PipelineDriver, ShardSpec, StageId,
     StageStats,
 };
-pub use proportionality::{ep_metrics, ep_trend, normalized_curve, EpMetrics, EpTrend};
+pub use proportionality::EpTrend;
 pub use report::{run_study, Comparison, Study};
 pub use serve::{ServeConfig, Server, SnapshotMode};
-pub use table1::{sr645_v3, sr650_v3, Table1, Table1Entry};
+pub use table1::{Table1, Table1Entry};

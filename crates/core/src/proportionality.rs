@@ -19,7 +19,7 @@ use tinystats::{mann_kendall, mean_by_key, MannKendall};
 
 /// Proportionality metrics of one run.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EpMetrics {
+pub(crate) struct EpMetrics {
     /// Hsu/Poole-style energy-proportionality score.
     pub ep_score: f64,
     /// `1 − P(idle)/P(100%)`.
@@ -31,7 +31,7 @@ pub struct EpMetrics {
 /// The normalised power curve of a run: `(load fraction, P/P100)` for the
 /// eleven levels, ascending by load. `None` if any level is missing or the
 /// full-load power is non-positive.
-pub fn normalized_curve(run: &RunResult) -> Option<Vec<(f64, f64)>> {
+pub(crate) fn normalized_curve(run: &RunResult) -> Option<Vec<(f64, f64)>> {
     let full = run.power_at(LoadLevel::Percent(100))?.value();
     if full <= 0.0 {
         return None;
@@ -54,7 +54,7 @@ fn trapezoid_area(pts: &[(f64, f64)]) -> f64 {
 }
 
 /// Compute the proportionality metrics of a run.
-pub fn ep_metrics(run: &RunResult) -> Option<EpMetrics> {
+pub(crate) fn ep_metrics(run: &RunResult) -> Option<EpMetrics> {
     let curve = normalized_curve(run)?;
     // Ideal proportional curve is y = x with area 1/2 over [0, 1].
     let measured_area = trapezoid_area(&curve);
@@ -91,7 +91,7 @@ pub struct EpTrend {
 }
 
 /// Compute the proportionality trend over the comparable dataset.
-pub fn ep_trend(comparable: &[RunResult]) -> EpTrend {
+pub(crate) fn ep_trend(comparable: &[RunResult]) -> EpTrend {
     let vendors = [CpuVendor::Intel, CpuVendor::Amd];
     let series = |metric: fn(&EpMetrics) -> f64| -> Vec<(CpuVendor, Vec<(i32, f64)>)> {
         vendors

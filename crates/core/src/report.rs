@@ -269,7 +269,7 @@ impl Study {
 
     /// Render all figure SVGs in memory as `(file name, SVG text)` pairs,
     /// in the order [`Self::write_figures`] writes them.
-    pub fn figure_files(&self) -> Vec<(String, String)> {
+    pub(crate) fn figure_files(&self) -> Vec<(String, String)> {
         crate::export::figure_files(self.export_inputs())
     }
 

@@ -178,7 +178,7 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Directory to poll for corpus changes (None disables the watcher).
     pub watch: Option<PathBuf>,
-    /// Watcher poll interval in ms, within [`POLL_MS`].
+    /// Watcher poll interval in ms, within `POLL_MS` (`10..=1000`).
     pub poll_ms: u64,
     /// Filesystem backend for corpus reads (chaos-injectable).
     pub vfs: Arc<dyn Vfs>,
@@ -206,7 +206,7 @@ pub struct ServeConfig {
 }
 
 /// The watcher poll intervals, in ms, that [`ServeConfig::check`] accepts.
-pub const POLL_MS: std::ops::RangeInclusive<u64> = 10..=1000;
+pub(crate) const POLL_MS: std::ops::RangeInclusive<u64> = 10..=1000;
 
 impl ServeConfig {
     /// A config with conventional defaults for `source`.
@@ -234,7 +234,7 @@ impl ServeConfig {
     }
 
     /// Reject settings the daemon would silently ignore or change: a
-    /// `poll_ms` outside [`POLL_MS`], `--shard` with `--fan-out`,
+    /// `poll_ms` outside `POLL_MS`, `--shard` with `--fan-out`,
     /// `scale > 1` in Graph mode, and an artifact cache in Stream mode.
     /// `with_cache` says whether a cache is (or is about to be) attached,
     /// so a caller can check before it opens one — a rejected config then
@@ -1239,7 +1239,7 @@ impl Server {
     }
 
     /// True once `/shutdown` was requested (or [`Self::shutdown`] ran).
-    pub fn shutdown_requested(&self) -> bool {
+    pub(crate) fn shutdown_requested(&self) -> bool {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
@@ -1589,7 +1589,7 @@ fn connection_loop(shared: &Shared, conn: &mut net::Conn, served: &mut u64) -> O
                 obs::count("serve.timeout.read", 1);
                 return Outcome::TimedOut;
             }
-            net::ReadEvent::Error(_) => return Outcome::Aborted,
+            net::ReadEvent::Error => return Outcome::Aborted,
             net::ReadEvent::Reject(reject) => {
                 obs::count(&format!("serve.status.{}", reject.status), 1);
                 return match Response::reject(&reject).send(conn, false, write_budget) {
@@ -1606,7 +1606,7 @@ fn connection_loop(shared: &Shared, conn: &mut net::Conn, served: &mut u64) -> O
                         obs::count("serve.timeout.write", 1);
                         Outcome::TimedOut
                     }
-                    net::WriteEvent::Error(_) => Outcome::Aborted,
+                    net::WriteEvent::Error => Outcome::Aborted,
                 };
             }
             net::ReadEvent::Head(head, deadline) => {
@@ -1652,7 +1652,7 @@ fn connection_loop(shared: &Shared, conn: &mut net::Conn, served: &mut u64) -> O
                         obs::count("serve.timeout.write", 1);
                         return Outcome::TimedOut;
                     }
-                    net::WriteEvent::Error(_) => return Outcome::Aborted,
+                    net::WriteEvent::Error => return Outcome::Aborted,
                 }
             }
         }

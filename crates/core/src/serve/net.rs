@@ -6,7 +6,7 @@
 //! either a **pure function** over bytes ([`scan_head`], [`parse_head`] —
 //! property-tested in `tests/serve_parser_props.rs` against arbitrary
 //! byte soup) or a thin, classifying wrapper around one `TcpStream`
-//! ([`Conn`]). Routing, snapshots and the worker pool stay in `serve.rs`.
+//! (`Conn`). Routing, snapshots and the worker pool stay in `serve.rs`.
 //!
 //! ## Timeout model
 //!
@@ -80,7 +80,7 @@ pub trait Clock: Send + Sync + std::fmt::Debug {
 
 /// Production clock: `Instant::now`.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SystemClock;
+pub(crate) struct SystemClock;
 
 impl Clock for SystemClock {
     fn now(&self) -> Instant {
@@ -104,7 +104,7 @@ impl TestClock {
     }
 
     /// A clock that jumps forward by `step` every time it is read.
-    pub fn with_step(step: Duration) -> TestClock {
+    pub(crate) fn with_step(step: Duration) -> TestClock {
         TestClock {
             base: Instant::now(),
             state: Mutex::new((Duration::ZERO, step)),
@@ -114,11 +114,6 @@ impl TestClock {
     /// Change the per-read jump.
     pub fn set_step(&self, step: Duration) {
         self.state.lock().expect("clock lock").1 = step;
-    }
-
-    /// Advance manually by `d`.
-    pub fn advance(&self, d: Duration) {
-        self.state.lock().expect("clock lock").0 += d;
     }
 }
 
@@ -141,7 +136,7 @@ impl Clock for TestClock {
 /// A per-request deadline: a fixed end instant compared against the
 /// injectable clock. `Copy` so it can ride through the routing layer.
 #[derive(Clone, Copy, Debug)]
-pub struct Deadline {
+pub(crate) struct Deadline {
     end: Instant,
 }
 
@@ -164,7 +159,7 @@ impl Deadline {
     }
 
     /// True once the budget is spent.
-    pub fn expired(&self, clock: &dyn Clock) -> bool {
+    pub(crate) fn expired(&self, clock: &dyn Clock) -> bool {
         self.remaining(clock).is_none()
     }
 }
@@ -345,7 +340,7 @@ pub fn parse_head(head: &[u8], limits: &Limits) -> Result<RequestHead, Reject> {
 
 /// How one attempt to read a request off the wire ended.
 #[derive(Debug)]
-pub enum ReadEvent {
+pub(crate) enum ReadEvent {
     /// A complete, valid head; the deadline started at its first byte.
     Head(RequestHead, Deadline),
     /// A complete head that the parser rejected (respond, then close).
@@ -359,18 +354,18 @@ pub enum ReadEvent {
     /// The per-request read deadline elapsed mid-head (slow loris).
     TimedOut,
     /// A hard socket error.
-    Error(std::io::Error),
+    Error,
 }
 
 /// How writing a response ended.
 #[derive(Debug)]
-pub enum WriteEvent {
+pub(crate) enum WriteEvent {
     /// Every byte handed to the kernel.
     Done,
     /// The socket write timeout fired (client stopped reading).
     TimedOut,
     /// A hard socket error (reset, broken pipe — mid-response disconnect).
-    Error(std::io::Error),
+    Error,
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {
@@ -382,7 +377,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 
 /// One live connection: the stream plus a carry-over buffer so pipelined
 /// requests parse without waiting for more bytes.
-pub struct Conn {
+pub(crate) struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
 }
@@ -397,28 +392,28 @@ impl Conn {
         }
     }
 
-    /// The underlying stream (for peer-addr lookups and write timeouts).
-    pub fn stream(&self) -> &TcpStream {
-        &self.stream
-    }
-
     /// Read (or finish reading) one request head. `idle_budget` bounds
     /// the wait for the *first* byte; once a byte is buffered, the
     /// per-request deadline from `limits.request_deadline_ms` — measured
     /// on `clock` — governs every further read.
-    pub fn read_request(&mut self, limits: &Limits, clock: &dyn Clock, idle_budget: Duration) -> ReadEvent {
+    pub(crate) fn read_request(
+        &mut self,
+        limits: &Limits,
+        clock: &dyn Clock,
+        idle_budget: Duration,
+    ) -> ReadEvent {
         let mut chunk = [0u8; 1024];
         // Idle phase: wait for the first byte of the next request unless
         // a pipelined client already delivered it.
         if self.buf.is_empty() {
             if set_read_timeout(&self.stream, idle_budget).is_err() {
-                return ReadEvent::Error(std::io::Error::other("set_read_timeout failed"));
+                return ReadEvent::Error;
             }
             match self.stream.read(&mut chunk) {
                 Ok(0) => return ReadEvent::Eof,
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e) if is_timeout(&e) => return ReadEvent::IdleExpired,
-                Err(e) => return ReadEvent::Error(e),
+                Err(_) => return ReadEvent::Error,
             }
         }
         // Request phase: the head must complete within the deadline.
@@ -444,19 +439,19 @@ impl Conn {
                 return ReadEvent::TimedOut;
             };
             if set_read_timeout(&self.stream, remaining).is_err() {
-                return ReadEvent::Error(std::io::Error::other("set_read_timeout failed"));
+                return ReadEvent::Error;
             }
             match self.stream.read(&mut chunk) {
                 Ok(0) => return ReadEvent::Torn,
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e) if is_timeout(&e) => return ReadEvent::TimedOut,
-                Err(e) => return ReadEvent::Error(e),
+                Err(_) => return ReadEvent::Error,
             }
         }
     }
 
     /// True when no pipelined carry-over bytes are buffered.
-    pub fn buf_is_empty(&self) -> bool {
+    pub(crate) fn buf_is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
@@ -465,7 +460,7 @@ impl Conn {
     /// this, closing a socket with unread bytes in the kernel queue sends
     /// RST, which can destroy the error response we just wrote before the
     /// client reads it (classic with 431s and shed 503s).
-    pub fn lingering_close(&mut self, budget: Duration) {
+    pub(crate) fn lingering_close(&mut self, budget: Duration) {
         let _ = self.stream.shutdown(std::net::Shutdown::Write);
         if set_read_timeout(&self.stream, budget.min(Duration::from_millis(100))).is_err() {
             return;
@@ -485,14 +480,19 @@ impl Conn {
 
     /// Write a rendered response head and its body within `budget`, as
     /// vectored writes: the body is sent from its own buffer.
-    pub fn write_response(&mut self, head: &[u8], body: &[u8], budget: Duration) -> WriteEvent {
+    pub(crate) fn write_response(
+        &mut self,
+        head: &[u8],
+        body: &[u8],
+        budget: Duration,
+    ) -> WriteEvent {
         if set_write_timeout(&self.stream, budget).is_err() {
-            return WriteEvent::Error(std::io::Error::other("set_write_timeout failed"));
+            return WriteEvent::Error;
         }
         match write_all_vectored(&mut self.stream, head, body).and_then(|()| self.stream.flush()) {
             Ok(()) => WriteEvent::Done,
             Err(e) if is_timeout(&e) => WriteEvent::TimedOut,
-            Err(e) => WriteEvent::Error(e),
+            Err(_) => WriteEvent::Error,
         }
     }
 }
@@ -717,7 +717,9 @@ mod tests {
         clock.set_step(Duration::ZERO);
         let frozen = Deadline::start(&clock, Duration::from_millis(10));
         assert!(!frozen.expired(&clock));
-        clock.advance(Duration::from_millis(20));
+        // A read returns the current instant, then jumps by the new step.
+        clock.set_step(Duration::from_millis(20));
+        assert!(!frozen.expired(&clock));
         assert!(frozen.expired(&clock));
     }
 }

@@ -470,7 +470,7 @@ impl RowStore {
 
     /// Both sides of the selection, `(valid, comparable)`, from one decode
     /// per row.
-    pub fn gather_split(
+    pub(crate) fn gather_split(
         &mut self,
         matches_key: impl Fn(&PartKey) -> bool,
         matches_row: impl Fn(i32, CpuVendor) -> bool,
@@ -568,7 +568,7 @@ impl RowStore {
     }
 
     /// Partitions present.
-    pub fn n_partitions(&self) -> usize {
+    pub(crate) fn n_partitions(&self) -> usize {
         self.parts.len()
     }
 

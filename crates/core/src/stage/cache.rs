@@ -244,7 +244,7 @@ impl ArtifactCache {
 
     /// Sweep `*.tmp` orphans left by crashed runs into quarantine.
     /// Returns how many were found. Best-effort, like all healing paths.
-    pub fn sweep_orphans(&self) -> usize {
+    pub(crate) fn sweep_orphans(&self) -> usize {
         let Ok(entries) = self.vfs.read_dir(&self.root) else {
             return 0;
         };
@@ -336,7 +336,7 @@ impl ArtifactCache {
     /// [`Self::store`] for an already-encoded payload. The driver encodes
     /// each artifact exactly once (for storing and span sizing) and hands
     /// the bytes here, so instrumentation never doubles the encode cost.
-    pub fn store_encoded(&self, key: &Hash128, payload: &[u8]) {
+    pub(crate) fn store_encoded(&self, key: &Hash128, payload: &[u8]) {
         let hash = content_hash(payload);
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         bytes.extend_from_slice(MAGIC);
@@ -379,7 +379,10 @@ impl ArtifactCache {
     }
 
     /// [`Self::fsck`] on an explicit backend.
-    pub fn fsck_with(root: impl Into<PathBuf>, vfs: Arc<dyn Vfs>) -> spec_diag::Result<FsckReport> {
+    pub(crate) fn fsck_with(
+        root: impl Into<PathBuf>,
+        vfs: Arc<dyn Vfs>,
+    ) -> spec_diag::Result<FsckReport> {
         let cache = Self::open_no_sweep(root, vfs)?;
         let entries = cache
             .vfs

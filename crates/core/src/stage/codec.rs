@@ -582,7 +582,7 @@ impl Codec for spec_intern::Sym {
 /// ids thereafter shrinks the artifact and makes warm decodes allocate one
 /// `String` per *distinct* value instead of one per field per run.
 #[derive(Default)]
-pub struct StringDict {
+pub(crate) struct StringDict {
     ids: std::collections::HashMap<String, u32>,
     order: Vec<String>,
 }
@@ -613,7 +613,7 @@ fn undict_str(r: &mut Reader<'_>, dict: &[String]) -> Result<String, CodecError>
 
 /// Encode one run with its string fields replaced by dictionary ids.
 /// Field order mirrors the plain [`Codec`] derivations above.
-pub fn encode_run_dict(run: &RunResult, w: &mut Writer, dict: &mut StringDict) {
+pub(crate) fn encode_run_dict(run: &RunResult, w: &mut Writer, dict: &mut StringDict) {
     run.id.encode(w);
     dict_str(w, dict, &run.submitter);
     let sys = &run.system;
@@ -653,7 +653,10 @@ pub fn encode_run_dict(run: &RunResult, w: &mut Writer, dict: &mut StringDict) {
 
 /// Decode one dictionary-encoded run. Ids outside the dictionary are a
 /// [`CodecError`] (corrupt or stale cache → treated as a miss).
-pub fn decode_run_dict(r: &mut Reader<'_>, dict: &[String]) -> Result<RunResult, CodecError> {
+pub(crate) fn decode_run_dict(
+    r: &mut Reader<'_>,
+    dict: &[String],
+) -> Result<RunResult, CodecError> {
     let id = u32::decode(r)?;
     let submitter = undict_str(r, dict)?;
     let manufacturer = undict_str(r, dict)?;
@@ -717,7 +720,7 @@ pub fn decode_run_dict(r: &mut Reader<'_>, dict: &[String]) -> Result<RunResult,
 /// Runs per artifact segment: matches the frame layer's
 /// [`tinyframe::DEFAULT_SEGMENT_ROWS`] so the Validate artifact streams in
 /// the same granularity as the column store it feeds.
-pub const ARTIFACT_SEGMENT_RUNS: usize = 64 * 1024;
+pub(crate) const ARTIFACT_SEGMENT_RUNS: usize = 64 * 1024;
 
 /// Segmented Validate-artifact encoding with an explicit segment size
 /// (tests shrink it to cover multi-segment layouts cheaply; production
@@ -751,7 +754,7 @@ impl Codec for super::artifact::ValidateArtifact {
     /// Segmented layout: segment count, then per segment a fresh string
     /// dictionary (first-use order), its run count and the
     /// dictionary-encoded runs; the [`FilterReport`] trails. Each segment
-    /// covers at most [`ARTIFACT_SEGMENT_RUNS`] runs, so encode-side
+    /// covers at most `ARTIFACT_SEGMENT_RUNS` runs, so encode-side
     /// dictionary state and decode-side dictionary lifetime stay bounded
     /// regardless of corpus scale, and a ×1000 corpus never needs one
     /// giant dictionary resident while the rest of the buffer streams.

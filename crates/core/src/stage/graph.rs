@@ -204,7 +204,7 @@ figure_stage!(Fig5Stage, StageId::Fig5, fig5::Fig5Idle, fig5::compute);
 figure_stage!(Fig6Stage, StageId::Fig6, fig6::Fig6Extrapolated, fig6::compute);
 
 /// Table I + §IV correlation + proportionality trend.
-pub struct DeriveStage;
+pub(crate) struct DeriveStage;
 
 impl Stage for DeriveStage {
     type In<'a> = (&'a [RunResult], &'a Settings, u64);
@@ -221,7 +221,7 @@ impl Stage for DeriveStage {
 }
 
 /// Render the per-figure CSV exports.
-pub struct ExportDataStage;
+pub(crate) struct ExportDataStage;
 
 impl Stage for ExportDataStage {
     type In<'a> = ExportInputs<'a>;
@@ -236,7 +236,7 @@ impl Stage for ExportDataStage {
 }
 
 /// Render the figure SVGs.
-pub struct ExportFiguresStage;
+pub(crate) struct ExportFiguresStage;
 
 impl Stage for ExportFiguresStage {
     type In<'a> = ExportInputs<'a>;

@@ -44,12 +44,13 @@ pub use codec::{decode_from_slice, encode_to_vec, Codec, CodecError, Reader, Wri
 pub use driver::{CorpusSource, PipelineDriver, StageStats};
 pub use manifest::{audit_manifest, CorpusManifest, ManifestAudit, ManifestEntry, TRUST_MARGIN_NS};
 pub use partition::{
-    part_key_of_input, part_key_of_parsed, part_key_of_text, shard_of, PartKey, PartitionSummary, PartitionedDriver,
-    ShardSpec, TaggedRow,
+    part_key_of_input, part_key_of_parsed, part_key_of_text, shard_of, PartKey, PartitionedDriver,
+    ShardSpec,
 };
+pub(crate) use partition::{PartitionSummary, TaggedRow};
 pub use graph::{
-    ComparableStage, DeriveStage, ExportDataStage, ExportFiguresStage, Fig1Stage, Fig2Stage,
-    Fig3Stage, Fig4Stage, Fig5Stage, Fig6Stage, Stage, StageId, ValidateStage,
+    ComparableStage, Fig1Stage, Fig2Stage, Fig3Stage, Fig4Stage, Fig5Stage, Fig6Stage, Stage,
+    StageId, ValidateStage,
 };
 
 /// Version tag folded into every cache key. Bump when any stage's output
@@ -75,7 +76,7 @@ pub const CODE_VERSION: &str = "spec-trends/stage-graph/10";
 /// atomically (temp + fsync + verified rename), so a crash or torn write
 /// mid-export can never leave a half-written figure or CSV under its
 /// final name.
-pub fn write_files_vfs(
+pub(crate) fn write_files_vfs(
     vfs: &dyn spec_vfs::Vfs,
     dir: &std::path::Path,
     files: &[(String, String)],
@@ -91,7 +92,7 @@ pub fn write_files_vfs(
 }
 
 /// [`write_files_vfs`] on the default (real, retrying) filesystem.
-pub fn write_files(
+pub(crate) fn write_files(
     dir: &std::path::Path,
     files: &[(String, String)],
 ) -> std::io::Result<Vec<std::path::PathBuf>> {

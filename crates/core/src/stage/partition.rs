@@ -26,8 +26,8 @@
 //!   cached: the rows are all any consumer reads.
 //! * **Outputs** (always computed, cheap): the [`FilterReport`], summed
 //!   over partitions with parse failures mapped back to global indices;
-//!   each partition's rows as [`TaggedRow`]s carrying their global corpus
-//!   index; and the per-partition counts ([`PartitionSummary`]). Sorting
+//!   each partition's rows as `TaggedRow`s carrying their global corpus
+//!   index; and the per-partition counts (`PartitionSummary`). Sorting
 //!   the union of the tagged rows by global index restores the monolithic
 //!   valid/comparable row order, so every figure reduced over them is
 //!   **byte-identical** to a cold monolithic run — pinned by tests here
@@ -236,7 +236,7 @@ const PART_STAGE: &str = "part-rows";
 
 /// A row tagged with its global corpus index and stage-2 flag — the shape
 /// the serve row store holds and `/shard/rows` ships between shards.
-pub type TaggedRow = (u32, bool, RunRow);
+pub(crate) type TaggedRow = (u32, bool, RunRow);
 
 /// One partition's cached `part-rows` artifact: the partition-local
 /// [`FilterReport`], and every stage-1 survivor as a
@@ -267,7 +267,7 @@ impl Partition {
 
 /// Per-partition cascade summary for stats output and the serve API.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartitionSummary {
+pub(crate) struct PartitionSummary {
     /// The partition.
     pub key: PartKey,
     /// Raw inputs routed to this partition.
@@ -322,15 +322,16 @@ fn resolve_partition(
         Ok(())
     });
     let artifact = (stream.report().clone(), rows);
-    let payload = encode_to_vec(&artifact);
-    if let Some(cache) = cache {
-        cache.store_encoded(&cache_key, &payload);
+    // Only a store or a traced span reads the encoded bytes.
+    let payload = (cache.is_some() || obs::enabled()).then(|| encode_to_vec(&artifact));
+    if let (Some(cache), Some(payload)) = (cache, &payload) {
+        cache.store_encoded(&cache_key, payload);
     }
     if obs::enabled() {
         sp.record("kind", "stage");
         sp.record("partition", label);
         sp.record("outcome", "computed");
-        sp.record("out_bytes", payload.len());
+        sp.record("out_bytes", payload.map_or(0, |p| p.len()));
         sp.observe_into("stage.execute_us");
         obs::count("stage.part-rows.executed", 1);
     }
@@ -388,7 +389,7 @@ impl PartitionedDriver {
     /// must stay consistent across shards for the scatter-gather merge —
     /// but only owned partitions are resolved and reported.
     #[must_use]
-    pub fn with_shard(mut self, shard: ShardSpec) -> PartitionedDriver {
+    pub(crate) fn with_shard(mut self, shard: ShardSpec) -> PartitionedDriver {
         self.shard = Some(shard);
         self
     }
@@ -540,7 +541,7 @@ impl PartitionedDriver {
 
     /// Per-partition cascade summary (reports/valid/comparable counts and
     /// this driver's invocation counters).
-    pub fn partition_summary(&mut self) -> spec_diag::Result<Vec<PartitionSummary>> {
+    pub(crate) fn partition_summary(&mut self) -> spec_diag::Result<Vec<PartitionSummary>> {
         let parts = self.split()?;
         let resolved = self.resolve_partitions()?;
         Ok(parts

@@ -82,8 +82,7 @@ impl Default for StreamConfig {
 /// scan the partitioned stage graph's Split uses
 /// ([`crate::stage::part_key_of_text`]); the two agree on every report
 /// (the `part_key_agreement` proptest), so a streamed corpus can be
-/// checked against
-/// [`crate::stage::PartitionedDriver::partition_summary`]
+/// checked against the partitioned driver's per-partition summary
 /// partition-for-partition.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamPartitionCounts {

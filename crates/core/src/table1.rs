@@ -56,7 +56,7 @@ fn find_sku(gens: &'static [Generation], key: &str, sku_name: &str) -> (&'static
 }
 
 /// The Lenovo ThinkSystem SR650 V3 exactly as in Table I.
-pub fn sr650_v3() -> SystemConfig {
+pub(crate) fn sr650_v3() -> SystemConfig {
     let (generation, sku) = find_sku(&INTEL_GENERATIONS, "intel-sapphire", "Intel Xeon Platinum 8490H");
     lenovo_system(
         generation,
@@ -69,7 +69,7 @@ pub fn sr650_v3() -> SystemConfig {
 }
 
 /// The Lenovo ThinkSystem SR645 V3 exactly as in Table I.
-pub fn sr645_v3() -> SystemConfig {
+pub(crate) fn sr645_v3() -> SystemConfig {
     let (generation, sku) = find_sku(&AMD_GENERATIONS, "amd-bergamo", "AMD EPYC 9754");
     lenovo_system(
         generation,
@@ -121,7 +121,7 @@ fn lenovo_system(
 /// The benchmark names of Table I's three rows, in row order. Kept as a
 /// named constant so cached artifacts can re-intern the `&'static str`
 /// fields on decode.
-pub const BENCHMARK_NAMES: [&str; 3] = [
+pub(crate) const BENCHMARK_NAMES: [&str; 3] = [
     "SPECpower_ssj2008 (overall ssj_ops/W)",
     "SPEC CPU 2017 FP Rate (base)",
     "SPEC CPU 2017 Int Rate (base)",

@@ -20,5 +20,5 @@ pub mod score;
 pub mod suite;
 
 pub use machine::{epyc_9754_duo, xeon_8490h_duo, Machine};
-pub use score::{benchmark_throughput, memory_factor, rate_score, score_breakdown, vector_factor};
-pub use suite::{BenchmarkSpec, Suite, FPRATE, INTRATE};
+pub use score::{rate_score, score_breakdown};
+pub use suite::Suite;

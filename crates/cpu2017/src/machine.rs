@@ -1,7 +1,5 @@
 //! Machine descriptions for the rate model.
 
-use spec_model::SystemConfig;
-
 /// The execution resources the rate model cares about.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Machine {
@@ -30,36 +28,13 @@ pub struct Machine {
 
 impl Machine {
     /// Effective "full-throughput core equivalents" given SMT copies.
-    pub fn core_equivalents(&self) -> f64 {
+    pub(crate) fn core_equivalents(&self) -> f64 {
         let cores = self.cores.max(1) as f64;
         let copies = self.copies.max(1) as f64;
         if copies <= cores {
             copies
         } else {
             cores + (copies - cores).min(cores) * self.smt_yield
-        }
-    }
-
-    /// Construct a machine from a system config plus the per-architecture
-    /// throughput factors the config does not carry.
-    pub fn from_system(
-        system: &SystemConfig,
-        name: impl Into<String>,
-        sustained_freq_ghz: f64,
-        ipc_int: f64,
-        ipc_fp: f64,
-        mem_bw_gbs: f64,
-    ) -> Machine {
-        Machine {
-            name: name.into(),
-            copies: system.total_threads(),
-            freq_ghz: sustained_freq_ghz,
-            ipc_int,
-            ipc_fp,
-            vector_bits: system.cpu.vector_bits,
-            mem_bw_gbs,
-            cores: system.total_cores(),
-            smt_yield: 0.28,
         }
     }
 }
@@ -123,14 +98,5 @@ mod tests {
         assert_eq!(amd.cores, 256);
         assert!(intel.vector_bits > amd.vector_bits, "the paper's AVX-width point");
         assert!(amd.mem_bw_gbs > intel.mem_bw_gbs, "12 vs 8 channels");
-    }
-
-    #[test]
-    fn from_system_copies_and_vectors() {
-        let run = spec_model::linear_test_run(0, 1e6, 60.0, 300.0);
-        let m = Machine::from_system(&run.system, "test", 3.0, 1.0, 1.0, 400.0);
-        assert_eq!(m.copies, run.system.total_threads());
-        assert_eq!(m.cores, run.system.total_cores());
-        assert_eq!(m.vector_bits, run.system.cpu.vector_bits);
     }
 }

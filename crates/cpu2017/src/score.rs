@@ -30,13 +30,13 @@ const SCALE_INT: f64 = 2.11;
 const SCALE_FP: f64 = 1.354;
 
 /// Vector speed-up factor of one benchmark on the given SIMD width.
-pub fn vector_factor(spec: &BenchmarkSpec, vector_bits: u32) -> f64 {
+pub(crate) fn vector_factor(spec: &BenchmarkSpec, vector_bits: u32) -> f64 {
     let width_ratio = (vector_bits.max(64) as f64 / 128.0).max(0.25);
     (1.0 - spec.vector_sensitivity) + spec.vector_sensitivity * width_ratio.powf(VECTOR_EXP)
 }
 
 /// Memory-bandwidth derating for one benchmark on one machine (0–1].
-pub fn memory_factor(spec: &BenchmarkSpec, machine: &Machine) -> f64 {
+pub(crate) fn memory_factor(spec: &BenchmarkSpec, machine: &Machine) -> f64 {
     let demand = machine.core_equivalents() * machine.freq_ghz * spec.mem_gbs_per_copy_ghz;
     if demand <= 0.0 || machine.mem_bw_gbs <= 0.0 {
         return 1.0;
@@ -47,7 +47,7 @@ pub fn memory_factor(spec: &BenchmarkSpec, machine: &Machine) -> f64 {
 
 /// Throughput of one benchmark (arbitrary units proportional to SPEC's
 /// per-benchmark ratio).
-pub fn benchmark_throughput(spec: &BenchmarkSpec, machine: &Machine, suite: Suite) -> f64 {
+pub(crate) fn benchmark_throughput(spec: &BenchmarkSpec, machine: &Machine, suite: Suite) -> f64 {
     let ipc = match suite {
         Suite::IntRate => machine.ipc_int,
         Suite::FpRate => machine.ipc_fp,

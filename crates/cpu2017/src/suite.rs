@@ -10,7 +10,7 @@
 
 /// Static description of one CPU 2017 benchmark.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BenchmarkSpec {
+pub(crate) struct BenchmarkSpec {
     /// SPEC's benchmark identifier, e.g. `"505.mcf_r"`.
     pub name: &'static str,
     /// Fraction of runtime that scales with SIMD register width (0–1).
@@ -20,7 +20,7 @@ pub struct BenchmarkSpec {
 }
 
 /// The 10 integer rate benchmarks.
-pub const INTRATE: [BenchmarkSpec; 10] = [
+pub(crate) const INTRATE: [BenchmarkSpec; 10] = [
     BenchmarkSpec {
         name: "500.perlbench_r",
         vector_sensitivity: 0.02,
@@ -74,7 +74,7 @@ pub const INTRATE: [BenchmarkSpec; 10] = [
 ];
 
 /// The 13 floating-point rate benchmarks.
-pub const FPRATE: [BenchmarkSpec; 13] = [
+pub(crate) const FPRATE: [BenchmarkSpec; 13] = [
     BenchmarkSpec {
         name: "503.bwaves_r",
         vector_sensitivity: 0.85,
@@ -153,7 +153,7 @@ pub enum Suite {
 
 impl Suite {
     /// The benchmarks of this suite.
-    pub fn benchmarks(self) -> &'static [BenchmarkSpec] {
+    pub(crate) fn benchmarks(self) -> &'static [BenchmarkSpec] {
         match self {
             Suite::IntRate => &INTRATE,
             Suite::FpRate => &FPRATE,

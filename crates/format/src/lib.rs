@@ -30,11 +30,8 @@ pub mod writer;
 
 pub use numfmt::{group_thousands, parse_grouped};
 pub use parser::{
-    date_year, diagnose_non_report, header_lines, parse_run_interned, parse_run_interned_diagnosed,
-    DateSym, NotAReport, ParseFailure, ParsedRunRef, PARSE_FAILURE_CATEGORIES,
+    date_year, header_lines, parse_run_interned, parse_run_interned_diagnosed, DateSym, NotAReport,
+    ParseFailure, ParsedRunRef, PARSE_FAILURE_CATEGORIES,
 };
-pub use validity::{
-    comparability_error, comparability_issues, cpu_name_ambiguous, validate_interned,
-    validity_error, ComparabilityIssue, ValidityIssue,
-};
+pub use validity::{comparability_issues, validate_interned, ComparabilityIssue, ValidityIssue};
 pub use writer::write_run;

@@ -182,7 +182,7 @@ impl std::error::Error for ParseFailure {}
 
 /// Every category slug a [`ParseFailure`] can carry, for consumers that
 /// need to re-intern decoded category strings back to `&'static str`:
-/// the three [`diagnose_non_report`] diagnoses plus `"io-error"`
+/// the three non-report diagnoses plus `"io-error"`
 /// ([`ParseFailure::io_error`]) for inputs that could not be read.
 pub const PARSE_FAILURE_CATEGORIES: [&str; 4] =
     ["empty", "binary-data", "missing-header", "io-error"];
@@ -208,7 +208,7 @@ fn snippet(line: &str) -> String {
 /// categories partition the rejection space: empty/whitespace-only input,
 /// text with control bytes (binary junk), or plain text whose header line
 /// is absent.
-pub fn diagnose_non_report(text: &str) -> ParseFailure {
+pub(crate) fn diagnose_non_report(text: &str) -> ParseFailure {
     if text.trim().is_empty() {
         return ParseFailure {
             category: "empty",

@@ -98,7 +98,7 @@ pub fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
 
 /// Index of the first `\n`, the line-splitting kernel.
 #[inline]
-pub fn find_newline(haystack: &[u8]) -> Option<usize> {
+pub(crate) fn find_newline(haystack: &[u8]) -> Option<usize> {
     find_byte(haystack, b'\n')
 }
 

@@ -89,7 +89,7 @@ impl ComparabilityIssue {
 
 /// Is a CPU name ambiguous? Catches placeholder names and multi-model
 /// listings ("Xeon E5-2670 / E5-2680").
-pub fn cpu_name_ambiguous(name: &str) -> bool {
+pub(crate) fn cpu_name_ambiguous(name: &str) -> bool {
     let lower = name.trim().to_ascii_lowercase();
     lower.is_empty()
         || lower.contains(" or ")
@@ -302,28 +302,6 @@ pub fn validate_interned(parsed: &ParsedRunRef) -> Result<RunResult, Vec<Validit
     })
 }
 
-/// Convert stage-1 validity issues into the workspace-wide error type,
-/// attributed to the `validate` stage.
-pub fn validity_error(issues: &[ValidityIssue]) -> spec_diag::TrendsError {
-    spec_diag::TrendsError::new(
-        "validate",
-        spec_diag::ErrorKind::Validity {
-            issues: issues.iter().map(|i| i.label().to_string()).collect(),
-        },
-    )
-}
-
-/// Convert stage-2 comparability issues into the workspace-wide error
-/// type, attributed to the `comparable` stage.
-pub fn comparability_error(issues: &[ComparabilityIssue]) -> spec_diag::TrendsError {
-    spec_diag::TrendsError::new(
-        "comparable",
-        spec_diag::ErrorKind::Comparability {
-            issues: issues.iter().map(|i| i.label().to_string()).collect(),
-        },
-    )
-}
-
 /// Stage two: the comparability filters that reduce 960 runs to 676.
 pub fn comparability_issues(run: &RunResult) -> Vec<ComparabilityIssue> {
     let mut issues = Vec::new();
@@ -337,15 +315,6 @@ pub fn comparability_issues(run: &RunResult) -> Vec<ComparabilityIssue> {
         issues.push(ComparabilityIssue::ExcludedTopology);
     }
     issues
-}
-
-/// Helper for tests and the synthetic generator: the earliest/latest
-/// hardware availability the plausibility check accepts.
-pub fn plausible_hw_window() -> (YearMonth, YearMonth) {
-    (
-        YearMonth::new(2004, 1).expect("static"),
-        YearMonth::new(2025, 12).expect("static"),
-    )
 }
 
 #[cfg(test)]

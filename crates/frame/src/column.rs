@@ -169,7 +169,7 @@ impl Column {
     }
 
     /// The column's data type.
-    pub fn dtype(&self) -> DType {
+    pub(crate) fn dtype(&self) -> DType {
         match self {
             Column::F64(_) => DType::F64,
             Column::I64(_) => DType::I64,
@@ -235,7 +235,7 @@ impl Column {
     }
 
     /// View as `&[f64]`, if that is the physical type.
-    pub fn as_f64(&self) -> Option<&[f64]> {
+    pub(crate) fn as_f64(&self) -> Option<&[f64]> {
         match self {
             Column::F64(v) => Some(v),
             _ => None,
@@ -243,7 +243,7 @@ impl Column {
     }
 
     /// View as `&[i64]`, if that is the physical type.
-    pub fn as_i64(&self) -> Option<&[i64]> {
+    pub(crate) fn as_i64(&self) -> Option<&[i64]> {
         match self {
             Column::I64(v) => Some(v),
             _ => None,
@@ -259,7 +259,7 @@ impl Column {
     }
 
     /// View as `&[bool]`, if that is the physical type.
-    pub fn as_bool(&self) -> Option<&[bool]> {
+    pub(crate) fn as_bool(&self) -> Option<&[bool]> {
         match self {
             Column::Bool(v) => Some(v),
             _ => None,
@@ -267,7 +267,7 @@ impl Column {
     }
 
     /// View as `&[Sym]`, if that is the physical type.
-    pub fn as_sym(&self) -> Option<&[Sym]> {
+    pub(crate) fn as_sym(&self) -> Option<&[Sym]> {
         match self {
             Column::Sym(v) => Some(v),
             _ => None,
@@ -275,7 +275,7 @@ impl Column {
     }
 
     /// Numeric view: `f64` as-is, `i64` lossily converted; `None` otherwise.
-    pub fn to_f64_vec(&self) -> Option<Vec<f64>> {
+    pub(crate) fn to_f64_vec(&self) -> Option<Vec<f64>> {
         match self {
             Column::F64(v) => Some(v.clone()),
             Column::I64(v) => Some(v.iter().map(|&x| x as f64).collect()),
@@ -297,7 +297,7 @@ impl Column {
     /// Approximate heap bytes this column's data occupies — the segmented
     /// store's resident-set accounting. String cells charge their length
     /// plus the `String` header; everything else is element size × rows.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         match self {
             Column::F64(v) => v.len() * 8,
             Column::I64(v) => v.len() * 8,
@@ -311,7 +311,7 @@ impl Column {
     }
 
     /// Comparison of two cells within the same column, NaN last.
-    pub fn cmp_rows(&self, a: usize, b: usize) -> std::cmp::Ordering {
+    pub(crate) fn cmp_rows(&self, a: usize, b: usize) -> std::cmp::Ordering {
         use std::cmp::Ordering;
         match self {
             Column::F64(v) => match (v[a].is_nan(), v[b].is_nan()) {

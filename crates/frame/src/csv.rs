@@ -1,10 +1,8 @@
-//! CSV serialisation for [`Frame`], plus a small typed reader used by the
-//! round-trip tests and the CLI's export path.
+//! CSV serialisation for [`Frame`].
 
 use std::fmt::Write as _;
 
-use crate::column::{Column, DType};
-use crate::error::{FrameError, Result};
+use crate::column::Column;
 use crate::frame::Frame;
 
 /// Append `field` to `out`, quoted when it holds a separator, quote or
@@ -22,33 +20,6 @@ fn push_escaped(field: &str, out: &mut String) {
     } else {
         out.push_str(field);
     }
-}
-
-/// Split one CSV record, honouring quotes.
-fn split_record(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    cur.push('"');
-                    chars.next();
-                } else {
-                    in_quotes = false;
-                }
-            }
-            '"' => in_quotes = true,
-            ',' if !in_quotes => {
-                fields.push(std::mem::take(&mut cur));
-            }
-            c => cur.push(c),
-        }
-    }
-    fields.push(cur);
-    fields
 }
 
 /// Append the header line for `names`. Shared with the segmented store so
@@ -102,87 +73,6 @@ impl Frame {
         append_header_line(self.names(), &mut out);
         append_data_rows(self, &mut out);
         out
-    }
-
-    /// Parse CSV produced by [`Frame::to_csv`], with an explicit schema
-    /// (order must match the header).
-    pub fn from_csv(text: &str, schema: &[(&str, DType)]) -> Result<Frame> {
-        let mut lines = text.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| FrameError::Csv("empty input".into()))?;
-        let names = split_record(header);
-        if names.len() != schema.len() {
-            return Err(FrameError::Csv(format!(
-                "header has {} fields, schema has {}",
-                names.len(),
-                schema.len()
-            )));
-        }
-        for (name, (expected, _)) in names.iter().zip(schema) {
-            if name != expected {
-                return Err(FrameError::Csv(format!(
-                    "header field {name:?} does not match schema {expected:?}"
-                )));
-            }
-        }
-        let mut cols: Vec<Column> = schema
-            .iter()
-            .map(|(_, dt)| match dt {
-                DType::F64 => Column::F64(Vec::new()),
-                DType::I64 => Column::I64(Vec::new()),
-                DType::Str => Column::Str(Vec::new()),
-                DType::Bool => Column::Bool(Vec::new()),
-                DType::Sym => Column::Sym(Vec::new()),
-            })
-            .collect();
-        for (lineno, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let fields = split_record(line);
-            if fields.len() != schema.len() {
-                return Err(FrameError::Csv(format!(
-                    "line {}: {} fields, expected {}",
-                    lineno + 2,
-                    fields.len(),
-                    schema.len()
-                )));
-            }
-            for (field, col) in fields.iter().zip(cols.iter_mut()) {
-                match col {
-                    Column::F64(v) => v.push(if field.is_empty() {
-                        f64::NAN
-                    } else {
-                        field.parse().map_err(|_| {
-                            FrameError::Csv(format!("line {}: bad float {field:?}", lineno + 2))
-                        })?
-                    }),
-                    Column::I64(v) => v.push(field.parse().map_err(|_| {
-                        FrameError::Csv(format!("line {}: bad int {field:?}", lineno + 2))
-                    })?),
-                    Column::Str(v) => v.push(field.clone()),
-                    Column::Sym(v) => v.push(spec_intern::intern(field)),
-                    Column::Bool(v) => v.push(match field.as_str() {
-                        "true" => true,
-                        "false" => false,
-                        other => {
-                            return Err(FrameError::Csv(format!(
-                                "line {}: bad bool {other:?}",
-                                lineno + 2
-                            )))
-                        }
-                    }),
-                }
-            }
-        }
-        Frame::from_columns(
-            schema
-                .iter()
-                .map(|(n, _)| n.to_string())
-                .zip(cols)
-                .collect::<Vec<(String, Column)>>(),
-        )
     }
 }
 
@@ -311,25 +201,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip() {
-        let f = sample();
-        let csv = f.to_csv();
-        let schema = [
-            ("year", DType::I64),
-            ("os", DType::Str),
-            ("watts", DType::F64),
-            ("ok", DType::Bool),
-        ];
-        let g = Frame::from_csv(&csv, &schema).unwrap();
-        assert_eq!(g.i64s("year").unwrap(), f.i64s("year").unwrap());
-        assert_eq!(g.strs("os").unwrap(), f.strs("os").unwrap());
-        assert_eq!(g.bools("ok").unwrap(), f.bools("ok").unwrap());
-        assert_eq!(g.f64s("watts").unwrap()[0], 119.5);
-        assert!(g.f64s("watts").unwrap()[1].is_nan());
-    }
-
-    #[test]
-    fn sym_roundtrip_renders_resolved_strings() {
+    fn sym_cells_render_resolved_strings() {
         let syms: Vec<spec_intern::Sym> = ["Dell Inc.", "SUSE, Linux"]
             .iter()
             .map(|s| spec_intern::intern(s))
@@ -338,9 +210,6 @@ mod tests {
         let csv = f.to_csv();
         // Sym cells serialise exactly like Str cells (quoting included).
         assert_eq!(csv, "vendor\nDell Inc.\n\"SUSE, Linux\"\n");
-        let g = Frame::from_csv(&csv, &[("vendor", DType::Sym)]).unwrap();
-        let names: Vec<&str> = g.syms("vendor").unwrap().iter().map(|s| s.resolve()).collect();
-        assert_eq!(names, vec!["Dell Inc.", "SUSE, Linux"]);
     }
 
     #[test]
@@ -348,32 +217,5 @@ mod tests {
         let f = Frame::from_columns([("s", Column::from(vec!["say \"hi\""]))]).unwrap();
         let csv = f.to_csv();
         assert!(csv.contains("\"say \"\"hi\"\"\""));
-        let g = Frame::from_csv(&csv, &[("s", DType::Str)]).unwrap();
-        assert_eq!(g.strs("s").unwrap()[0], "say \"hi\"");
-    }
-
-    #[test]
-    fn schema_mismatch_errors() {
-        let csv = sample().to_csv();
-        assert!(Frame::from_csv(&csv, &[("year", DType::I64)]).is_err());
-        let wrong_name = [
-            ("jahr", DType::I64),
-            ("os", DType::Str),
-            ("watts", DType::F64),
-            ("ok", DType::Bool),
-        ];
-        assert!(Frame::from_csv(&csv, &wrong_name).is_err());
-    }
-
-    #[test]
-    fn bad_values_error_with_line_number() {
-        let text = "x\nnot_a_number\n";
-        let err = Frame::from_csv(text, &[("x", DType::F64)]).unwrap_err();
-        assert!(err.to_string().contains("line 2"));
-    }
-
-    #[test]
-    fn empty_input_errors() {
-        assert!(Frame::from_csv("", &[]).is_err());
     }
 }

@@ -52,7 +52,7 @@ impl Frame {
     }
 
     /// Iterate the columns in order (paired with [`Frame::names`]).
-    pub fn columns_iter(&self) -> impl Iterator<Item = &Column> {
+    pub(crate) fn columns_iter(&self) -> impl Iterator<Item = &Column> {
         self.columns.iter()
     }
 
@@ -72,26 +72,6 @@ impl Frame {
         }
         self.names.push(name);
         self.columns.push(col);
-        Ok(())
-    }
-
-    /// Builder-style [`Frame::add_column`].
-    pub fn with_column(mut self, name: impl Into<String>, col: Column) -> Result<Frame> {
-        self.add_column(name, col)?;
-        Ok(self)
-    }
-
-    /// Replace an existing column (same length required).
-    pub fn set_column(&mut self, name: &str, col: Column) -> Result<()> {
-        let idx = self.index_of(name)?;
-        if col.len() != self.n_rows() {
-            return Err(FrameError::LengthMismatch {
-                column: name.to_string(),
-                got: col.len(),
-                expected: self.n_rows(),
-            });
-        }
-        self.columns[idx] = col;
         Ok(())
     }
 
@@ -127,16 +107,6 @@ impl Frame {
         })
     }
 
-    /// Borrow a string column's data.
-    pub fn strs(&self, name: &str) -> Result<&[String]> {
-        let col = self.column(name)?;
-        col.as_str().ok_or_else(|| FrameError::TypeMismatch {
-            column: name.to_string(),
-            expected: "str",
-            got: col.dtype().name(),
-        })
-    }
-
     /// Borrow an interned-symbol column's data.
     pub fn syms(&self, name: &str) -> Result<&[spec_intern::Sym]> {
         let col = self.column(name)?;
@@ -167,15 +137,6 @@ impl Frame {
         })
     }
 
-    /// New frame with only the named columns, in the given order.
-    pub fn select(&self, names: &[&str]) -> Result<Frame> {
-        let mut out = Frame::new();
-        for &name in names {
-            out.add_column(name, self.column(name)?.clone())?;
-        }
-        Ok(out)
-    }
-
     /// New frame with the rows where `mask` is true.
     pub fn filter(&self, mask: &[bool]) -> Result<Frame> {
         if mask.len() != self.n_rows() {
@@ -188,21 +149,6 @@ impl Frame {
             names: self.names.clone(),
             columns: self.columns.iter().map(|c| c.filter(mask)).collect(),
         })
-    }
-
-    /// Build a boolean mask from a predicate over a float column.
-    pub fn mask_f64(&self, name: &str, pred: impl Fn(f64) -> bool) -> Result<Vec<bool>> {
-        Ok(self.f64s(name)?.iter().map(|&x| pred(x)).collect())
-    }
-
-    /// Build a boolean mask from a predicate over an integer column.
-    pub fn mask_i64(&self, name: &str, pred: impl Fn(i64) -> bool) -> Result<Vec<bool>> {
-        Ok(self.i64s(name)?.iter().map(|&x| pred(x)).collect())
-    }
-
-    /// Build a boolean mask from a predicate over a string column.
-    pub fn mask_str(&self, name: &str, pred: impl Fn(&str) -> bool) -> Result<Vec<bool>> {
-        Ok(self.strs(name)?.iter().map(|s| pred(s)).collect())
     }
 
     /// New frame with rows reordered by `indices`.
@@ -356,7 +302,7 @@ mod tests {
     fn typed_access_and_mismatch() {
         let f = sample();
         assert_eq!(f.i64s("year").unwrap()[0], 2007);
-        assert_eq!(f.strs("vendor").unwrap()[2], "AMD");
+        assert_eq!(f.column("vendor").unwrap().as_str().unwrap()[2], "AMD");
         assert!(matches!(
             f.f64s("vendor"),
             Err(FrameError::TypeMismatch { .. })
@@ -374,7 +320,8 @@ mod tests {
     #[test]
     fn filter_by_mask() {
         let f = sample();
-        let mask = f.mask_str("vendor", |v| v == "AMD").unwrap();
+        let vendors = f.column("vendor").unwrap().as_str().unwrap();
+        let mask: Vec<bool> = vendors.iter().map(|v| v == "AMD").collect();
         let amd = f.filter(&mask).unwrap();
         assert_eq!(amd.n_rows(), 2);
         assert_eq!(amd.f64s("watts").unwrap(), &[140.0, 700.0]);
@@ -390,14 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn select_projects_and_orders() {
-        let f = sample();
-        let g = f.select(&["watts", "year"]).unwrap();
-        assert_eq!(g.names(), &["watts".to_string(), "year".to_string()]);
-        assert_eq!(g.n_rows(), 4);
-    }
-
-    #[test]
     fn sort_ascending_descending() {
         let f = sample();
         let asc = f.sort_by("watts", true).unwrap();
@@ -405,7 +344,7 @@ mod tests {
         let desc = f.sort_by("watts", false).unwrap();
         assert_eq!(desc.f64s("watts").unwrap(), &[700.0, 150.0, 140.0, 120.0]);
         // Sorting carries the other columns along.
-        assert_eq!(desc.strs("vendor").unwrap()[0], "AMD");
+        assert_eq!(desc.column("vendor").unwrap().as_str().unwrap()[0], "AMD");
     }
 
     #[test]
@@ -435,7 +374,7 @@ mod tests {
     #[test]
     fn vstack_schema_mismatch() {
         let mut a = sample();
-        let b = a.select(&["year"]).unwrap();
+        let b = Frame::from_columns([("year", Column::from(vec![2007i64]))]).unwrap();
         assert!(a.vstack(&b).is_err());
     }
 
@@ -461,14 +400,5 @@ mod tests {
         let schema = f.schema();
         assert_eq!(schema[0], ("year", DType::I64));
         assert_eq!(schema[3], ("accepted", DType::Bool));
-    }
-
-    #[test]
-    fn set_column_replaces() {
-        let mut f = sample();
-        f.set_column("watts", Column::from(vec![1.0, 2.0, 3.0, 4.0]))
-            .unwrap();
-        assert_eq!(f.f64s("watts").unwrap()[0], 1.0);
-        assert!(f.set_column("watts", Column::from(vec![1.0])).is_err());
     }
 }

@@ -167,22 +167,6 @@ impl<'a> GroupBy<'a> {
         }
         Ok(out)
     }
-
-    /// Apply an arbitrary reducer to each group's sub-frame, returning
-    /// `(key, value)` pairs in key order.
-    pub fn map_groups<T, F>(&self, f: F) -> Vec<(Vec<KeyValue>, T)>
-    where
-        F: Fn(&Frame) -> T + Sync,
-        T: Send,
-    {
-        let frame = self.frame;
-        let out: Vec<T> = parallel_map(&self.groups, |(_, rows)| f(&frame.take(rows)));
-        self.groups
-            .iter()
-            .map(|(k, _)| k.clone())
-            .zip(out)
-            .collect()
-    }
 }
 
 /// Reassemble a homogeneous key column from group-key cells; shared with
@@ -334,7 +318,7 @@ mod tests {
             .unwrap()
             .agg(&[("watts", Agg::Count)])
             .unwrap();
-        let vendors = out.strs("vendor").unwrap();
+        let vendors = out.column("vendor").unwrap().as_str().unwrap();
         assert_eq!(vendors, &["AMD".to_string(), "Intel".to_string()]);
     }
 
@@ -347,15 +331,6 @@ mod tests {
             .agg(&[("year", Agg::Mean)])
             .unwrap();
         assert!(out.f64s("year_mean").unwrap()[0] > 2006.0);
-    }
-
-    #[test]
-    fn map_groups_custom_reducer() {
-        let f = sample();
-        let g = f.group_by(&["year"]).unwrap();
-        let sizes = g.map_groups(|sub| sub.n_rows());
-        assert_eq!(sizes[0].1, 2);
-        assert_eq!(sizes[1].1, 3);
     }
 
     #[test]

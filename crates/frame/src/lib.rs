@@ -8,12 +8,11 @@
 //! analysis needs:
 //!
 //! * typed columns ([`Column`]: f64 / i64 / str / bool, `NaN` = missing),
-//! * frames ([`Frame`]) with selection, boolean-mask filtering, stable
-//!   sorting and vertical stacking,
+//! * frames ([`Frame`]) with boolean-mask filtering, stable sorting and
+//!   vertical stacking,
 //! * group-by with parallel aggregation ([`Frame::group_by`], [`Agg`]) built
 //!   on the persistent `tinypool` work-stealing pool,
-//! * left joins ([`Frame::left_join`]),
-//! * CSV round-tripping ([`Frame::to_csv`], [`Frame::from_csv`]).
+//! * CSV writing ([`Frame::to_csv`]).
 //!
 //! ```
 //! use tinyframe::{Agg, Column, Frame};
@@ -35,9 +34,8 @@ pub mod column;
 pub mod csv;
 pub mod error;
 pub mod frame;
-pub mod groupby;
-pub mod join;
-pub mod segcodec;
+pub(crate) mod groupby;
+pub(crate) mod segcodec;
 pub mod segment;
 pub mod spill;
 

@@ -56,7 +56,7 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 }
 
 /// Encode a frame segment to bytes.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, frame.n_cols() as u32);
     for (name, col) in frame.names().iter().zip(frame.columns_iter()) {
@@ -162,7 +162,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Decode a frame segment produced by [`encode_frame`].
-pub fn decode_frame(bytes: &[u8]) -> Result<Frame> {
+pub(crate) fn decode_frame(bytes: &[u8]) -> Result<Frame> {
     let mut r = Reader { buf: bytes, pos: 0 };
     let n_cols = r.u32()? as usize;
     // A segment holds at most a few dozen feature columns; a huge count is
@@ -279,7 +279,7 @@ mod tests {
         let fa: Vec<u64> = f.f64s("watts").unwrap().iter().map(|x| x.to_bits()).collect();
         let ga: Vec<u64> = g.f64s("watts").unwrap().iter().map(|x| x.to_bits()).collect();
         assert_eq!(fa, ga);
-        assert_eq!(g.strs("os").unwrap(), f.strs("os").unwrap());
+        assert_eq!(g.column("os").unwrap().as_str().unwrap(), f.column("os").unwrap().as_str().unwrap());
         assert_eq!(g.bools("ok").unwrap(), f.bools("ok").unwrap());
         assert_eq!(g.syms("vendor").unwrap(), f.syms("vendor").unwrap());
     }

@@ -5,8 +5,9 @@
 //! ragged segments are allowed — every operation is boundary-independent).
 //! Segments are *sealed* (immutable) once pushed, which buys three things:
 //!
-//! * parallel ingest shards fill private arenas and the merge is a
-//!   segment-list splice ([`SegFrame::splice`]) instead of a `vstack` copy;
+//! * parallel ingest shards fill private arenas and the merge adopts each
+//!   as a sealed segment ([`SegFrame::push_sealed`]) instead of a `vstack`
+//!   copy;
 //! * cold segments can be evicted to a [`SegmentStore`] and transparently
 //!   reloaded — an LRU policy bounds resident bytes, so corpus size no
 //!   longer bounds RSS;
@@ -16,8 +17,8 @@
 //! **Byte-identity contract:** every streaming operation visits rows in
 //! exactly the global row order of the equivalent monolithic frame and
 //! applies the same floating-point operations in the same order, so
-//! `group_agg`/`to_csv`/`left_join` output is bit-identical to
-//! `Frame::group_by().agg()`/`Frame::to_csv`/`Frame::left_join` (the
+//! `group_agg`/`to_csv` output is bit-identical to
+//! `Frame::group_by().agg()`/`Frame::to_csv` (the
 //! figure goldens pin this). In particular, per-group aggregation state is
 //! carried *sequentially* across segments — partial per-segment summaries
 //! are never merged, because Welford merges are associative only up to
@@ -117,11 +118,6 @@ impl SegFrame {
             spill: None,
             spill_bytes_written: 0,
         }
-    }
-
-    /// Empty store with the default segment size.
-    pub fn with_default_rows() -> SegFrame {
-        SegFrame::new(DEFAULT_SEGMENT_ROWS)
     }
 
     /// Split a monolithic frame into segments.
@@ -298,34 +294,6 @@ impl SegFrame {
         self.enforce_budget(None)
     }
 
-    /// Splice another store's segment list onto this one (the `vstack`
-    /// replacement). `other` must not have spill enabled — splicing happens
-    /// during the in-memory merge phase, before a store is attached.
-    pub fn splice(&mut self, mut other: SegFrame) -> Result<()> {
-        if other.spill.is_some() {
-            return Err(FrameError::Spill(
-                "cannot splice a store that already spilled segments".into(),
-            ));
-        }
-        if other.n_rows() == 0 {
-            return Ok(());
-        }
-        other.seal_tail()?;
-        let first = other.slots.first().and_then(|s| s.frame.as_ref());
-        if let Some(frame) = first {
-            self.adopt_or_check_schema(frame)?;
-        }
-        self.seal_tail()?;
-        // Move the slots over; drain them from `other` so its Drop does
-        // not double-count the occupancy gauges.
-        for mut slot in other.slots.drain(..) {
-            self.clock += 1;
-            slot.last_touch = self.clock;
-            self.slots.push(slot);
-        }
-        self.enforce_budget(None)
-    }
-
     /// Attach a spill store and bound resident sealed-segment bytes.
     /// Existing segments beyond the budget are evicted immediately.
     pub fn enable_spill(
@@ -339,11 +307,6 @@ impl SegFrame {
             next_id: 0,
         });
         self.enforce_budget(None)
-    }
-
-    /// True when a spill store is attached.
-    pub fn spill_enabled(&self) -> bool {
-        self.spill.is_some()
     }
 
     fn evict(&mut self, i: usize) -> Result<()> {
@@ -433,17 +396,6 @@ impl SegFrame {
             }
         }
         Ok(())
-    }
-
-    /// Materialise the full monolithic frame (loads every segment; meant
-    /// for small results and tests, not the 1M-row path).
-    pub fn to_frame(&mut self) -> Result<Frame> {
-        let mut out = self.empty_frame();
-        self.for_each_segment(|seg| {
-            out.vstack(seg)?;
-            Ok(())
-        })?;
-        Ok(out)
     }
 
     /// Numeric (f64-promoted) column, concatenated across segments.
@@ -616,21 +568,6 @@ impl SegFrame {
         })?;
         Ok(out)
     }
-
-    /// Per-segment left join against a small in-memory right frame; the
-    /// concatenation equals `Frame::left_join` on the materialised table
-    /// (the match index depends only on `right`, and fills are per-row).
-    pub fn left_join(&mut self, right: &Frame, keys: &[&str]) -> Result<SegFrame> {
-        let mut out = SegFrame::new(self.segment_rows);
-        // Adopt the joined schema up front so a row-less store still
-        // renders the right header (for_each_segment skips empty tails).
-        out.append_frame(self.empty_frame().left_join(right, keys)?)?;
-        self.for_each_segment(|seg| {
-            out.push_sealed(seg.left_join(right, keys)?)?;
-            Ok(())
-        })?;
-        Ok(out)
-    }
 }
 
 impl Drop for SegFrame {
@@ -690,35 +627,6 @@ mod tests {
         assert_eq!(seg.n_rows(), 30);
     }
 
-    /// Frame equality with NaN-tolerant float comparison (the derived
-    /// `PartialEq` treats NaN ≠ NaN).
-    fn assert_same_table(got: &Frame, want: &Frame) {
-        assert_eq!(got.to_csv(), want.to_csv());
-        for (name, dt) in want.schema() {
-            if dt == DType::F64 {
-                let g: Vec<u64> = got.f64s(name).unwrap().iter().map(|x| x.to_bits()).collect();
-                let w: Vec<u64> = want.f64s(name).unwrap().iter().map(|x| x.to_bits()).collect();
-                assert_eq!(g, w, "column {name}");
-            }
-        }
-    }
-
-    #[test]
-    fn to_frame_matches_monolithic() {
-        let mono = sample(37);
-        let mut seg = SegFrame::from_frame(mono.clone(), 8);
-        assert_same_table(&seg.to_frame().unwrap(), &mono);
-    }
-
-    #[test]
-    fn splice_preserves_row_order() {
-        let all = sample(30);
-        let mut a = SegFrame::from_frame(all.slice(0, 13), 8);
-        let b = SegFrame::from_frame(all.slice(13, 30), 8);
-        a.splice(b).unwrap();
-        assert_same_table(&a.to_frame().unwrap(), &all);
-    }
-
     #[test]
     fn group_agg_bit_identical_to_monolithic() {
         let mono = sample(101);
@@ -752,21 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn join_bit_identical_to_monolithic() {
-        let mono = sample(33);
-        let right = Frame::from_columns([
-            ("year", Column::I64(vec![2007, 2009, 2011])),
-            ("era", Column::from(vec!["early", "mid", "late"])),
-            ("watts", Column::F64(vec![1.0, 2.0, 3.0])),
-        ])
-        .unwrap();
-        let expected = mono.left_join(&right, &["year"]).unwrap();
-        let mut seg = SegFrame::from_frame(mono, 7);
-        let mut joined = seg.left_join(&right, &["year"]).unwrap();
-        assert_eq!(joined.to_csv().unwrap(), expected.to_csv());
-    }
-
-    #[test]
     fn spill_bounds_resident_bytes_and_reloads_identically() {
         let mono = sample(200);
         let mut seg = SegFrame::from_frame(mono.clone(), 16);
@@ -784,7 +677,7 @@ mod tests {
         assert!(!store.is_empty());
         assert!(seg.spill_bytes_written() > 0);
         // Walks still see every row, and the budget holds throughout.
-        assert_same_table(&seg.to_frame().unwrap(), &mono);
+        assert_eq!(seg.to_csv().unwrap(), mono.to_csv());
         let specs = [("watts", Agg::Mean), ("watts", Agg::Median)];
         let expected = mono.group_by(&["year"]).unwrap().agg(&specs).unwrap();
         let got = seg.group_agg(&["year"], &specs).unwrap();
@@ -802,14 +695,6 @@ mod tests {
             assert!(!store.is_empty());
         }
         assert!(store.is_empty(), "drop cleans the store");
-    }
-
-    #[test]
-    fn splice_rejects_spilled_source() {
-        let mut a = SegFrame::from_frame(sample(20), 8);
-        let mut b = SegFrame::from_frame(sample(20), 8);
-        b.enable_spill(Arc::new(MemSegmentStore::new()), 0).unwrap();
-        assert!(matches!(a.splice(b), Err(FrameError::Spill(_))));
     }
 
     #[test]

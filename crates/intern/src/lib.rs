@@ -25,7 +25,7 @@
 //!   `HashMap<&'static str, Sym>` cache of the symbols it has already
 //!   interned. Repeat lookups — the overwhelmingly common case when
 //!   parsing thousands of near-identical reports — touch no lock at all.
-//! - **Token layout.** A [`Sym`] packs `shard` in the low [`SHARD_BITS`]
+//! - **Token layout.** A [`Sym`] packs `shard` in the low `SHARD_BITS`
 //!   bits and the shard-local index above them. Resolution is two array
 //!   indexes behind a read lock; the numeric value of a token is *not*
 //!   stable across processes (persist the resolved string, not the token).
@@ -51,7 +51,7 @@ use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub const SHARDS: usize = 16;
 
 /// Bits of a [`Sym`] used for the shard id (`log2(SHARDS)`).
-pub const SHARD_BITS: u32 = SHARDS.trailing_zeros();
+pub(crate) const SHARD_BITS: u32 = SHARDS.trailing_zeros();
 
 /// An interned string token: 4 bytes, `Copy`, O(1) resolve.
 ///

@@ -125,7 +125,7 @@ impl Cpu {
 
     /// Hardware threads per chip.
     #[inline]
-    pub fn threads_per_chip(&self) -> u32 {
+    pub(crate) fn threads_per_chip(&self) -> u32 {
         self.cores_per_chip * self.threads_per_core
     }
 

@@ -121,7 +121,7 @@ impl YearMonth {
     }
 
     /// Abbreviated month name, e.g. `Feb`.
-    pub fn month_abbrev(self) -> &'static str {
+    pub(crate) fn month_abbrev(self) -> &'static str {
         &MONTH_NAMES[self.month as usize - 1][..3]
     }
 

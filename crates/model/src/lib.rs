@@ -6,7 +6,7 @@
 //! This crate defines the vocabulary shared by the whole workspace:
 //!
 //! * strongly-typed units ([`Watts`], [`SsjOps`], [`OpsPerWatt`],
-//!   [`Megahertz`], [`Joules`]),
+//!   [`Megahertz`]),
 //! * month-granularity dates ([`YearMonth`]) — the paper's trend axis is the
 //!   *hardware availability* month of each run,
 //! * processors ([`Cpu`], [`CpuVendor`], [`ServerBrand`]) and full
@@ -36,4 +36,4 @@ pub use date::{DateError, YearMonth};
 pub use load::{LevelMeasurement, LoadLevel};
 pub use run::{linear_test_run, RunDates, RunResult, RunStatus};
 pub use system::{JvmInfo, OsFamily, OsInfo, SystemConfig};
-pub use units::{Joules, Megahertz, OpsPerWatt, SsjOps, Watts};
+pub use units::{Megahertz, OpsPerWatt, SsjOps, Watts};

@@ -56,14 +56,6 @@ impl LoadLevel {
             LoadLevel::ActiveIdle => 0,
         }
     }
-
-    /// True for a valid standard target level.
-    pub fn is_standard(self) -> bool {
-        match self {
-            LoadLevel::ActiveIdle => true,
-            LoadLevel::Percent(p) => (10..=100).contains(&p) && p % 10 == 0,
-        }
-    }
 }
 
 impl fmt::Display for LoadLevel {
@@ -100,17 +92,6 @@ impl LevelMeasurement {
         }
     }
 
-    /// Achieved/target throughput ratio; the run rules require every target
-    /// level to stay close to its nominal share of the calibrated maximum.
-    #[inline]
-    pub fn target_accuracy(&self) -> Option<f64> {
-        if self.target_ops.value() > 0.0 {
-            Some(self.actual_ops / self.target_ops)
-        } else {
-            None
-        }
-    }
-
     /// Measured values are plausible (finite, non-negative, idle has no ops).
     pub fn is_plausible(&self) -> bool {
         let base = self.avg_power.is_plausible()
@@ -134,7 +115,6 @@ mod tests {
         assert_eq!(levels[0], LoadLevel::Percent(100));
         assert_eq!(levels[9], LoadLevel::Percent(10));
         assert_eq!(levels[10], LoadLevel::ActiveIdle);
-        assert!(levels.iter().all(|l| l.is_standard()));
     }
 
     #[test]
@@ -142,13 +122,6 @@ mod tests {
         assert_eq!(LoadLevel::Percent(70).fraction(), 0.7);
         assert_eq!(LoadLevel::ActiveIdle.fraction(), 0.0);
         assert_eq!(LoadLevel::ActiveIdle.percent(), 0);
-    }
-
-    #[test]
-    fn non_standard_levels_rejected() {
-        assert!(!LoadLevel::Percent(15).is_standard());
-        assert!(!LoadLevel::Percent(0).is_standard());
-        assert!(!LoadLevel::Percent(110).is_standard());
     }
 
     #[test]
@@ -160,7 +133,6 @@ mod tests {
             avg_power: Watts(500.0),
         };
         assert!((m.efficiency().value() - 1996.0).abs() < 1e-9);
-        assert!((m.target_accuracy().unwrap() - 0.998).abs() < 1e-12);
     }
 
     #[test]
@@ -172,7 +144,6 @@ mod tests {
             avg_power: Watts(60.0),
         };
         assert_eq!(idle.efficiency().value(), 0.0);
-        assert_eq!(idle.target_accuracy(), None);
         assert!(idle.is_plausible());
     }
 

@@ -97,13 +97,8 @@ impl RunResult {
         self.measurement(level).map(|m| m.avg_power)
     }
 
-    /// Achieved throughput at a level.
-    pub fn ops_at(&self, level: LoadLevel) -> Option<SsjOps> {
-        self.measurement(level).map(|m| m.actual_ops)
-    }
-
     /// Efficiency at a level.
-    pub fn efficiency_at(&self, level: LoadLevel) -> Option<OpsPerWatt> {
+    pub(crate) fn efficiency_at(&self, level: LoadLevel) -> Option<OpsPerWatt> {
         self.measurement(level).map(|m| m.efficiency())
     }
 

@@ -126,12 +126,6 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Sockets per node (rounded up; all published runs are homogeneous).
-    #[inline]
-    pub fn sockets_per_node(&self) -> u32 {
-        self.chips.div_ceil(self.nodes.max(1))
-    }
-
     /// Total physical cores in the SUT.
     #[inline]
     pub fn total_cores(&self) -> u32 {
@@ -148,12 +142,6 @@ impl SystemConfig {
     #[inline]
     pub fn is_comparable_topology(&self) -> bool {
         self.nodes == 1 && self.chips <= 2
-    }
-
-    /// Aggregate TDP of all sockets.
-    #[inline]
-    pub fn total_tdp(&self) -> Watts {
-        self.cpu.tdp * self.chips as f64
     }
 }
 
@@ -223,11 +211,9 @@ mod tests {
     #[test]
     fn topology_derivations() {
         let s = sample_system();
-        assert_eq!(s.sockets_per_node(), 2);
         assert_eq!(s.total_cores(), 256);
         assert_eq!(s.total_threads(), 512);
         assert!(s.is_comparable_topology());
-        assert_eq!(s.total_tdp(), Watts(720.0));
     }
 
     #[test]
@@ -236,7 +222,6 @@ mod tests {
         s.nodes = 4;
         s.chips = 8;
         assert!(!s.is_comparable_topology());
-        assert_eq!(s.sockets_per_node(), 2);
     }
 
     #[test]

@@ -187,14 +187,6 @@ unit!(
     0
 );
 
-unit!(
-    /// Energy in joules; used by the simulator when integrating power over
-    /// simulated time.
-    Joules,
-    "J",
-    1
-);
-
 impl Megahertz {
     /// Convenience constructor from gigahertz.
     #[inline]
@@ -212,39 +204,8 @@ impl Megahertz {
 impl SsjOps {
     /// Efficiency obtained by dividing throughput by power.
     #[inline]
-    pub fn per_watt(self, power: Watts) -> OpsPerWatt {
+    pub(crate) fn per_watt(self, power: Watts) -> OpsPerWatt {
         OpsPerWatt(self.0 / power.0)
-    }
-}
-
-impl Watts {
-    /// Energy consumed at this constant power over `seconds` of wall time.
-    #[inline]
-    pub fn over_seconds(self, seconds: f64) -> Joules {
-        Joules(self.0 * seconds)
-    }
-}
-
-impl Joules {
-    /// Average power over `seconds` of wall time.
-    #[inline]
-    pub fn average_power(self, seconds: f64) -> Watts {
-        Watts(self.0 / seconds)
-    }
-}
-
-/// Mean of an iterator of watts values; `None` for an empty iterator.
-pub fn mean_watts<I: IntoIterator<Item = Watts>>(iter: I) -> Option<Watts> {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for w in iter {
-        sum += w.0;
-        n += 1;
-    }
-    if n == 0 {
-        None
-    } else {
-        Some(Watts(sum / n as f64))
     }
 }
 
@@ -289,13 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_power_duality() {
-        let e = Watts(250.0).over_seconds(120.0);
-        assert_eq!(e.value(), 30_000.0);
-        assert_eq!(e.average_power(120.0).value(), 250.0);
-    }
-
-    #[test]
     fn plausibility() {
         assert!(Watts(0.0).is_plausible());
         assert!(!Watts(-1.0).is_plausible());
@@ -308,13 +262,6 @@ mod tests {
         assert_eq!(format!("{}", Watts(119.04)), "119.0 W");
         assert_eq!(format!("{:.2}", Watts(119.046)), "119.05 W");
         assert_eq!(format!("{}", Megahertz(2250.0)), "2250 MHz");
-    }
-
-    #[test]
-    fn mean_watts_empty_and_filled() {
-        assert_eq!(mean_watts(Vec::new()), None);
-        let m = mean_watts(vec![Watts(100.0), Watts(200.0)]).unwrap();
-        assert!((m.value() - 150.0).abs() < 1e-12);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::scale::{format_tick, LinearScale};
 
 /// One named ASCII series: `(legend label, glyph, points)`.
-pub type AsciiSeries<'a> = (&'a str, char, &'a [(f64, f64)]);
+pub(crate) type AsciiSeries<'a> = (&'a str, char, &'a [(f64, f64)]);
 
 /// Render a scatter of `(x, y)` series as an ASCII grid.
 ///

@@ -50,7 +50,7 @@ pub enum SeriesKind {
 
 /// One named series.
 #[derive(Clone, Debug)]
-pub struct Series {
+pub(crate) struct Series {
     /// Legend label.
     pub name: String,
     /// Geometry.
@@ -72,7 +72,6 @@ pub struct Chart {
     pub y_label: String,
     series: Vec<Series>,
     y_floor_zero: bool,
-    x_range: Option<(f64, f64)>,
     y_range: Option<(f64, f64)>,
     hlines: Vec<f64>,
     log_y: bool,
@@ -91,7 +90,6 @@ impl Chart {
             y_label: y_label.into(),
             series: Vec::new(),
             y_floor_zero: false,
-            x_range: None,
             y_range: None,
             hlines: Vec::new(),
             log_y: false,
@@ -139,12 +137,6 @@ impl Chart {
         self
     }
 
-    /// Fix the x domain.
-    pub fn x_domain(&mut self, lo: f64, hi: f64) -> &mut Self {
-        self.x_range = Some((lo, hi));
-        self
-    }
-
     /// Fix the y domain.
     pub fn y_domain(&mut self, lo: f64, hi: f64) -> &mut Self {
         self.y_range = Some((lo, hi));
@@ -155,11 +147,6 @@ impl Chart {
     pub fn hline(&mut self, y: f64) -> &mut Self {
         self.hlines.push(y);
         self
-    }
-
-    /// Number of series.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
     }
 
     fn data_extent(&self) -> ((f64, f64), (f64, f64)) {
@@ -204,7 +191,6 @@ impl Chart {
         if self.y_floor_zero {
             ymin = ymin.min(0.0);
         }
-        let (xmin, xmax) = self.x_range.unwrap_or((xmin, xmax));
         let (ymin, ymax) = self.y_range.unwrap_or((ymin, ymax));
         ((xmin, xmax), (ymin, ymax))
     }
@@ -508,13 +494,5 @@ mod tests {
         c.log_y();
         let svg = c.to_svg(300, 240);
         assert_eq!(svg.matches("<circle").count(), 1);
-    }
-
-    #[test]
-    fn domains_can_be_fixed() {
-        let mut c = sample_chart();
-        c.x_domain(2000.0, 2030.0).y_domain(0.0, 500.0);
-        let svg = c.to_svg(300, 200);
-        assert!(svg.contains("2000"));
     }
 }

@@ -12,14 +12,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ascii;
+pub(crate) mod ascii;
 pub mod chart;
 pub mod grid;
 pub mod scale;
 pub mod svg;
 
 pub use ascii::{ascii_bars, ascii_scatter};
-pub use chart::{BoxSpec, Chart, Series, SeriesKind, PALETTE};
+pub use chart::{BoxSpec, Chart, SeriesKind, PALETTE};
 pub use grid::render_grid;
-pub use scale::{format_tick, nice_ticks, LinearScale};
-pub use svg::SvgDoc;
+pub use scale::{nice_ticks, LinearScale};

@@ -7,14 +7,7 @@
 
 use std::fmt::Write as _;
 
-/// Escape text content for XML.
-pub fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    push_escaped(&mut out, text);
-    out
-}
-
-/// Append `text` to `out` with XML escaping (the bytes [`escape`] returns).
+/// Append `text` to `out` with XML escaping.
 fn push_escaped(out: &mut String, text: &str) {
     let mut rest = text;
     while let Some(at) = rest.find(['&', '<', '>', '"']) {
@@ -127,9 +120,7 @@ fn push_u128(out: &mut String, mut x: u128, width: usize) {
 /// An SVG document under construction. The `<svg>` header is written up
 /// front, so [`SvgDoc::finish`] hands back the buffer without copying it.
 #[derive(Clone, Debug)]
-pub struct SvgDoc {
-    width: u32,
-    height: u32,
+pub(crate) struct SvgDoc {
     out: String,
     /// Where the content after the `<svg …>` line starts.
     inner_start: usize,
@@ -153,22 +144,10 @@ impl SvgDoc {
             "<rect width=\"{width}\" height=\"{height}\" fill=\"white\"/>"
         );
         SvgDoc {
-            width,
-            height,
             out,
             inner_start,
             styles: Vec::new(),
         }
-    }
-
-    /// Document width in pixels.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Document height in pixels.
-    pub fn height(&self) -> u32 {
-        self.height
     }
 
     /// Write `v` with one fractional digit, then `suffix`.
@@ -220,7 +199,15 @@ impl SvgDoc {
     }
 
     /// Add a stroked (unfilled) rectangle.
-    pub fn rect_outline(&mut self, x: f64, y: f64, w: f64, h: f64, stroke: &str, stroke_width: f64) {
+    pub(crate) fn rect_outline(
+        &mut self,
+        x: f64,
+        y: f64,
+        w: f64,
+        h: f64,
+        stroke: &str,
+        stroke_width: f64,
+    ) {
         self.rect_geometry(x, y, w, h);
         self.out.push_str(" fill=\"none\" stroke=\"");
         self.out.push_str(stroke);
@@ -248,13 +235,21 @@ impl SvgDoc {
     }
 
     /// Add a dashed line segment.
-    pub fn dashed_line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: &str, width: f64) {
+    pub(crate) fn dashed_line(
+        &mut self,
+        x1: f64,
+        y1: f64,
+        x2: f64,
+        y2: f64,
+        stroke: &str,
+        width: f64,
+    ) {
         self.line_geometry(x1, y1, x2, y2, stroke, width);
         self.out.push_str("\" stroke-dasharray=\"4 3\"/>\n");
     }
 
     /// Add a polyline through the points.
-    pub fn polyline(&mut self, points: &[(f64, f64)], stroke: &str, width: f64) {
+    pub(crate) fn polyline(&mut self, points: &[(f64, f64)], stroke: &str, width: f64) {
         if points.is_empty() {
             return;
         }
@@ -290,7 +285,7 @@ impl SvgDoc {
     }
 
     /// Add rotated text (for y-axis labels).
-    pub fn vtext(&mut self, x: f64, y: f64, content: &str, size: f64, fill: &str) {
+    pub(crate) fn vtext(&mut self, x: f64, y: f64, content: &str, size: f64, fill: &str) {
         self.out.push_str("<text x=\"");
         self.num(x, "\" y=\"");
         self.num(y, "\" font-size=\"");
@@ -311,14 +306,6 @@ impl SvgDoc {
         &self.out[self.inner_start..]
     }
 
-    /// The finished document, copied out (see [`SvgDoc::finish`]).
-    pub fn render(&self) -> String {
-        let mut svg = String::with_capacity(self.out.len() + 7);
-        svg.push_str(&self.out);
-        svg.push_str("</svg>\n");
-        svg
-    }
-
     /// Close the document and return it without copying the buffer.
     pub fn finish(mut self) -> String {
         self.out.push_str("</svg>\n");
@@ -336,26 +323,26 @@ mod tests {
         doc.circle(10.0, 10.0, 3.0, "#ff0000", 0.8);
         doc.line(0.0, 0.0, 200.0, 100.0, "black", 1.0);
         doc.text(100.0, 50.0, "hello & <world>", 12.0, "middle", "#333");
-        let svg = doc.render();
+        let svg = doc.finish();
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>\n"));
         assert!(svg.contains("circle"));
         assert!(svg.contains("hello &amp; &lt;world&gt;"));
-        assert_eq!(doc.width(), 200);
-        assert_eq!(doc.height(), 100);
     }
 
     #[test]
     fn empty_polyline_skipped() {
         let mut doc = SvgDoc::new(10, 10);
         doc.polyline(&[], "red", 1.0);
-        assert!(!doc.render().contains("polyline"));
+        assert!(!doc.clone().finish().contains("polyline"));
         doc.polyline(&[(0.0, 0.0), (5.0, 5.0)], "red", 1.0);
-        assert!(doc.render().contains("polyline"));
+        assert!(doc.clone().finish().contains("polyline"));
     }
 
     #[test]
     fn escape_quotes() {
-        assert_eq!(escape("a\"b"), "a&quot;b");
+        let mut out = String::new();
+        push_escaped(&mut out, "a\"b");
+        assert_eq!(out, "a&quot;b");
     }
 }

@@ -53,7 +53,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Inputs below this length run inline: thread handoff costs more than the
 /// work (same threshold the old scope-per-call substrate used).
-pub const PARALLEL_THRESHOLD: usize = 64;
+pub(crate) const PARALLEL_THRESHOLD: usize = 64;
 
 /// Chunk size for an input of length `n`.
 ///
@@ -336,7 +336,7 @@ impl Pool {
     }
 
     /// Order-preserving parallel map with the item index.
-    pub fn parallel_map_indexed<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
+    pub(crate) fn parallel_map_indexed<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
         U: Send,
@@ -350,7 +350,7 @@ impl Pool {
     }
 
     /// Order-preserving map over a few coarse tasks: one chunk per item
-    /// and no [`PARALLEL_THRESHOLD`] cutoff, so even two items can run on
+    /// and no `PARALLEL_THRESHOLD` cutoff, so even two items can run on
     /// two threads. For work where each item costs milliseconds (rendering
     /// one export file) rather than nanoseconds. Results come back in item
     /// order, the submitting thread runs tasks too, a 1-thread pool runs
@@ -542,16 +542,6 @@ where
     F: Fn(&T) -> U + Sync,
 {
     with_current(|pool| pool.parallel_map(items, f))
-}
-
-/// Order-preserving indexed parallel map on the ambient pool.
-pub fn parallel_map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    with_current(|pool| pool.parallel_map_indexed(items, f))
 }
 
 /// Order-preserving map over coarse tasks on the ambient pool (see

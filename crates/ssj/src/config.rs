@@ -29,7 +29,12 @@ pub struct PerfModel {
 impl PerfModel {
     /// Maximum sustainable throughput (ssj_ops/s) for `chips × cores` at
     /// frequency `freq`, with all SMT threads active.
-    pub fn peak_rate(&self, total_cores: u32, threads_per_core: u32, freq: Megahertz) -> f64 {
+    pub(crate) fn peak_rate(
+        &self,
+        total_cores: u32,
+        threads_per_core: u32,
+        freq: Megahertz,
+    ) -> f64 {
         let smt = if threads_per_core >= 2 {
             1.0 + self.smt_yield
         } else {
@@ -93,7 +98,7 @@ pub struct PowerModel {
 impl PowerModel {
     /// PSU efficiency at `load_fraction` of its rated output, a standard
     /// 80-Plus-style curve: poor at <10 %, peaking around 50 %.
-    pub fn psu_efficiency(&self, load_fraction: f64) -> f64 {
+    pub(crate) fn psu_efficiency(&self, load_fraction: f64) -> f64 {
         let l = load_fraction.clamp(0.01, 1.2);
         // Efficiency drop below ~20 % load and mild drop toward full load.
         let shape = 1.0 - 0.06 * (0.5 - l).abs() / 0.5 - 0.04 * (0.1 / l).min(1.0);
@@ -103,7 +108,7 @@ impl PowerModel {
     /// Deep package C-state residency during active idle, given the number
     /// of logical CPUs: `exp(-wakeup_rate × hold)` — a Poisson-arrival
     /// "fraction of time undisturbed" model.
-    pub fn idle_pkg_residency(&self, total_threads: u32) -> f64 {
+    pub(crate) fn idle_pkg_residency(&self, total_threads: u32) -> f64 {
         let rate = self.idle_wakeup_hz_per_thread * total_threads as f64;
         (-rate * self.wakeup_hold_s).exp()
     }

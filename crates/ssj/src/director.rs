@@ -24,22 +24,6 @@ pub struct SsjRun {
 }
 
 impl SsjRun {
-    /// Audit measurement uncertainty per level with the given analyzer
-    /// (see [`crate::ptdaemon`]): uses each interval's average and peak
-    /// power; `fixed_range` models a single-range setup.
-    pub fn uncertainty_audit(
-        &self,
-        spec: &crate::ptdaemon::AnalyzerSpec,
-        fixed_range: bool,
-    ) -> Vec<Option<crate::ptdaemon::UncertaintyReport>> {
-        let levels: Vec<(spec_model::Watts, spec_model::Watts)> = self
-            .intervals
-            .iter()
-            .map(|i| (i.avg_power, i.max_power))
-            .collect();
-        crate::ptdaemon::audit_run(spec, &levels, fixed_range)
-    }
-
     /// Overall ssj_ops/W across all levels including active idle.
     pub fn overall_ops_per_watt(&self) -> f64 {
         let ops: f64 = self.levels.iter().map(|m| m.actual_ops.value()).sum();
@@ -217,19 +201,6 @@ mod tests {
             a.levels[0].avg_power, b.levels[0].avg_power,
             "noise should differ across seeds"
         );
-    }
-
-    #[test]
-    fn uncertainty_audit_covers_all_levels() {
-        let run = simulate_run(&test_system(), &reference_sut(), &Settings::fast(), 9);
-        let spec = crate::ptdaemon::AnalyzerSpec::wt210_like();
-        let auto = run.uncertainty_audit(&spec, false);
-        assert_eq!(auto.len(), 11);
-        for report in auto.iter().flatten() {
-            assert!(report.avg_uncertainty > 0.0);
-        }
-        // Auto-ranging keeps every level compliant for this mid-size box.
-        assert!(auto.iter().all(|r| r.is_some_and(|r| r.compliant)));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub struct IntervalResult {
 
 /// The load offered to the SUT for one interval.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum OfferedLoad {
+pub(crate) enum OfferedLoad {
     /// Calibration: saturate the system (arrivals always exceed capacity).
     Saturating,
     /// Graduated level: Poisson arrivals at this mean rate (ops/s).
@@ -49,7 +49,7 @@ pub enum OfferedLoad {
 }
 
 /// The benchmark engine bound to one system + behavioural model.
-pub struct Engine<'a> {
+pub(crate) struct Engine<'a> {
     system: &'a SystemConfig,
     model: &'a SutModel,
     settings: &'a Settings,
@@ -77,7 +77,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Throughput capacity (ops/s) at a frequency fraction of nominal.
-    pub fn capacity_at(&self, freq_frac: f64) -> f64 {
+    pub(crate) fn capacity_at(&self, freq_frac: f64) -> f64 {
         self.model.perf.peak_rate(
             self.system.total_cores(),
             self.system.cpu.threads_per_core,
@@ -97,7 +97,7 @@ impl<'a> Engine<'a> {
     /// the bounded trace ring), so the per-interval cost when tracing is
     /// just the `ssj.intervals` counter and the `ssj.interval_us` timing
     /// histogram; [`crate::simulate_run`] spans the whole benchmark run.
-    pub fn run_interval(&mut self, load: OfferedLoad) -> IntervalResult {
+    pub(crate) fn run_interval(&mut self, load: OfferedLoad) -> IntervalResult {
         let timer = spec_obs::enabled().then(std::time::Instant::now);
         let seconds = self.settings.interval_seconds.max(1);
         // Per-interval software jitter (JIT/GC state) applied to capacity.
@@ -198,13 +198,6 @@ impl<'a> Engine<'a> {
     fn per_second_noise(&mut self, n: f64) -> f64 {
         let rel = self.mix.batch_work_rel_std(n.max(1.0)).min(0.05);
         normal(&mut self.rng) * rel
-    }
-
-    /// One-off Poisson draw at `rate` (exact hybrid kernel; see
-    /// [`crate::poisson`]). Hot paths should hoist a [`PoissonSampler`]
-    /// instead of calling this per draw.
-    pub fn poisson(&mut self, rate: f64) -> f64 {
-        PoissonSampler::new(rate).sample(&mut self.rng)
     }
 }
 
@@ -349,20 +342,5 @@ mod tests {
         let rb = b.run_interval(OfferedLoad::Saturating);
         assert_eq!(ra.ops_total, rb.ops_total);
         assert_eq!(ra.avg_power, rb.avg_power);
-    }
-
-    #[test]
-    fn small_rate_poisson_path() {
-        let sys = test_system();
-        let model = reference_sut();
-        let settings = Settings::fast();
-        let mut engine = engine_with(&sys, &model, &settings, 6);
-        // Exercise Knuth's algorithm branch (rate < 50/s).
-        let mut total = 0.0;
-        for _ in 0..200 {
-            total += engine.poisson(5.0);
-        }
-        let mean = total / 200.0;
-        assert!((mean - 5.0).abs() < 0.8, "poisson mean {mean}");
     }
 }

@@ -22,11 +22,8 @@
 //! * [`engine`] — per-interval queueing simulation with a DVFS governor;
 //! * [`power`] — the operating-point → watts equations;
 //! * [`meter`] — accuracy-class meter noise and interval averaging;
-//! * [`director`] — calibration → 100 %…10 % → active idle orchestration,
-//!   producing [`SsjRun`];
-//! * [`compliance`] — the SPEC run-rules review (target tolerance, idle
-//!   purity, calibration consistency) that decides acceptance;
-//! * [`ptdaemon`] — analyzer range/uncertainty accounting (the 1 % rule).
+//! * [`simulate_run`] — calibration → 100 %…10 % → active idle
+//!   orchestration, producing [`SsjRun`].
 //!
 //! ```
 //! use spec_ssj::{simulate_run, reference_sut, Settings};
@@ -41,22 +38,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod compliance;
 pub mod config;
-pub mod director;
+pub(crate) mod director;
 pub mod engine;
 pub mod meter;
 pub mod power;
-pub mod ptdaemon;
 pub mod poisson;
 pub mod workload;
 
-pub use compliance::{check_run, ComplianceIssue, TARGET_TOLERANCE};
 pub use config::{reference_sut, PerfModel, PowerModel, Settings, SutModel};
 pub use director::{simulate_run, SsjRun};
-pub use engine::{Engine, IntervalResult, OfferedLoad};
-pub use meter::{IntervalPowerLog, PowerMeter};
+pub use engine::IntervalResult;
 pub use poisson::PoissonSampler;
-pub use power::{dc_power, wall_power, wall_power_at, OperatingPoint};
-pub use ptdaemon::{audit_interval, audit_run, AnalyzerSpec, UncertaintyReport, MAX_AVG_UNCERTAINTY};
-pub use workload::{TransactionMix, TransactionType};

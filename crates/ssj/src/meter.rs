@@ -11,7 +11,7 @@ use spec_model::Watts;
 
 /// A simulated wall-power meter.
 #[derive(Clone, Debug)]
-pub struct PowerMeter {
+pub(crate) struct PowerMeter {
     /// Relative standard deviation of per-sample error (accuracy class).
     noise_rel: f64,
     /// Reading resolution in watts (e.g. 0.1 W).
@@ -38,7 +38,7 @@ impl PowerMeter {
 
 /// Accumulates per-interval power statistics from meter samples.
 #[derive(Clone, Debug, Default)]
-pub struct IntervalPowerLog {
+pub(crate) struct IntervalPowerLog {
     sum: f64,
     n: u64,
     min: f64,
@@ -62,11 +62,6 @@ impl IntervalPowerLog {
         self.n += 1;
         self.min = self.min.min(w.value());
         self.max = self.max.max(w.value());
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Interval average power; zero watts when empty.
@@ -119,7 +114,6 @@ mod tests {
         assert!((avg - 250.0).abs() < 0.5, "avg {avg}");
         assert!(log.minimum().unwrap().value() < avg);
         assert!(log.maximum().unwrap().value() > avg);
-        assert_eq!(log.count(), 5000);
     }
 
     #[test]

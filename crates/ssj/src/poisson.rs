@@ -22,12 +22,12 @@
 use rand::Rng;
 
 /// Rates below this use exact CDF inversion; at or above it, PTRS.
-pub const PTRS_THRESHOLD: f64 = 10.0;
+pub(crate) const PTRS_THRESHOLD: f64 = 10.0;
 
 /// A Poisson distribution with precomputed sampling constants.
 ///
 /// Construction is O(1); [`sample`](PoissonSampler::sample) is O(λ) below
-/// [`PTRS_THRESHOLD`] (bounded by the threshold) and amortised O(1) above.
+/// `PTRS_THRESHOLD` (bounded by the threshold) and amortised O(1) above.
 #[derive(Clone, Copy, Debug)]
 pub struct PoissonSampler {
     lambda: f64,
@@ -139,7 +139,7 @@ impl PoissonSampler {
 ///
 /// Accurate to ~1e-13 relative error for positive arguments — far tighter
 /// than the PTRS acceptance test needs.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     const G: f64 = 7.0;
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_9,

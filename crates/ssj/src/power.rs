@@ -16,7 +16,7 @@ use crate::config::PowerModel;
 /// An instantaneous operating point of the SUT, produced by the engine once
 /// per simulated second.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OperatingPoint {
+pub(crate) struct OperatingPoint {
     /// Delivered throughput as a fraction of the capacity available at the
     /// current frequency (0–1): per-core busy fraction.
     pub utilization: f64,
@@ -31,7 +31,7 @@ pub struct OperatingPoint {
 
 impl OperatingPoint {
     /// A fully loaded operating point at the given frequency.
-    pub fn full_load(freq_frac: f64) -> OperatingPoint {
+    pub(crate) fn full_load(freq_frac: f64) -> OperatingPoint {
         OperatingPoint {
             utilization: 1.0,
             freq_frac,
@@ -41,7 +41,7 @@ impl OperatingPoint {
     }
 
     /// The active-idle operating point given package residency in deep sleep.
-    pub fn active_idle(dvfs_floor: f64, pkg_residency: f64) -> OperatingPoint {
+    pub(crate) fn active_idle(dvfs_floor: f64, pkg_residency: f64) -> OperatingPoint {
         OperatingPoint {
             utilization: 0.0,
             freq_frac: dvfs_floor,
@@ -52,7 +52,7 @@ impl OperatingPoint {
 }
 
 /// DC (pre-PSU) power of the SUT at an operating point.
-pub fn dc_power(model: &PowerModel, system: &SystemConfig, op: &OperatingPoint) -> Watts {
+pub(crate) fn dc_power(model: &PowerModel, system: &SystemConfig, op: &OperatingPoint) -> Watts {
     let chips = system.chips.max(1) as f64;
     let total_cores = system.total_cores().max(1) as f64;
     let active_cores = (op.active_core_fraction.clamp(0.0, 1.0)) * total_cores;
@@ -94,15 +94,10 @@ pub fn dc_power(model: &PowerModel, system: &SystemConfig, op: &OperatingPoint) 
 
 /// Wall (post-PSU) power: DC power divided by the supply's efficiency at the
 /// implied load fraction.
-pub fn wall_power(model: &PowerModel, system: &SystemConfig, dc: Watts) -> Watts {
+pub(crate) fn wall_power(model: &PowerModel, system: &SystemConfig, dc: Watts) -> Watts {
     let rated = (system.psu_rating.value() * system.psu_count.max(1) as f64).max(1.0);
     let eff = model.psu_efficiency(dc.value() / rated);
     Watts(dc.value() / eff)
-}
-
-/// Convenience: wall power at an operating point.
-pub fn wall_power_at(model: &PowerModel, system: &SystemConfig, op: &OperatingPoint) -> Watts {
-    wall_power(model, system, dc_power(model, system, op))
 }
 
 #[cfg(test)]
@@ -110,6 +105,10 @@ mod tests {
     use super::*;
     use crate::config::reference_sut;
     use spec_model::{Cpu, JvmInfo, Megahertz, OsInfo};
+
+    fn wall_power_at(model: &PowerModel, system: &SystemConfig, op: &OperatingPoint) -> Watts {
+        wall_power(model, system, dc_power(model, system, op))
+    }
 
     pub(crate) fn test_system(chips: u32, cores: u32) -> SystemConfig {
         SystemConfig {

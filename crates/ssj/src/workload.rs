@@ -6,11 +6,9 @@
 //! convert "transactions" into normalised work units and to inject the mix's
 //! natural throughput variance.
 
-use rand::Rng;
-
 /// One of the six ssj transaction types.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum TransactionType {
+pub(crate) enum TransactionType {
     /// Insert a new customer order.
     NewOrder,
     /// Process a customer payment.
@@ -60,25 +58,12 @@ impl TransactionType {
             TransactionType::CustomerReport => 1.35,
         }
     }
-
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            TransactionType::NewOrder => "new_order",
-            TransactionType::Payment => "payment",
-            TransactionType::OrderStatus => "order_status",
-            TransactionType::Delivery => "delivery",
-            TransactionType::StockLevel => "stock_level",
-            TransactionType::CustomerReport => "customer_report",
-        }
-    }
 }
 
-/// The transaction mix: cumulative distribution for sampling plus the
-/// expected cost of one transaction drawn from the mix.
+/// The transaction mix: the expected cost of one transaction drawn from
+/// the mix, and that cost's variance.
 #[derive(Clone, Debug)]
-pub struct TransactionMix {
-    cumulative: [(f64, TransactionType); 6],
+pub(crate) struct TransactionMix {
     expected_cost: f64,
     cost_variance: f64,
 }
@@ -87,14 +72,6 @@ impl TransactionMix {
     /// The standard ssj mix.
     pub fn standard() -> TransactionMix {
         let total: f64 = TransactionType::ALL.iter().map(|t| t.weight()).sum();
-        let mut acc = 0.0;
-        let mut cumulative = [(0.0, TransactionType::NewOrder); 6];
-        for (slot, &t) in cumulative.iter_mut().zip(TransactionType::ALL.iter()) {
-            acc += t.weight() / total;
-            *slot = (acc, t);
-        }
-        // Force exact 1.0 at the end to make sampling total.
-        cumulative[5].0 = 1.0;
         let expected_cost: f64 = TransactionType::ALL
             .iter()
             .map(|t| t.weight() / total * t.cost())
@@ -108,39 +85,15 @@ impl TransactionMix {
             })
             .sum();
         TransactionMix {
-            cumulative,
             expected_cost,
             cost_variance,
         }
     }
 
-    /// Sample one transaction type.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> TransactionType {
-        let u: f64 = rng.gen();
-        for &(threshold, t) in &self.cumulative {
-            if u <= threshold {
-                return t;
-            }
-        }
-        TransactionType::CustomerReport
-    }
-
-    /// Expected normalised cost of one transaction from the mix.
-    #[inline]
-    pub fn expected_cost(&self) -> f64 {
-        self.expected_cost
-    }
-
-    /// Variance of the per-transaction cost under the mix.
-    #[inline]
-    pub fn cost_variance(&self) -> f64 {
-        self.cost_variance
-    }
-
     /// Relative standard deviation of total work for a batch of `n`
     /// transactions (central-limit scaling) — the natural throughput noise
     /// the engine applies per interval.
-    pub fn batch_work_rel_std(&self, n: f64) -> f64 {
+    pub(crate) fn batch_work_rel_std(&self, n: f64) -> f64 {
         if n <= 0.0 {
             return 0.0;
         }
@@ -151,45 +104,13 @@ impl TransactionMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn mix_cdf_is_total() {
-        let mix = TransactionMix::standard();
-        assert_eq!(mix.cumulative[5].0, 1.0);
-        for w in mix.cumulative.windows(2) {
-            assert!(w[1].0 >= w[0].0, "CDF must be nondecreasing");
-        }
-    }
 
     #[test]
     fn expected_cost_positive_and_sane() {
         let mix = TransactionMix::standard();
-        assert!(mix.expected_cost() > 0.5);
-        assert!(mix.expected_cost() < 2.0);
-        assert!(mix.cost_variance() > 0.0);
-    }
-
-    #[test]
-    fn sampling_matches_weights() {
-        let mix = TransactionMix::standard();
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut counts = std::collections::HashMap::new();
-        const N: usize = 60_000;
-        for _ in 0..N {
-            *counts.entry(mix.sample(&mut rng)).or_insert(0usize) += 1;
-        }
-        let total_weight: f64 = TransactionType::ALL.iter().map(|t| t.weight()).sum();
-        for t in TransactionType::ALL {
-            let expected = t.weight() / total_weight;
-            let observed = counts[&t] as f64 / N as f64;
-            assert!(
-                (observed - expected).abs() < 0.01,
-                "{}: observed {observed:.4}, expected {expected:.4}",
-                t.label()
-            );
-        }
+        assert!(mix.expected_cost > 0.5);
+        assert!(mix.expected_cost < 2.0);
+        assert!(mix.cost_variance > 0.0);
     }
 
     #[test]
@@ -200,12 +121,5 @@ mod tests {
         assert!(small > large);
         assert!(large < 0.001);
         assert_eq!(mix.batch_work_rel_std(0.0), 0.0);
-    }
-
-    #[test]
-    fn labels_unique() {
-        let labels: std::collections::HashSet<&str> =
-            TransactionType::ALL.iter().map(|t| t.label()).collect();
-        assert_eq!(labels.len(), 6);
     }
 }

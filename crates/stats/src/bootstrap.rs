@@ -101,25 +101,14 @@ where
     })
 }
 
-/// Bootstrap CI for the mean.
-pub fn bootstrap_mean_ci(
-    xs: &[f64],
-    confidence: f64,
-    replicates: usize,
-    seed: u64,
-) -> Option<BootstrapCi> {
-    bootstrap_ci(
-        xs,
-        |s| s.iter().sum::<f64>() / s.len() as f64,
-        confidence,
-        replicates,
-        seed,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn mean_ci(xs: &[f64], confidence: f64, replicates: usize, seed: u64) -> Option<BootstrapCi> {
+        let mean = |s: &[f64]| s.iter().sum::<f64>() / s.len() as f64;
+        bootstrap_ci(xs, mean, confidence, replicates, seed)
+    }
 
     #[test]
     fn splitmix_deterministic() {
@@ -150,7 +139,7 @@ mod tests {
     #[test]
     fn ci_contains_estimate_for_stable_data() {
         let xs: Vec<f64> = (0..200).map(|i| 100.0 + ((i * 31) % 17) as f64).collect();
-        let ci = bootstrap_mean_ci(&xs, 0.95, 500, 1).unwrap();
+        let ci = mean_ci(&xs, 0.95, 500, 1).unwrap();
         assert!(ci.lo <= ci.estimate);
         assert!(ci.estimate <= ci.hi);
         // Width should be modest relative to the spread.
@@ -160,21 +149,21 @@ mod tests {
     #[test]
     fn ci_deterministic_given_seed() {
         let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let a = bootstrap_mean_ci(&xs, 0.9, 200, 5).unwrap();
-        let b = bootstrap_mean_ci(&xs, 0.9, 200, 5).unwrap();
+        let a = mean_ci(&xs, 0.9, 200, 5).unwrap();
+        let b = mean_ci(&xs, 0.9, 200, 5).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn ci_rejects_bad_inputs() {
-        assert!(bootstrap_mean_ci(&[], 0.95, 100, 1).is_none());
-        assert!(bootstrap_mean_ci(&[1.0], 1.5, 100, 1).is_none());
-        assert!(bootstrap_mean_ci(&[1.0], 0.95, 0, 1).is_none());
+        assert!(mean_ci(&[], 0.95, 100, 1).is_none());
+        assert!(mean_ci(&[1.0], 1.5, 100, 1).is_none());
+        assert!(mean_ci(&[1.0], 0.95, 0, 1).is_none());
     }
 
     #[test]
     fn ci_degenerate_single_value() {
-        let ci = bootstrap_mean_ci(&[5.0, 5.0, 5.0], 0.95, 100, 1).unwrap();
+        let ci = mean_ci(&[5.0, 5.0, 5.0], 0.95, 100, 1).unwrap();
         assert_eq!(ci.lo, 5.0);
         assert_eq!(ci.hi, 5.0);
     }

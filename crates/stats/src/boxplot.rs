@@ -77,12 +77,6 @@ impl BoxStats {
             outliers,
         })
     }
-
-    /// Interquartile range.
-    #[inline]
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 #[cfg(test)]
@@ -139,9 +133,8 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_iqr() {
+    fn mean_is_the_sample_mean() {
         let b = BoxStats::from_slice(&[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert!((b.mean - 2.5).abs() < 1e-12);
-        assert!((b.iqr() - 1.5).abs() < 1e-12);
     }
 }

@@ -72,49 +72,6 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
     pearson(&ranks(&xs2), &ranks(&ys2))
 }
 
-/// Kendall's τ-b (tie-corrected), O(n²) — fine for the ≤ few hundred runs
-/// per era the paper correlates.
-pub fn kendall_tau(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    let pts: Vec<(f64, f64)> = xs
-        .iter()
-        .zip(ys)
-        .filter(|(x, y)| x.is_finite() && y.is_finite())
-        .map(|(&x, &y)| (x, y))
-        .collect();
-    let n = pts.len();
-    if n < 2 {
-        return None;
-    }
-    let mut concordant = 0i64;
-    let mut discordant = 0i64;
-    let mut ties_x = 0i64;
-    let mut ties_y = 0i64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let dx = pts[i].0 - pts[j].0;
-            let dy = pts[i].1 - pts[j].1;
-            if dx == 0.0 && dy == 0.0 {
-                ties_x += 1;
-                ties_y += 1;
-            } else if dx == 0.0 {
-                ties_x += 1;
-            } else if dy == 0.0 {
-                ties_y += 1;
-            } else if dx * dy > 0.0 {
-                concordant += 1;
-            } else {
-                discordant += 1;
-            }
-        }
-    }
-    let n0 = (n * (n - 1) / 2) as i64;
-    let denom = (((n0 - ties_x) as f64) * ((n0 - ties_y) as f64)).sqrt();
-    if denom == 0.0 {
-        return None;
-    }
-    Some((concordant - discordant) as f64 / denom)
-}
-
 /// A labelled symmetric correlation matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CorrelationMatrix {
@@ -160,23 +117,6 @@ impl CorrelationMatrix {
         let i = self.labels.iter().position(|l| l == a)?;
         let j = self.labels.iter().position(|l| l == b)?;
         Some(self.values[i][j])
-    }
-
-    /// Pairs (a, b, r) with |r| ≥ `threshold`, strongest first, excluding the
-    /// diagonal and NaNs.
-    pub fn strong_pairs(&self, threshold: f64) -> Vec<(String, String, f64)> {
-        let k = self.labels.len();
-        let mut out = Vec::new();
-        for i in 0..k {
-            for j in (i + 1)..k {
-                let r = self.values[i][j];
-                if r.is_finite() && r.abs() >= threshold {
-                    out.push((self.labels[i].clone(), self.labels[j].clone(), r));
-                }
-            }
-        }
-        out.sort_by(|a, b| b.2.abs().partial_cmp(&a.2.abs()).expect("finite"));
-        out
     }
 }
 
@@ -224,33 +164,11 @@ mod tests {
     }
 
     #[test]
-    fn kendall_basics() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert!((kendall_tau(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        let rev: Vec<f64> = ys.iter().rev().copied().collect();
-        assert!((kendall_tau(&xs, &rev).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kendall_with_ties_bounded() {
-        let xs = [1.0, 1.0, 2.0, 3.0];
-        let ys = [5.0, 6.0, 6.0, 8.0];
-        let tau = kendall_tau(&xs, &ys).unwrap();
-        assert!((-1.0..=1.0).contains(&tau));
-        assert!(tau > 0.0);
-    }
-
-    #[test]
     fn correlation_bounds_random() {
         // Deterministic pseudo-random data stays within [-1, 1].
         let xs: Vec<f64> = (0..200).map(|i| ((i * 37 % 101) as f64).sin()).collect();
         let ys: Vec<f64> = (0..200).map(|i| ((i * 53 % 97) as f64).cos()).collect();
-        for r in [
-            pearson(&xs, &ys).unwrap(),
-            spearman(&xs, &ys).unwrap(),
-            kendall_tau(&xs, &ys).unwrap(),
-        ] {
+        for r in [pearson(&xs, &ys).unwrap(), spearman(&xs, &ys).unwrap()] {
             assert!((-1.0..=1.0).contains(&r), "{r}");
         }
     }
@@ -266,17 +184,5 @@ mod tests {
         assert!((m.get("a", "c").unwrap() + 1.0).abs() < 1e-12);
         assert_eq!(m.get("b", "a"), m.get("a", "b"));
         assert_eq!(m.get("a", "zzz"), None);
-    }
-
-    #[test]
-    fn strong_pairs_sorted_by_magnitude() {
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let b = [1.1, 2.2, 2.9, 4.2, 4.8]; // strongly but not perfectly correlated
-        let c = [3.0, 1.0, 4.0, 1.0, 5.0]; // weak
-        let m = CorrelationMatrix::pearson(&[("a", &a), ("b", &b), ("c", &c)]);
-        let pairs = m.strong_pairs(0.9);
-        assert_eq!(pairs.len(), 1);
-        assert_eq!(pairs[0].0, "a");
-        assert_eq!(pairs[0].1, "b");
     }
 }

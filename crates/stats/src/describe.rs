@@ -86,11 +86,6 @@ impl Summary {
         (self.n > 1).then(|| self.m2 / (self.n - 1) as f64)
     }
 
-    /// Population variance (n denominator); `None` when empty.
-    pub fn population_variance(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.m2 / self.n as f64)
-    }
-
     /// Sample standard deviation.
     pub fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
@@ -104,14 +99,6 @@ impl Summary {
     /// Largest observation.
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
-    }
-
-    /// Coefficient of variation (σ/μ); `None` when undefined.
-    pub fn cv(&self) -> Option<f64> {
-        match (self.std_dev(), self.mean()) {
-            (Some(sd), Some(m)) if m != 0.0 => Some(sd / m),
-            _ => None,
-        }
     }
 }
 
@@ -159,8 +146,6 @@ mod tests {
         let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].iter().collect();
         assert_eq!(s.count(), 8);
         assert!((s.mean().unwrap() - 5.0).abs() < 1e-12);
-        // Population variance of this classic example is 4.
-        assert!((s.population_variance().unwrap() - 4.0).abs() < 1e-12);
         assert!((s.variance().unwrap() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
@@ -172,7 +157,6 @@ mod tests {
         let s: Summary = [42.0].iter().collect();
         assert_eq!(s.mean(), Some(42.0));
         assert_eq!(s.variance(), None);
-        assert_eq!(s.population_variance(), Some(0.0));
     }
 
     #[test]
@@ -222,12 +206,5 @@ mod tests {
         assert_eq!(mean(&[]), None);
         assert!((mean(&[1.0, 2.0, 3.0]).unwrap() - 2.0).abs() < 1e-12);
         assert!((std_dev(&[1.0, 2.0, 3.0]).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cv_definition() {
-        let s: Summary = [10.0, 20.0, 30.0].iter().collect();
-        let cv = s.cv().unwrap();
-        assert!((cv - 10.0 / 20.0).abs() < 1e-12);
     }
 }

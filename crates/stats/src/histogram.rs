@@ -48,35 +48,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-
-    /// Index of the fullest bin (first one on ties); `None` if all empty.
-    pub fn mode_bin(&self) -> Option<usize> {
-        let max = *self.counts.iter().max()?;
-        if max == 0 {
-            return None;
-        }
-        self.counts.iter().position(|&c| c == max)
-    }
-}
-
-/// Group values by an integer key (e.g. hardware-availability year) and
-/// return the groups in ascending key order.
-pub fn group_by_key<T, K, F>(items: &[T], mut key: F) -> BTreeMap<K, Vec<&T>>
-where
-    K: Ord,
-    F: FnMut(&T) -> K,
-{
-    let mut map: BTreeMap<K, Vec<&T>> = BTreeMap::new();
-    for item in items {
-        map.entry(key(item)).or_default().push(item);
-    }
-    map
 }
 
 /// Bin (key, value) pairs by key and reduce each group's values to its mean.
@@ -118,36 +89,9 @@ mod tests {
     }
 
     #[test]
-    fn bin_centers() {
-        let h = Histogram::new(0.0, 10.0, 5, &[]);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(4) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mode_bin() {
-        let h = Histogram::new(0.0, 3.0, 3, &[0.1, 1.1, 1.2, 2.9]);
-        assert_eq!(h.mode_bin(), Some(1));
-        let empty = Histogram::new(0.0, 1.0, 2, &[]);
-        assert_eq!(empty.mode_bin(), None);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one bin")]
     fn zero_bins_panics() {
         Histogram::new(0.0, 1.0, 0, &[]);
-    }
-
-    #[test]
-    fn group_by_year_like_key() {
-        let items = [(2007, "a"), (2008, "b"), (2007, "c")];
-        let groups = group_by_key(&items, |it| it.0);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[&2007].len(), 2);
-        assert_eq!(groups[&2008].len(), 1);
-        // BTreeMap iterates keys in order.
-        let keys: Vec<i32> = groups.keys().copied().collect();
-        assert_eq!(keys, vec![2007, 2008]);
     }
 
     #[test]

@@ -9,34 +9,31 @@
 //! * [`BoxStats`] — Tukey box-and-whisker statistics (Figure 4);
 //! * [`fit`]/[`LinearFit`] — ordinary least squares (trend lines and the
 //!   Figure 6 idle extrapolation);
-//! * [`pearson`]/[`spearman`]/[`kendall_tau`]/[`CorrelationMatrix`] — the
-//!   Section-IV correlation exploration;
+//! * [`pearson`]/[`spearman`]/[`CorrelationMatrix`] — the Section-IV
+//!   correlation exploration;
 //! * [`Histogram`], [`mean_by_key`] — binning helpers;
 //! * [`bootstrap_ci`] — percentile-bootstrap confidence intervals with a
 //!   built-in deterministic [`SplitMix64`];
-//! * [`moving_average`]/[`ewma`] — smoothing overlays;
 //! * [`theil_sen`]/[`mann_kendall`] — outlier-robust trend estimation and
 //!   significance testing for the "X increases over the years" claims.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bootstrap;
-pub mod boxplot;
+pub(crate) mod bootstrap;
+pub(crate) mod boxplot;
 pub mod corr;
-pub mod describe;
+pub(crate) mod describe;
 pub mod histogram;
-pub mod linreg;
+pub(crate) mod linreg;
 pub mod quantile;
-pub mod rolling;
 pub mod trend;
 
-pub use bootstrap::{bootstrap_ci, bootstrap_mean_ci, BootstrapCi, SplitMix64};
+pub use bootstrap::{bootstrap_ci, BootstrapCi, SplitMix64};
 pub use boxplot::BoxStats;
-pub use corr::{kendall_tau, pearson, ranks, spearman, CorrelationMatrix};
+pub use corr::{pearson, ranks, spearman, CorrelationMatrix};
 pub use describe::{mean, std_dev, Summary};
-pub use histogram::{group_by_key, mean_by_key, Histogram};
-pub use linreg::{extrapolate_to_zero, fit, FitError, LinearFit};
-pub use quantile::{iqr, median, quantile, quantile_sorted, quantiles, sorted_finite};
-pub use rolling::{ewma, moving_average};
+pub use histogram::{mean_by_key, Histogram};
+pub use linreg::{fit, FitError, LinearFit};
+pub use quantile::{median, quantile, quantiles};
 pub use trend::{mann_kendall, theil_sen, MannKendall, TheilSen};

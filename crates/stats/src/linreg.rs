@@ -107,13 +107,6 @@ pub fn fit(xs: &[f64], ys: &[f64]) -> Result<LinearFit, FitError> {
     })
 }
 
-/// The paper's two-point idle extrapolation: line through
-/// `(10, p10)` and `(20, p20)` evaluated at load 0.
-pub fn extrapolate_to_zero(p10: f64, p20: f64) -> f64 {
-    let slope = (p20 - p10) / 10.0;
-    p10 - slope * 10.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,20 +179,5 @@ mod tests {
         let f = fit(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]).unwrap();
         assert_eq!(f.slope, 0.0);
         assert_eq!(f.r2, 1.0);
-    }
-
-    #[test]
-    fn two_point_extrapolation_matches_full_fit() {
-        let (p10, p20) = (120.0, 145.0);
-        let direct = extrapolate_to_zero(p10, p20);
-        let via_fit = fit(&[10.0, 20.0], &[p10, p20]).unwrap().predict(0.0);
-        assert!((direct - via_fit).abs() < 1e-9);
-        assert!((direct - 95.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn extrapolation_flat_curve() {
-        // Equal powers at 10 % and 20 % → extrapolated idle equals both.
-        assert_eq!(extrapolate_to_zero(80.0, 80.0), 80.0);
     }
 }

@@ -9,7 +9,7 @@
 /// unique, and it is computed as an unstable sort of integer keys in IEEE
 /// total order, about twice as fast. With both zeros present the stable
 /// sort keeps their input order.
-pub fn sorted_finite(xs: &[f64]) -> Vec<f64> {
+pub(crate) fn sorted_finite(xs: &[f64]) -> Vec<f64> {
     let mut keys: Vec<i64> = xs
         .iter()
         .filter(|x| x.is_finite())
@@ -39,7 +39,7 @@ fn total_key_inverse(key: i64) -> f64 {
 /// Type-7 quantile of **already sorted** data, `q ∈ [0, 1]`.
 ///
 /// Returns `None` for empty input or out-of-range `q`.
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
+pub(crate) fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
     if sorted.is_empty() || !(0.0..=1.0).contains(&q) {
         return None;
     }
@@ -62,12 +62,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
 /// Median (50th percentile).
 pub fn median(xs: &[f64]) -> Option<f64> {
     quantile(xs, 0.5)
-}
-
-/// Interquartile range Q3 − Q1.
-pub fn iqr(xs: &[f64]) -> Option<f64> {
-    let sorted = sorted_finite(xs);
-    Some(quantile_sorted(&sorted, 0.75)? - quantile_sorted(&sorted, 0.25)?)
 }
 
 /// Several quantiles of the same data in one sort.
@@ -180,13 +174,6 @@ mod tests {
     fn nan_filtered() {
         let xs = [1.0, f64::NAN, 3.0];
         assert_eq!(median(&xs), Some(2.0));
-    }
-
-    #[test]
-    fn iqr_known() {
-        let xs: Vec<f64> = (1..=8).map(|i| i as f64).collect();
-        // Q1 = 2.75, Q3 = 6.25 → IQR = 3.5 (type-7).
-        assert!((iqr(&xs).unwrap() - 3.5).abs() < 1e-12);
     }
 
     #[test]

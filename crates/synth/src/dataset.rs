@@ -1,6 +1,6 @@
 //! End-to-end dataset generation: the 1017 synthetic submissions.
 //!
-//! Every submission slot from [`crate::market::submission_plan`] is turned
+//! Every submission slot from `market::submission_plan` is turned
 //! into a simulated benchmark run and rendered as a SPEC-style text report.
 //! Valid-but-excluded categories (multi-node/4-socket, non-x86, desktop
 //! CPUs) and stage-1 anomalies are generated per plan so the paper's filter

@@ -29,5 +29,5 @@ pub use dataset::{
     Category, GeneratedDataset, Submission, SynthConfig,
 };
 pub use lineup::{Generation, Sku};
-pub use market::{submission_plan, AnomalyKind, YearPlan};
+pub use market::AnomalyKind;
 pub use params::{build_system, SampledSystem};

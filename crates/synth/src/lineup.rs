@@ -660,14 +660,14 @@ pub const AMD_GENERATIONS: [Generation; 7] = [
 ];
 
 /// Non-x86 SKUs for the nine stage-2 `NonX86Vendor` rejects.
-pub const OTHER_VENDOR_SKUS: [Sku; 3] = [
+pub(crate) const OTHER_VENDOR_SKUS: [Sku; 3] = [
     sku("SPARC T3-1", 16, 1.65, 1.65, 139.0, 1.0),
     sku("IBM POWER7", 8, 3.55, 3.55, 200.0, 1.0),
     sku("Fujitsu SPARC64 VII", 4, 2.88, 2.88, 135.0, 1.0),
 ];
 
 /// Desktop/non-server x86 SKUs for the six `NotServerClass` rejects.
-pub const DESKTOP_SKUS: [Sku; 4] = [
+pub(crate) const DESKTOP_SKUS: [Sku; 4] = [
     sku("Intel Core 2 Duo E6850", 2, 3.0, 3.0, 65.0, 1.0),
     sku("Intel Core i3-2120", 2, 3.3, 3.3, 65.0, 1.0),
     sku("AMD Athlon II X4 610e", 4, 2.4, 2.4, 45.0, 1.0),
@@ -683,7 +683,7 @@ pub fn all_generations() -> Vec<&'static Generation> {
 }
 
 /// Generations of a vendor on the market in `(year, month)`.
-pub fn available_in(vendor: CpuVendor, year: i32, month: u8) -> Vec<&'static Generation> {
+pub(crate) fn available_in(vendor: CpuVendor, year: i32, month: u8) -> Vec<&'static Generation> {
     let stamp = (year, month);
     all_generations()
         .into_iter()

@@ -40,7 +40,7 @@ fn memory_per_core(year: i32) -> f64 {
 
 /// Round a memory size up to a realistic configuration (powers of two and
 /// the 1.5× points, e.g. 96/384/768 GB).
-pub fn round_memory_gb(raw: f64) -> u32 {
+pub(crate) fn round_memory_gb(raw: f64) -> u32 {
     const STEPS: [u32; 15] = [
         4, 8, 16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536,
     ];
@@ -78,7 +78,7 @@ fn chip_power_at(
 /// whose package power stays within `tdp × power_cap` (bisection; the power
 /// curve is strictly increasing in `f`).
 #[allow(clippy::too_many_arguments)]
-pub fn solve_turbo(
+pub(crate) fn solve_turbo(
     headroom: f64,
     tdp: f64,
     power_cap: f64,

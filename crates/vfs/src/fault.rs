@@ -229,15 +229,6 @@ impl FaultVfs {
         self.lock().counts.get(&op).copied().unwrap_or(0)
     }
 
-    /// How many operations had a fault injected.
-    pub fn injected_count(&self) -> usize {
-        self.lock()
-            .trace
-            .iter()
-            .filter(|t| t.injected.is_some())
-            .count()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
         match self.state.lock() {
             Ok(g) => g,
@@ -395,7 +386,6 @@ mod tests {
         assert!(err.to_string().contains("injected eio"), "{err}");
         assert!(vfs.read(&p).is_ok(), "read #2 clean");
         assert_eq!(vfs.op_count(OpKind::Read), 3);
-        assert_eq!(vfs.injected_count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -500,7 +490,6 @@ mod tests {
         for _ in 0..64 {
             assert!(vfs.read(&p).is_ok());
         }
-        assert_eq!(vfs.injected_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,7 +10,7 @@
 //!   faults (EIO on the k-th read, short reads, torn writes, ENOSPC,
 //!   vanished files, transient-then-success errors) and records an
 //!   operation trace, for chaos testing;
-//! * [`RetryVfs`] — a wrapper that retries transient errors with
+//! * `RetryVfs` — a wrapper that retries transient errors with
 //!   exponential backoff over an injectable [`Clock`] (no wall-clock time
 //!   in tests).
 //!
@@ -42,7 +42,8 @@ mod shared;
 
 pub use fault::{Fault, FaultKind, FaultVfs, OpKind, TraceEntry};
 pub use real::RealVfs;
-pub use retry::{is_transient, Clock, RealClock, RetryPolicy, RetryVfs, TestClock};
+pub use retry::{Clock, TestClock};
+pub(crate) use retry::{RealClock, RetryPolicy, RetryVfs};
 pub use shared::{SharedText, SlabArena, DEFAULT_SLAB_BYTES};
 
 use std::io;
@@ -71,7 +72,7 @@ pub struct FileStat {
 
 impl FileStat {
     /// The stat of `meta`, as [`RealVfs::stat`] reports it.
-    pub fn from_metadata(meta: &std::fs::Metadata) -> FileStat {
+    pub(crate) fn from_metadata(meta: &std::fs::Metadata) -> FileStat {
         #[cfg(unix)]
         let ino = std::os::unix::fs::MetadataExt::ino(meta);
         #[cfg(not(unix))]
@@ -215,7 +216,7 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// The process-wide default backend: [`RealVfs`] wrapped in a [`RetryVfs`]
+/// The process-wide default backend: [`RealVfs`] wrapped in a `RetryVfs`
 /// with the default exponential-backoff policy and the real clock. Used by
 /// every production entry point that does not inject a backend explicitly.
 pub fn default_vfs() -> Arc<dyn Vfs> {

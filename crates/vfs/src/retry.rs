@@ -10,7 +10,7 @@ use crate::{FileStat, Vfs};
 /// Is this error worth retrying? Transient conditions — interrupted
 /// syscalls, would-block, timeouts — clear on their own; everything else
 /// (EIO, ENOSPC, NotFound, permission) is permanent and must escalate.
-pub fn is_transient(err: &io::Error) -> bool {
+pub(crate) fn is_transient(err: &io::Error) -> bool {
     matches!(
         err.kind(),
         io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -26,7 +26,7 @@ pub trait Clock: Send + Sync + std::fmt::Debug {
 
 /// Production clock: `std::thread::sleep`.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct RealClock;
+pub(crate) struct RealClock;
 
 impl Clock for RealClock {
     fn sleep(&self, d: Duration) {
@@ -66,7 +66,7 @@ impl Clock for TestClock {
 
 /// Exponential-backoff retry policy for transient I/O errors.
 #[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// Total attempts (1 = no retry).
     pub attempts: u32,
     /// Delay before the first retry.
@@ -90,17 +90,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The backoff delay before retry number `retry` (0-based):
     /// `base * factor^retry`, capped.
-    pub fn delay(&self, retry: u32) -> Duration {
+    pub(crate) fn delay(&self, retry: u32) -> Duration {
         let mut d = self.base;
         for _ in 0..retry {
             d = d.saturating_mul(self.factor);
@@ -137,7 +129,7 @@ impl RetryPolicy {
 /// [`RetryPolicy`]. Compound provided methods (`read_verified`,
 /// `atomic_write_with`) compose retried primitives automatically.
 #[derive(Debug)]
-pub struct RetryVfs {
+pub(crate) struct RetryVfs {
     inner: Arc<dyn Vfs>,
     policy: RetryPolicy,
     clock: Arc<dyn Clock>,

@@ -20,7 +20,6 @@
 //! | [`cpu2017`] | `spec-cpu2017` | SPEC CPU 2017 rate-score model (Table I) |
 //! | [`format`](mod@format) | `spec-format` | report writer/parser + §II validity filters |
 //! | [`synth`] | `spec-synth` | calibrated market model generating the 1017-file dataset |
-//! | [`sert`] | `spec-sert` | SERT-lite multi-worklet efficiency rating (extension) |
 //! | [`analysis`] | `spec-analysis` | the paper: filter cascade, Figures 1–6, Table I, §IV |
 //! | [`plot`] | `tinyplot` | SVG/ASCII chart rendering |
 //!
@@ -46,7 +45,6 @@ pub use spec_format as format;
 pub use spec_intern as intern;
 pub use spec_model as model;
 pub use spec_obs as obs;
-pub use spec_sert as sert;
 pub use spec_ssj as ssj;
 pub use spec_synth as synth;
 pub use spec_vfs as vfs;

@@ -1,7 +1,7 @@
 //! Property tests on the dataframe substrate.
 
 use proptest::prelude::*;
-use spec_power_trends::frame::{Agg, Column, DType, Frame};
+use spec_power_trends::frame::{Agg, Column, Frame};
 
 prop_compose! {
     fn arb_frame()(
@@ -79,25 +79,6 @@ proptest! {
             .agg(&[("value", Agg::Count)]).unwrap();
         let total: f64 = agg.f64s("value_count").unwrap().iter().sum();
         prop_assert_eq!(total as usize, frame.n_rows());
-    }
-
-    #[test]
-    fn csv_roundtrip_identity(frame in arb_frame()) {
-        let csv = frame.to_csv();
-        let schema = [
-            ("key", DType::I64),
-            ("value", DType::F64),
-            ("label", DType::Str),
-            ("flag", DType::Bool),
-        ];
-        let back = Frame::from_csv(&csv, &schema).unwrap();
-        prop_assert_eq!(back.n_rows(), frame.n_rows());
-        prop_assert_eq!(back.i64s("key").unwrap(), frame.i64s("key").unwrap());
-        prop_assert_eq!(back.strs("label").unwrap(), frame.strs("label").unwrap());
-        prop_assert_eq!(back.bools("flag").unwrap(), frame.bools("flag").unwrap());
-        for (a, b) in back.f64s("value").unwrap().iter().zip(frame.f64s("value").unwrap()) {
-            prop_assert!((a - b).abs() < 1e-9 || (a.is_nan() && b.is_nan()));
-        }
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! spilled and reloaded along the way.
 //!
 //! Property layer: random frames (discrete keys, interned vendors, floats
-//! with NaN, bools) pushed through group-by, CSV rendering, splice-vs-vstack
-//! and left-join at adversarially small segment sizes. Corpus layer: the
-//! full 1017-report synthetic corpus streamed through
-//! [`StreamIngest`] at 1, 2 and 8 threads must reproduce the monolithic
-//! cascade's features and filter report exactly.
+//! with NaN, bools) pushed through group-by and CSV rendering at
+//! adversarially small segment sizes. Corpus layer: the full 1017-report
+//! synthetic corpus streamed through [`StreamIngest`] at 1, 2 and 8
+//! threads must reproduce the monolithic cascade's features and filter
+//! report exactly.
 
 use std::sync::Arc;
 
@@ -102,37 +102,6 @@ proptest! {
     ) {
         let csv = segmented(&frame, segment_rows, spill).to_csv().unwrap();
         prop_assert_eq!(csv, frame.to_csv());
-    }
-
-    #[test]
-    fn splice_matches_vstack(
-        a in arb_frame(),
-        b in arb_frame(),
-        rows_a in 1usize..17,
-        rows_b in 1usize..17,
-    ) {
-        let mut mono = a.clone();
-        mono.vstack(&b).unwrap();
-        let mut seg = SegFrame::from_frame(a, rows_a);
-        seg.splice(SegFrame::from_frame(b, rows_b)).unwrap();
-        prop_assert_eq!(seg.n_rows(), mono.n_rows());
-        prop_assert_eq!(seg.to_csv().unwrap(), mono.to_csv());
-    }
-
-    #[test]
-    fn left_join_is_byte_identical(
-        frame in arb_frame(),
-        segment_rows in 1usize..33,
-        spill in any::<bool>(),
-    ) {
-        let right = Frame::from_columns([
-            ("key", Column::from((0i64..5).collect::<Vec<_>>())),
-            ("weight", Column::from(vec![0.5f64, 1.0, 1.5, 2.0, 2.5])),
-        ]).unwrap();
-        let mono = frame.left_join(&right, &["key"]).unwrap();
-        let mut joined = segmented(&frame, segment_rows, spill)
-            .left_join(&right, &["key"]).unwrap();
-        prop_assert_eq!(joined.to_csv().unwrap(), mono.to_csv());
     }
 }
 

@@ -2,9 +2,7 @@
 //! must hold for any input.
 
 use proptest::prelude::*;
-use spec_power_trends::stats::{
-    fit, kendall_tau, mean, median, pearson, quantile, spearman, BoxStats, Summary,
-};
+use spec_power_trends::stats::{fit, mean, median, pearson, quantile, spearman, BoxStats, Summary};
 
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, len)
@@ -79,7 +77,7 @@ proptest! {
     fn correlations_bounded(xs in finite_vec(3..100), ys in finite_vec(3..100)) {
         let n = xs.len().min(ys.len());
         let (xs, ys) = (&xs[..n], &ys[..n]);
-        for r in [pearson(xs, ys), spearman(xs, ys), kendall_tau(xs, ys)].into_iter().flatten() {
+        for r in [pearson(xs, ys), spearman(xs, ys)].into_iter().flatten() {
             prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "{r}");
         }
     }
