@@ -2,14 +2,14 @@
 //! native 1017-report corpus and at ×10 / ×100 / ×1000 replications (up to
 //! ~1.02M reports).
 //!
-//! Unlike the Criterion benches this is a plain `harness = false` binary:
-//! it times whole-corpus passes with `Instant`, samples peak RSS via
-//! `spec_obs::peak_rss_kb`, and upserts its keys into `BENCH_ingest.json`
-//! at the repository root (override the path with `SPEC_BENCH_OUT`),
-//! leaving sections other benches own (`parse_micro`) intact. Run it with:
+//! A plain `harness = false` binary: it times whole-corpus passes with
+//! `Instant`, samples peak RSS via `spec_obs::peak_rss_kb`, and upserts
+//! its keys into `BENCH_ingest.json` at the repository root (override the
+//! path with `SPEC_BENCH_OUT`), leaving sections other benches own
+//! (`parse_micro`) intact. Run it with:
 //!
 //! ```text
-//! cargo bench --bench corpus_scaling
+//! cargo bench -p spec-bench --bench corpus_scaling
 //! ```
 //!
 //! The 1017-report model is simulated **once**; every scale streams its

@@ -8,6 +8,10 @@
 //! ```text
 //! cargo run --release -p spec-bench --bin reproduce [-- OUT_DIR [SEED]]
 //! ```
+//!
+//! `--help`/`-h` prints the usage and exits 0; any other option, a SEED
+//! that is not an unsigned integer or a third argument exits 2 before
+//! anything is written.
 
 use std::path::PathBuf;
 
@@ -15,10 +19,39 @@ use spec_analysis::{load_from_texts_parallel, run_study};
 use spec_ssj::Settings;
 use spec_synth::{generate_dataset, SynthConfig};
 
+const USAGE: &str = "usage: reproduce [OUT_DIR [SEED]]
+  OUT_DIR  where EXPERIMENTS.md, figures/ and data/ are written (default: .)
+  SEED     synthetic-dataset seed, an unsigned integer (default: 3)
+";
+
+/// `(OUT_DIR, SEED)` from the arguments, or the exit code once the usage
+/// (or what is wrong with them) has been printed.
+fn parse_args(args: &[String]) -> Result<(PathBuf, u64), i32> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return Err(0);
+    }
+    let usage_error = |why: String| {
+        eprint!("reproduce: {why}\n{USAGE}");
+        Err(2)
+    };
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        return usage_error(format!("unknown option {flag:?}"));
+    }
+    match args {
+        [] => Ok((PathBuf::new(), 3)),
+        [out] => Ok((out.into(), 3)),
+        [out, seed] => match seed.parse() {
+            Ok(seed) => Ok((out.into(), seed)),
+            Err(_) => usage_error(format!("SEED must be an unsigned integer, got {seed:?}")),
+        },
+        _ => usage_error(format!("expected at most 2 arguments, got {}", args.len())),
+    }
+}
+
 fn main() -> std::io::Result<()> {
-    let mut args = std::env::args().skip(1);
-    let out_dir = args.next().map(PathBuf::from).unwrap_or_default();
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (out_dir, seed) = parse_args(&args).unwrap_or_else(|code| std::process::exit(code));
 
     eprintln!("[1/4] generating synthetic dataset (seed {seed})…");
     let dataset = generate_dataset(&SynthConfig {
@@ -36,12 +69,8 @@ fn main() -> std::io::Result<()> {
 
     eprintln!("[4/4] writing outputs…");
     let markdown = study.to_markdown();
+    std::fs::create_dir_all(&out_dir)?;
     let report_path = out_dir.join("EXPERIMENTS.md");
-    if let Some(parent) = report_path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
     std::fs::write(&report_path, &markdown)?;
     let fig_dir = out_dir.join("figures");
     let figures = study.write_figures(&fig_dir)?;

@@ -1,13 +1,9 @@
-//! Shared fixtures for the Criterion benches.
-//!
-//! Every figure/table bench runs against the same cached synthetic dataset
-//! so `cargo bench` regenerates the paper's rows exactly once per process
-//! and then measures the per-figure computation cost.
+//! Shared fixtures for the `spec-bench` targets: the seed-3 synthetic
+//! dataset they measure and the JSON upsert that lets several of them
+//! write into one `BENCH_*.json` document.
 
 use std::sync::OnceLock;
 
-use spec_analysis::{load_from_texts_parallel, AnalysisSet};
-use spec_model::RunResult;
 use spec_ssj::Settings;
 use spec_synth::{generate_dataset, GeneratedDataset, SynthConfig};
 
@@ -32,22 +28,6 @@ pub fn dataset() -> &'static GeneratedDataset {
     })
 }
 
-/// The cached filter-cascade result over [`dataset`].
-pub fn analysis_set() -> &'static AnalysisSet {
-    static SET: OnceLock<AnalysisSet> = OnceLock::new();
-    SET.get_or_init(|| load_from_texts_parallel(&dataset().texts().collect::<Vec<_>>()))
-}
-
-/// The comparable runs (the paper's 676-run set).
-pub fn comparable() -> &'static [RunResult] {
-    &analysis_set().comparable
-}
-
-/// The valid runs (the paper's 960-run set).
-pub fn valid() -> &'static [RunResult] {
-    &analysis_set().valid
-}
-
 /// Insert or replace a top-level `"key": value` entry in a hand-rolled
 /// JSON object document, preserving every other entry byte-for-byte.
 ///
@@ -68,103 +48,54 @@ pub fn upsert_json_section(original: &str, key: &str, section: &str) -> String {
     let mut doc = trimmed.to_string();
     let needle = format!("\"{key}\"");
     if let Some(key_at) = find_top_level_key(&doc, &needle) {
-        // Replace the existing value: skip past the colon, then
-        // brace/bracket-match (or scan a scalar) to find the value end.
+        // Replace the existing value: skip past the colon and scan to the
+        // value's end — just past its matching close bracket, or (for a
+        // scalar) up to the next top-level ',' or the root's '}'.
         let after_key = key_at + needle.len();
         let colon = match doc[after_key..].find(':') {
             Some(c) => after_key + c + 1,
             None => return fallback(),
         };
         let bytes = doc.as_bytes();
-        let mut i = colon;
-        while i < bytes.len() && (bytes[i] as char).is_whitespace() {
-            i += 1;
-        }
-        let value_end = match bytes.get(i) {
-            Some(&open @ (b'{' | b'[')) => {
-                let close = if open == b'{' { b'}' } else { b']' };
-                let mut depth = 0usize;
-                let mut in_str = false;
-                let mut end = None;
-                let mut j = i;
-                while j < bytes.len() {
-                    let b = bytes[j];
-                    if in_str {
-                        if b == b'\\' {
-                            j += 1;
-                        } else if b == b'"' {
-                            in_str = false;
-                        }
-                    } else if b == b'"' {
-                        in_str = true;
-                    } else if b == open {
-                        depth += 1;
-                    } else if b == close {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = Some(j + 1);
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                match end {
-                    Some(e) => e,
-                    None => return fallback(),
-                }
-            }
-            Some(_) => {
-                // Scalar: runs to the next top-level ',' or the final '}'.
-                let mut j = i;
-                let mut in_str = false;
-                while j < bytes.len() {
-                    let b = bytes[j];
-                    if in_str {
-                        if b == b'\\' {
-                            j += 1;
-                        } else if b == b'"' {
-                            in_str = false;
-                        }
-                    } else if b == b'"' {
-                        in_str = true;
-                    } else if b == b',' || b == b'}' {
+        let start = doc.len() - doc[colon..].trim_start().len();
+        let nested = matches!(bytes.get(start), Some(b'{' | b'['));
+        let (mut depth, mut in_str, mut j) = (0usize, false, start);
+        while j < bytes.len() {
+            match bytes[j] {
+                b'\\' if in_str => j += 1,
+                b'"' => in_str = !in_str,
+                _ if in_str => {}
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' if depth == 0 => break,
+                b'}' | b']' => {
+                    depth -= 1;
+                    if depth == 0 && nested {
+                        j += 1;
                         break;
                     }
-                    j += 1;
                 }
-                j
+                b',' if depth == 0 => break,
+                _ => {}
             }
-            None => return fallback(),
-        };
-        doc.replace_range(colon..value_end, &format!(" {section}"));
-        if !doc.ends_with('\n') {
-            doc.push('\n');
+            j += 1;
         }
-        return doc;
-    }
-    // No existing entry: insert before the closing brace, adding a comma
-    // after the last entry if the object is non-empty.
-    let close = match doc.rfind('}') {
-        Some(c) => c,
-        None => return fallback(),
-    };
-    let body_is_empty = doc[1..close].trim().is_empty();
-    let insertion = if body_is_empty {
-        format!("\n  \"{key}\": {section}\n")
-    } else {
-        let before = doc[..close].trim_end().len();
-        doc.truncate(before);
-        doc.push_str(&format!(",\n  \"{key}\": {section}\n"));
-        doc.push('}');
-        if !doc.ends_with('\n') {
-            doc.push('\n');
+        if j >= bytes.len() {
+            return fallback();
         }
-        return doc;
-    };
-    doc.replace_range(close..close, &insertion);
-    if !doc.ends_with('\n') {
+        doc.replace_range(colon..j, &format!(" {section}"));
         doc.push('\n');
+        return doc;
     }
+    // No existing entry: insert before the closing brace (the last byte),
+    // adding a comma after the last entry if the object is non-empty.
+    let close = doc.len() - 1;
+    let separator = if doc[1..close].trim().is_empty() {
+        ""
+    } else {
+        ","
+    };
+    doc.truncate(doc[..close].trim_end().len());
+    doc.push_str(&format!("{separator}\n  \"{key}\": {section}\n}}\n"));
     doc
 }
 
@@ -215,8 +146,9 @@ mod tests {
     #[test]
     fn fixtures_have_expected_sizes() {
         assert_eq!(dataset().submissions.len(), 1017);
-        assert_eq!(valid().len(), 960);
-        assert_eq!(comparable().len(), 676);
+        let set = spec_analysis::load_from_texts_parallel(&dataset().texts().collect::<Vec<_>>());
+        assert_eq!(set.valid.len(), 960);
+        assert_eq!(set.comparable.len(), 676);
     }
 
     #[test]

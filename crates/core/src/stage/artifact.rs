@@ -12,7 +12,7 @@ use spec_model::RunResult;
 
 use super::cache::{content_hash, ContentHasher, Hash128};
 use super::codec::{Codec, CodecError, Reader, Writer};
-use crate::pipeline::{AnalysisSet, FilterReport, RawInput, RawInputRef};
+use crate::pipeline::{cascade, AnalysisSet, FilterReport, RawInput, RawInputRef};
 use crate::table1::Table1;
 
 /// The raw corpus: `(origin, input)` per input file. Origin is the file
@@ -107,6 +107,18 @@ pub struct ValidateArtifact {
     pub valid: Vec<RunResult>,
     /// Accounting through stage 1 (raw, not_reports + reasons, stage1).
     pub report: FilterReport,
+}
+
+/// The Validate stage: parse + validate (§II stage 1).
+///
+/// Stage 1 of the sharded cascade kernel with no stage-2 continuation:
+/// chunks merge in order ([`FilterReport::merge`] offsets parse-failure
+/// indices), so the artifact — and its encoded bytes and cache hash — is
+/// the same at any thread count.
+pub fn validate_corpus(corpus: &CorpusArtifact) -> ValidateArtifact {
+    let (report, chunks) = cascade(&corpus.items, false, |chunk| (chunk.report, chunk.valid));
+    let valid = chunks.into_iter().flatten().collect();
+    ValidateArtifact { valid, report }
 }
 
 /// Output of the Comparable stage: which valid runs survive stage 2, by

@@ -35,20 +35,17 @@ use spec_synth::{generate_dataset, SynthConfig};
 use spec_vfs::Vfs;
 
 use super::artifact::{
-    assemble_set, corpus_fingerprint, ComparableArtifact, CorpusArtifact, DeriveArtifact,
-    FilesArtifact, ValidateArtifact,
+    assemble_set, corpus_fingerprint, validate_corpus, ComparableArtifact, CorpusArtifact,
+    DeriveArtifact, FilesArtifact, ValidateArtifact,
 };
 use super::cache::{ArtifactCache, ContentHasher, Hash128};
 use super::codec::{encode_to_vec, Codec};
-use super::graph::{
-    ComparableStage, DeriveStage, ExportDataStage, ExportFiguresStage, Fig1Stage, Fig2Stage,
-    Fig3Stage, Fig4Stage, Fig5Stage, Fig6Stage, Stage, StageId, ValidateStage,
-};
+use super::graph::StageId;
 use super::manifest::{CorpusManifest, DirScan};
 use super::CODE_VERSION;
 use crate::export::ExportInputs;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
-use crate::pipeline::{AnalysisSet, FilterReport, RawInput};
+use crate::pipeline::{stage2_split, AnalysisSet, FilterReport, RawInput};
 use crate::report::Study;
 
 /// Where the raw corpus comes from.
@@ -453,7 +450,7 @@ impl PipelineDriver {
     pub fn validate(&mut self) -> spec_diag::Result<Rc<ValidateArtifact>> {
         self.resolve(StageId::Validate, |me| &mut me.validate, |me| {
             let corpus = me.corpus()?;
-            ValidateStage::run(&corpus)
+            Ok(validate_corpus(&corpus))
         })
     }
 
@@ -461,7 +458,8 @@ impl PipelineDriver {
     pub fn comparable(&mut self) -> spec_diag::Result<Rc<ComparableArtifact>> {
         self.resolve(StageId::Comparable, |me| &mut me.comparable, |me| {
             let validate = me.validate()?;
-            ComparableStage::run(&validate)
+            let (indices, stage2) = stage2_split(&validate.valid);
+            Ok(ComparableArtifact { indices, stage2 })
         })
     }
 
@@ -558,21 +556,20 @@ impl PipelineDriver {
         // Fig6 and Derive are the two longest leaves: queue them first.
         let mut order: Vec<usize> = (0..misses.len()).collect();
         order.sort_by_key(|&i| !matches!(misses[i].0, StageId::Fig6 | StageId::Derive));
-        let computed = tinypool::map_tasks(&order, |&i| -> spec_diag::Result<_> {
+        let computed = tinypool::map_tasks(&order, |&i| {
             let id = misses[i].0;
             let mut sp = obs::span(id.name());
-            let value = LeafValue::compute(id, &inputs)?;
+            let value = LeafValue::compute(id, &inputs);
             let payload = encodes.then(|| value.encode());
             if obs::enabled() {
                 record_stage_span(&mut sp, in_bytes[i], payload.as_ref().map_or(0, Vec::len));
             }
-            Ok((value, payload))
+            (value, payload)
         });
         let mut computed: Vec<_> = order.into_iter().zip(computed).collect();
         computed.sort_by_key(|&(i, _)| i);
 
-        for ((id, key), (_, result)) in misses.into_iter().zip(computed) {
-            let (value, payload) = result?;
+        for ((id, key), (_, (value, payload))) in misses.into_iter().zip(computed) {
             self.store_stage(id, &key, payload.as_deref());
             self.memoize_leaf(value);
         }
@@ -648,11 +645,11 @@ macro_rules! leaves {
 
         impl LeafValue {
             /// Run leaf `id`'s stage over `inputs`.
-            fn compute(id: StageId, inputs: &LeafInputs<'_>) -> spec_diag::Result<LeafValue> {
+            fn compute(id: StageId, inputs: &LeafInputs<'_>) -> LeafValue {
                 match id {
                     $(StageId::$variant => {
                         let $inputs = inputs;
-                        $run.map(LeafValue::$variant)
+                        LeafValue::$variant($run)
                     })*
                     other => unreachable!("{} is not a leaf stage", other.name()),
                 }
@@ -705,20 +702,22 @@ macro_rules! leaves {
 // Derive read the comparable runs materialized once per driver.
 leaves! {
     /// The Figure 1 artifact.
-    Fig1: fig1, fig1::Fig1Features, |inputs| Fig1Stage::run(inputs.valid());
+    Fig1: fig1, fig1::Fig1Features, |inputs| fig1::compute(inputs.valid());
     /// The Figure 2 artifact.
-    Fig2: fig2, fig2::Fig2Power, |inputs| Fig2Stage::run(inputs.comparable());
+    Fig2: fig2, fig2::Fig2Power, |inputs| fig2::compute(inputs.comparable());
     /// The Figure 3 artifact.
-    Fig3: fig3, fig3::Fig3Efficiency, |inputs| Fig3Stage::run(inputs.comparable());
+    Fig3: fig3, fig3::Fig3Efficiency, |inputs| fig3::compute(inputs.comparable());
     /// The Figure 4 artifact.
-    Fig4: fig4, fig4::Fig4Proportionality, |inputs| Fig4Stage::run(inputs.comparable());
+    Fig4: fig4, fig4::Fig4Proportionality, |inputs| fig4::compute(inputs.comparable());
     /// The Figure 5 artifact.
-    Fig5: fig5, fig5::Fig5Idle, |inputs| Fig5Stage::run(inputs.comparable());
+    Fig5: fig5, fig5::Fig5Idle, |inputs| fig5::compute(inputs.comparable());
     /// The Figure 6 artifact.
-    Fig6: fig6, fig6::Fig6Extrapolated, |inputs| Fig6Stage::run(inputs.comparable());
+    Fig6: fig6, fig6::Fig6Extrapolated, |inputs| fig6::compute(inputs.comparable());
     /// The Derive artifact (Table I, correlation, proportionality).
-    Derive: derive, DeriveArtifact, |inputs| {
-        DeriveStage::run((inputs.comparable(), inputs.settings, inputs.seed))
+    Derive: derive, DeriveArtifact, |inputs| DeriveArtifact {
+        table1: crate::table1::compute(inputs.settings, inputs.seed),
+        correlation: crate::correlation::explore(inputs.comparable(), 2021),
+        proportionality: crate::proportionality::ep_trend(inputs.comparable()),
     };
 }
 
@@ -756,16 +755,16 @@ impl PipelineDriver {
     /// compute as one batch (Derive included, which the export key
     /// depends on), so a cold export computes them as concurrent pool
     /// tasks.
-    fn export_with<T>(
+    fn export_with(
         &mut self,
-        run: impl FnOnce(ExportInputs<'_>) -> spec_diag::Result<T>,
-    ) -> spec_diag::Result<T> {
+        render: fn(ExportInputs<'_>) -> Vec<(String, String)>,
+    ) -> spec_diag::Result<FilesArtifact> {
         let validate = self.validate()?;
         let comparable = self.comparable_runs()?;
         self.resolve_leaves(&LEAVES)?;
         let (fig1, fig2, fig3) = (self.fig1()?, self.fig2()?, self.fig3()?);
         let (fig4, fig5, fig6) = (self.fig4()?, self.fig5()?, self.fig6()?);
-        run(ExportInputs {
+        let files = render(ExportInputs {
             valid: &validate.valid,
             comparable: &comparable,
             fig1: &fig1,
@@ -774,21 +773,22 @@ impl PipelineDriver {
             fig4: &fig4,
             fig5: &fig5,
             fig6: &fig6,
-        })
+        });
+        Ok(FilesArtifact { files })
     }
 
     /// The rendered figure SVGs. On a warm run this loads one cache entry
     /// and executes no stage at all.
     pub fn export_figures(&mut self) -> spec_diag::Result<Rc<FilesArtifact>> {
         self.resolve(StageId::ExportFigures, |me| &mut me.export_figures, |me| {
-            me.export_with(ExportFiguresStage::run)
+            me.export_with(crate::export::figure_files)
         })
     }
 
     /// The rendered CSV exports (same warm-run property as figures).
     pub fn export_data(&mut self) -> spec_diag::Result<Rc<FilesArtifact>> {
         self.resolve(StageId::ExportData, |me| &mut me.export_data, |me| {
-            me.export_with(ExportDataStage::run)
+            me.export_with(crate::export::data_files)
         })
     }
 

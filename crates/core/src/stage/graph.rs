@@ -1,5 +1,4 @@
-//! The stage DAG: stage identities, their dependency edges, and the typed
-//! [`Stage`] trait each named stage implements.
+//! The stage DAG: stage identities and their dependency edges.
 //!
 //! ```text
 //! Ingest ─▶ Validate ─▶ Comparable ─▶ Fig2..Fig6, Derive ─▶ ExportData
@@ -7,21 +6,11 @@
 //!               └────────▶ Fig1
 //! ```
 //!
-//! The driver walks this graph; the stages themselves are pure functions
-//! from typed inputs to typed, codec-serializable outputs. Keeping the
-//! compute layer free of caching/IO concerns is what lets the golden tests
-//! assert stage-graph output ≡ legacy `load_from_texts` exactly.
-
-use spec_model::RunResult;
-use spec_ssj::Settings;
-
-use super::artifact::{
-    ComparableArtifact, CorpusArtifact, DeriveArtifact, FilesArtifact, ValidateArtifact,
-};
-use super::codec::Codec;
-use crate::export::ExportInputs;
-use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
-use crate::pipeline::{cascade, stage2_split};
+//! The driver walks this graph and calls each stage's compute function
+//! directly (`PipelineDriver`): pure functions from typed inputs to typed,
+//! codec-serializable outputs. Keeping the compute layer free of
+//! caching/IO concerns is what lets the golden tests assert stage-graph
+//! output ≡ legacy `load_from_texts` exactly.
 
 /// Identity of one pipeline stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -126,127 +115,6 @@ impl StageId {
             StageId::ExportData,
             StageId::ExportFigures,
         ]
-    }
-}
-
-/// One named stage of the pipeline: a pure function from a typed input to
-/// a typed, serializable artifact. The driver supplies inputs (resolving
-/// them from upstream artifacts or the cache) and owns all memoization.
-pub trait Stage {
-    /// What the stage consumes (borrowed from the driver's artifact store).
-    type In<'a>;
-    /// What the stage produces — must be codec-serializable to be cached.
-    type Out: Codec;
-
-    /// This stage's identity in the graph.
-    const ID: StageId;
-
-    /// Run the stage. Pure: same input ⇒ byte-identical output.
-    fn run(input: Self::In<'_>) -> spec_diag::Result<Self::Out>;
-}
-
-/// Parse + validate (§II stage 1).
-///
-/// Stage 1 of the sharded cascade kernel with no stage-2 continuation:
-/// chunks merge in order ([`crate::pipeline::FilterReport::merge`]
-/// offsets parse-failure indices), so the artifact — and its encoded
-/// bytes and cache hash — is the same at any thread count.
-pub struct ValidateStage;
-
-impl Stage for ValidateStage {
-    type In<'a> = &'a CorpusArtifact;
-    type Out = ValidateArtifact;
-    const ID: StageId = StageId::Validate;
-
-    fn run(corpus: &CorpusArtifact) -> spec_diag::Result<ValidateArtifact> {
-        let (report, chunks) = cascade(&corpus.items, false, |chunk| (chunk.report, chunk.valid));
-        let valid = chunks.into_iter().flatten().collect();
-        Ok(ValidateArtifact { valid, report })
-    }
-}
-
-/// Comparability filters (§II stage 2).
-pub struct ComparableStage;
-
-impl Stage for ComparableStage {
-    type In<'a> = &'a ValidateArtifact;
-    type Out = ComparableArtifact;
-    const ID: StageId = StageId::Comparable;
-
-    fn run(validate: &ValidateArtifact) -> spec_diag::Result<ComparableArtifact> {
-        let (indices, stage2) = stage2_split(&validate.valid);
-        Ok(ComparableArtifact { indices, stage2 })
-    }
-}
-
-macro_rules! figure_stage {
-    ($stage:ident, $id:expr, $out:ty, $compute:path) => {
-        /// Figure aggregate stage.
-        pub struct $stage;
-
-        impl Stage for $stage {
-            type In<'a> = &'a [RunResult];
-            type Out = $out;
-            const ID: StageId = $id;
-
-            fn run(runs: &[RunResult]) -> spec_diag::Result<$out> {
-                Ok($compute(runs))
-            }
-        }
-    };
-}
-
-figure_stage!(Fig1Stage, StageId::Fig1, fig1::Fig1Features, fig1::compute);
-figure_stage!(Fig2Stage, StageId::Fig2, fig2::Fig2Power, fig2::compute);
-figure_stage!(Fig3Stage, StageId::Fig3, fig3::Fig3Efficiency, fig3::compute);
-figure_stage!(Fig4Stage, StageId::Fig4, fig4::Fig4Proportionality, fig4::compute);
-figure_stage!(Fig5Stage, StageId::Fig5, fig5::Fig5Idle, fig5::compute);
-figure_stage!(Fig6Stage, StageId::Fig6, fig6::Fig6Extrapolated, fig6::compute);
-
-/// Table I + §IV correlation + proportionality trend.
-pub(crate) struct DeriveStage;
-
-impl Stage for DeriveStage {
-    type In<'a> = (&'a [RunResult], &'a Settings, u64);
-    type Out = DeriveArtifact;
-    const ID: StageId = StageId::Derive;
-
-    fn run((comparable, settings, seed): Self::In<'_>) -> spec_diag::Result<DeriveArtifact> {
-        Ok(DeriveArtifact {
-            table1: crate::table1::compute(settings, seed),
-            correlation: crate::correlation::explore(comparable, 2021),
-            proportionality: crate::proportionality::ep_trend(comparable),
-        })
-    }
-}
-
-/// Render the per-figure CSV exports.
-pub(crate) struct ExportDataStage;
-
-impl Stage for ExportDataStage {
-    type In<'a> = ExportInputs<'a>;
-    type Out = FilesArtifact;
-    const ID: StageId = StageId::ExportData;
-
-    fn run(inputs: ExportInputs<'_>) -> spec_diag::Result<FilesArtifact> {
-        Ok(FilesArtifact {
-            files: crate::export::data_files(inputs),
-        })
-    }
-}
-
-/// Render the figure SVGs.
-pub(crate) struct ExportFiguresStage;
-
-impl Stage for ExportFiguresStage {
-    type In<'a> = ExportInputs<'a>;
-    type Out = FilesArtifact;
-    const ID: StageId = StageId::ExportFigures;
-
-    fn run(inputs: ExportInputs<'_>) -> spec_diag::Result<FilesArtifact> {
-        Ok(FilesArtifact {
-            files: crate::export::figure_files(inputs),
-        })
     }
 }
 

@@ -1,9 +1,9 @@
 //! # Stage-graph pipeline
 //!
 //! The end-to-end flow — ingest → validate → comparable → figure/derive
-//! aggregates → export — expressed as a typed DAG of named [`Stage`]s,
-//! driven by one [`PipelineDriver`] shared by the CLI, the bench harness
-//! and the figure writers.
+//! aggregates → export — expressed as a DAG of named stages
+//! ([`StageId`]), driven by one [`PipelineDriver`] shared by the CLI, the
+//! bench harness and the figure writers.
 //!
 //! Each stage's output is a typed, codec-serializable artifact
 //! ([`artifact`]), keyed by a content hash of (code version, stage id,
@@ -34,8 +34,8 @@ pub mod manifest;
 pub mod partition;
 
 pub use artifact::{
-    assemble_set, corpus_fingerprint, ComparableArtifact, CorpusArtifact, DeriveArtifact,
-    FilesArtifact, ValidateArtifact,
+    assemble_set, corpus_fingerprint, validate_corpus, ComparableArtifact, CorpusArtifact,
+    DeriveArtifact, FilesArtifact, ValidateArtifact,
 };
 pub use cache::{
     content_hash, ArtifactCache, CacheHealth, ContentHasher, FsckReport, Hash128, QUARANTINE_DIR,
@@ -48,10 +48,7 @@ pub use partition::{
     ShardSpec,
 };
 pub(crate) use partition::{PartitionSummary, TaggedRow};
-pub use graph::{
-    ComparableStage, Fig1Stage, Fig2Stage, Fig3Stage, Fig4Stage, Fig5Stage, Fig6Stage, Stage,
-    StageId, ValidateStage,
-};
+pub use graph::StageId;
 
 /// Version tag folded into every cache key. Bump when any stage's output
 /// semantics or the codec layout change; old cache entries then read as

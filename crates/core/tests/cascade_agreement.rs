@@ -11,8 +11,7 @@
 
 use spec_analysis::figures::common::{extract_rows, RunRow};
 use spec_analysis::stage::{
-    assemble_set, part_key_of_text, ComparableStage, CorpusArtifact, PartKey, Stage,
-    ValidateStage,
+    assemble_set, part_key_of_text, validate_corpus, ComparableArtifact, CorpusArtifact, PartKey,
 };
 use spec_analysis::stream::{StreamConfig, StreamIngest, StreamRows};
 use spec_analysis::{
@@ -113,8 +112,9 @@ fn check_every_path<T: CascadeInput>(shape: &str, items: &[T], corpus: CorpusArt
                 &load_from_texts_parallel(items),
             );
 
-            let validate = ValidateStage::run(&corpus).unwrap();
-            let comparable = ComparableStage::run(&validate).unwrap();
+            let validate = validate_corpus(&corpus);
+            let (indices, stage2) = stage2_split(&validate.valid);
+            let comparable = ComparableArtifact { indices, stage2 };
             check_set(
                 &format!("validate stage, {at}"),
                 &assemble_set(&validate, &comparable),

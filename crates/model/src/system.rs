@@ -138,7 +138,7 @@ impl SystemConfig {
         self.chips * self.cpu.threads_per_chip()
     }
 
-    /// The paper's comparability criterion: one node with at most two sockets.
+    /// The paper's comparability rule: one node with at most two sockets.
     #[inline]
     pub fn is_comparable_topology(&self) -> bool {
         self.nodes == 1 && self.chips <= 2

@@ -14,6 +14,6 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
-    --exclude criterion --exclude proptest --exclude rand --exclude serde --exclude serde_derive
+    --exclude proptest --exclude rand --exclude serde --exclude serde_derive
 
 echo "tier1: OK"

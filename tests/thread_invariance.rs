@@ -79,7 +79,7 @@ fn filter_report_is_identical_across_thread_counts() {
 #[test]
 fn validate_artifact_is_byte_identical_across_thread_counts() {
     use spec_power_trends::analysis::stage::{
-        content_hash, encode_to_vec, CorpusArtifact, Stage, ValidateArtifact, ValidateStage,
+        content_hash, encode_to_vec, validate_corpus, CorpusArtifact, ValidateArtifact,
     };
     use spec_power_trends::analysis::{stage1_validate_inputs_indexed, CascadeInput, RawInput};
 
@@ -109,9 +109,7 @@ fn validate_artifact_is_byte_identical_across_thread_counts() {
     let sequential = encode_to_vec(&ValidateArtifact { valid, report });
 
     for threads in THREAD_COUNTS {
-        let artifact = Pool::new(threads)
-            .install(|| ValidateStage::run(&corpus))
-            .expect("validate stage");
+        let artifact = Pool::new(threads).install(|| validate_corpus(&corpus));
         let payload = encode_to_vec(&artifact);
         assert_eq!(
             payload, sequential,
